@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CapExceededError, OrdinalRangeError
 from .flowtree import FlowTree, action_leaf, node
 from .gvas import Config, Gvas
-from .ordinal import DEFAULT_CAP, Ordinal, fast_growing, fast_growing_iter, natural_sum
+from .ordinal import DEFAULT_CAP, Ordinal, fast_growing
 from .reach import ReachTable, cached_reach
 from .weakcomp import WeakComputer
 
@@ -354,6 +354,28 @@ class SafetyScan:
     cap_hits: int
 
 
+def hierarchy_rows(levels: Sequence[Ordinal], cap: int) -> np.ndarray:
+    """Table of ``F_level(x)`` for each level and every x in 0..cap.
+
+    Row j, column x holds ``fast_growing(levels[j], x, cap)``, or the
+    sentinel ``cap + 1`` where that call raises the cap error.  A row is
+    evaluated up to its first overflow only: every level is strictly
+    increasing in x, so all later columns overflow too.  Column
+    ``cap + 1`` holds the sentinel as well, so the sentinel is absorbing:
+    a row used as an index map sends an overflow to an overflow, which is
+    what makes composed rows agree with :func:`fast_growing_iter`.
+    """
+    sentinel = cap + 1
+    rows = np.full((len(levels), cap + 2), sentinel, dtype=np.int64)
+    for j, level in enumerate(levels):
+        for x in range(cap + 1):
+            try:
+                rows[j, x] = fast_growing(level, x, cap)
+            except CapExceededError:
+                break
+    return rows
+
+
 def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = None) -> SafetyScan:
     """Check every table entry of one core nonterminal against its
     value-bound clause.
@@ -365,6 +387,12 @@ def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = 
     demands the level be restored.  The hierarchy cap sits just above the
     grid, so a cap overflow certifies the clause vacuously (the bound
     exceeds anything the grid can hold); such entries count as cap hits.
+
+    Every argument a clause needs lies in 0..cap, so the hierarchy is
+    tabulated once per distinct level with :func:`hierarchy_rows` (the
+    sentinel ``cap + 1`` marks an overflow) and each entry's limit is one
+    gather from that table; ``Iter`` gathers from the row composed with
+    itself value-many times.
     """
     g = build_core(d)
     if symbol not in g.nonterminals:
@@ -388,42 +416,27 @@ def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = 
         slack = np.zeros(entries, dtype=np.int64)
         cap_hits = 0
     else:
-        if symbol == "Fn":
-            keys = np.concatenate([src[:, 2:], s_in[:, None]], axis=1)
-
-            def limit_for(key) -> Optional[int]:
-                level = Ordinal(tuple(key[:-1]))
-                return fast_growing(level, int(key[-1]), cap)
-
-        elif symbol == "Iter":
-            keys = np.concatenate([src[:, 2:], src[:, VAL][:, None], s_in[:, None]], axis=1)
-
-            def limit_for(key) -> Optional[int]:
-                level = Ordinal(tuple(key[:-2]))
-                return fast_growing_iter(level, int(key[-2]), int(key[-1]), cap)
-
-        else:  # Desc_i
-            i = int(symbol[4:])
-            keys = np.concatenate([src[:, 2:], src[:, VAL][:, None], s_in[:, None]], axis=1)
-
-            def limit_for(key) -> Optional[int]:
-                level = natural_sum(Ordinal(tuple(key[:-2])), Ordinal.omega(i - 1, int(key[-2])))
-                return fast_growing(level, int(key[-1]), cap)
-
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        limits = np.empty(len(uniq), dtype=np.int64)
-        capped = np.zeros(len(uniq), dtype=bool)
-        for j, key in enumerate(uniq):
-            try:
-                limits[j] = limit_for(key)
-            except CapExceededError:
-                limits[j] = np.iinfo(np.int64).max
-                capped[j] = True
-        per_entry_limit = limits[inverse]
-        bad_sum = s_out > per_entry_limit
-        finite = ~capped[inverse]
-        slack = np.where(finite, per_entry_limit - s_out, 0)
-        cap_hits = int(np.count_nonzero(capped[inverse]))
+        digits = src[:, 2:]
+        if symbol.startswith("Desc"):
+            digits = digits.copy()
+            digits[:, int(symbol[4:]) - 1] += src[:, VAL]
+        # one integer code per level: a 1-D unique is far cheaper than a row-wise one
+        radix = int(digits.max()) + 1
+        codes = digits @ (radix ** np.arange(d, dtype=np.int64))
+        _, first, level_of = np.unique(codes, return_index=True, return_inverse=True)
+        table_rows = hierarchy_rows([Ordinal(tuple(digits[j])) for j in first], cap)
+        if symbol == "Iter":
+            vals = src[:, VAL]
+            iterates = [np.broadcast_to(np.arange(cap + 2), table_rows.shape)]
+            for _ in range(int(vals.max())):
+                iterates.append(np.take_along_axis(table_rows, iterates[-1], axis=1))
+            limit = np.stack(iterates)[vals, level_of, s_in]
+        else:
+            limit = table_rows[level_of, s_in]
+        capped = limit > cap
+        bad_sum = ~capped & (s_out > limit)
+        slack = np.where(capped, 0, limit - s_out)
+        cap_hits = int(np.count_nonzero(capped))
 
     bad = bad_level | bad_sum
     viol_idx = np.nonzero(bad)[0][:32]

@@ -13,6 +13,7 @@ witnesses and produces a common extension realizing both liftings.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -68,10 +69,6 @@ def action_leaf(src: Sequence[int], action: Sequence[int]) -> FlowTree:
     a = tuple(action)
     dst = tuple(v + d for v, d in zip(src, a))
     return FlowTree(Transition(tuple(src), a, dst))
-
-
-def root_of(t: FlowTree) -> Transition:
-    return t.label
 
 
 def positions(t: FlowTree) -> list[Position]:
@@ -133,9 +130,9 @@ def validate_tree(g: Gvas, t: FlowTree) -> Optional[TreeDefect]:
     actions = set(g.actions)
     nts = set(g.nonterminals)
     rule_set = set(g.rules)
-    queue: list[tuple[Position, FlowTree]] = [((), t)]
+    queue: deque[tuple[Position, FlowTree]] = deque([((), t)])
     while queue:
-        pos, nd = queue.pop(0)
+        pos, nd = queue.popleft()
         src, sym, dst = nd.label.src, nd.label.symbol, nd.label.dst
         if len(src) != g.dim or len(dst) != g.dim:
             return TreeDefect(pos, f"configuration length differs from dim {g.dim}")
@@ -328,11 +325,11 @@ def replay(witness: EmbeddingWitness, s: FlowTree, t: FlowTree) -> Lifting:
 
 
 def _subtrees(t) -> Iterator:
-    stack = [t]
-    while stack:
-        nd = stack.pop(0)
+    queue = deque([t])
+    while queue:
+        nd = queue.popleft()
         yield nd
-        stack.extend(nd[1])
+        queue.extend(nd[1])
 
 
 def _embeds(s, t, le: Callable) -> bool:

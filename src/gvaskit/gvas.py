@@ -65,9 +65,6 @@ class Gvas:
             frozen.append((lhs, row))
         return cls(dim, tuple(nts), tuple(acts), tuple(frozen), start)
 
-    def is_action(self, s: "str | Action") -> bool:
-        return isinstance(s, tuple)
-
     def rules_for(self, nt: str) -> list[tuple[int, Word]]:
         return [(i, rhs) for i, (lhs, rhs) in enumerate(self.rules) if lhs == nt]
 

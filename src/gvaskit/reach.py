@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -78,19 +78,139 @@ class Grid:
         return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0), dtype=np.int64)
 
 
+def _action_offset(grid: Grid, a: tuple[int, ...]) -> int:
+    """Index distance an in-grid application of action a moves a cell by."""
+    return grid.encode(tuple(max(v, 0) for v in a)) - grid.encode(tuple(-min(v, 0) for v in a))
+
+
+def _action_target(grid: Grid, a: tuple[int, ...], s: int) -> int | None:
+    out = tuple(x + y for x, y in zip(grid.decode(s), a))
+    return s + _action_offset(grid, a) if grid.contains(out) else None
+
+
 def _action_matrix(grid: Grid, a: tuple[int, ...]) -> sparse.csr_matrix:
     coords = grid.coords_matrix()
     shifted = coords + np.asarray(a, dtype=np.int64)
     ok = np.all((shifted >= 0) & (shifted <= grid.bound), axis=1)
     rows = np.nonzero(ok)[0]
-    offset = grid.encode(tuple(v if v > 0 else 0 for v in a)) - grid.encode(tuple(-v if v < 0 else 0 for v in a))
-    cols = rows + offset
+    cols = rows + _action_offset(grid, a)
     data = np.ones(len(rows), dtype=bool)
     return sparse.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size), dtype=bool)
 
 
 def _empty(n: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((n, n), dtype=bool)
+
+
+def _symbol_ref(s) -> tuple:
+    return ("act", s) if isinstance(s, tuple) else ("sym", s)
+
+
+def _binarize(g: Gvas) -> tuple[list[tuple[tuple, tuple]], dict[tuple[int, int], tuple]]:
+    """Rules as chains of two-factor joins over auxiliary suffix relations.
+
+    Returns the definitions ``(target key, op)`` in rule order, where op is
+    ``("eps",)``, ``("copy", ref)`` or ``("join", left, right)``, and the
+    key of the suffix of each rule starting at child i (i >= 1); suffixes
+    of length one alias the symbol.
+    """
+    defs: list[tuple[tuple, tuple]] = []
+    suffix_refs: dict[tuple[int, int], tuple] = {}
+    for r, (lhs, rhs) in enumerate(g.rules):
+        k = len(rhs)
+        for i in range(1, k):
+            suffix_refs[(r, i)] = _symbol_ref(rhs[k - 1]) if i == k - 1 else ("aux", r, i)
+        target = ("sym", lhs)
+        if k == 0:
+            defs.append((target, ("eps",)))
+        elif k == 1:
+            defs.append((target, ("copy", _symbol_ref(rhs[0]))))
+        else:
+            defs.append((target, ("join", _symbol_ref(rhs[0]), suffix_refs[(r, 1)])))
+            for i in range(1, k - 1):
+                defs.append((("aux", r, i), ("join", _symbol_ref(rhs[i]), suffix_refs[(r, i + 1)])))
+    return defs, suffix_refs
+
+
+#: ``stamp(key, s, d)``: discovery stamp of pair (s, d) in relation ``key``, 0 if absent.
+StampLookup = Callable[[tuple, int, int], int]
+#: ``row(key, s)``: every (d, stamp) of relation ``key`` from cell s.
+RowLookup = Callable[[tuple, int], Iterable[tuple[int, int]]]
+
+
+def _justify(
+    grid: Grid, suffix_refs, rule_idx: int, rhs, s: int, d: int, below: int,
+    stamp: StampLookup, row: RowLookup,
+) -> list[int] | None:
+    """Intermediate cells for one rule application, or None.
+
+    Children must all have stamps strictly below ``below``; picks the
+    lexicographically smallest configuration at each position subject
+    to the suffix staying feasible.
+    """
+
+    def feasible(ref, a: int) -> bool:
+        if ref[0] == "act":
+            return _action_target(grid, ref[1], a) == d
+        return 0 < stamp(ref, a, d) < below
+
+    if not rhs:
+        return [] if s == d else None
+    if len(rhs) == 1:
+        return [] if feasible(_symbol_ref(rhs[0]), s) else None
+    mids: list[int] = []
+    cur = s
+    for i, head in enumerate(rhs[:-1]):
+        suffix = suffix_refs[(rule_idx, i + 1)]
+        if isinstance(head, tuple):
+            nxt = _action_target(grid, head, cur)
+            cands = [] if nxt is None else [nxt]
+        else:
+            cands = sorted((c for c, v in row(("sym", head), cur) if 0 < v < below), key=grid.decode)
+        nxt = next((c for c in cands if feasible(suffix, c)), None)
+        if nxt is None:
+            return None
+        mids.append(nxt)
+        cur = nxt
+    return mids
+
+
+def _build_witness(
+    g: Gvas, grid: Grid, suffix_refs, symbol: str, s: int, d: int,
+    stamp: StampLookup, row: RowLookup,
+) -> FlowTree:
+    """Deterministic flow tree for the stamped pair ``s ->symbol d``.
+
+    Each node takes the first rule, in declaration order, that
+    :func:`_justify` accepts under the node's own stamp.  Nodes are
+    expanded from an explicit stack in pre-order and assembled bottom-up
+    afterwards, so chain-shaped witnesses of any depth are fine.
+    """
+    expanded: list[tuple[Transition, int]] = []  # (label, arity), pre-order
+    todo = [(symbol, s, d)]
+    while todo:
+        sym, a, b = todo.pop()
+        label = Transition(grid.decode(a), sym, grid.decode(b))
+        if isinstance(sym, tuple):
+            expanded.append((label, 0))
+            continue
+        below = stamp(("sym", sym), a, b)
+        if below <= 0:
+            raise NotInTableError(f"{label.src} ->{sym} {label.dst} not in table")
+        for rule_idx, rhs in g.rules_for(sym):
+            mids = _justify(grid, suffix_refs, rule_idx, rhs, a, b, below, stamp, row)
+            if mids is not None:
+                break
+        else:
+            raise NotInTableError(f"no justification for {label.src} ->{sym} {label.dst}")  # unreachable
+        cells = [a] + mids + ([b] if rhs else [])
+        expanded.append((label, len(rhs)))
+        todo.extend((rhs[i], cells[i], cells[i + 1]) for i in reversed(range(len(rhs))))
+    built: list[FlowTree] = []
+    for label, arity in reversed(expanded):
+        # the children's subtrees were finished just before, leftmost on top
+        built.append(FlowTree(label, tuple(built.pop() for _ in range(arity))))
+    return built[0]
 
 
 class ReachTable:
@@ -185,72 +305,10 @@ class ReachTable:
 
     # -- witness reconstruction -------------------------------------------
 
-    def _feasible(self, ref, s: int, d: int, below: int) -> bool:
-        """Is the pair present with stamp strictly below ``below``?"""
-        kind = ref[0]
-        if kind == "act":
-            m = self._action_mat(ref[1])
-            lo, hi = m.indptr[s], m.indptr[s + 1]
-            return d in m.indices[lo:hi]
-        return 0 < self._stamp_of(ref, s, d) < below
-
-    def _symbol_ref(self, symbol):
-        return ("act", symbol) if isinstance(symbol, tuple) else ("sym", symbol)
-
-    def _justify(self, rule_idx: int, rhs, s: int, d: int, below: int) -> list[int] | None:
-        """Intermediate cells for one rule application, or None.
-
-        Children must all have stamps strictly below ``below``; picks the
-        lexicographically smallest configuration at each position subject
-        to the suffix staying feasible.
-        """
-        k = len(rhs)
-        if k == 0:
-            return [] if s == d else None
-        if k == 1:
-            return [] if self._feasible(self._symbol_ref(rhs[0]), s, d, below) else None
-        mids: list[int] = []
-        cur = s
-        for i in range(k - 1):
-            head = rhs[i]
-            suffix = self._suffix_refs[(rule_idx, i + 1)]
-            if isinstance(head, tuple):
-                m = self._action_mat(head)
-                lo, hi = m.indptr[cur], m.indptr[cur + 1]
-                cands = [int(c) for c in m.indices[lo:hi]]
-            else:
-                m = self._stamps[("sym", head)]
-                lo, hi = m.indptr[cur], m.indptr[cur + 1]
-                cands = [int(c) for c, v in zip(m.indices[lo:hi], m.data[lo:hi]) if 0 < v < below]
-            cands.sort(key=self.grid.decode)
-            nxt = None
-            for c in cands:
-                if self._feasible(suffix, c, d, below):
-                    nxt = c
-                    break
-            if nxt is None:
-                return None
-            mids.append(nxt)
-            cur = nxt
-        return mids
-
-    def _build(self, symbol, s: int, d: int) -> FlowTree:
-        src, dst = self.grid.decode(s), self.grid.decode(d)
-        if isinstance(symbol, tuple):
-            return FlowTree(Transition(src, symbol, dst))
-        below = self._stamp_of(("sym", symbol), s, d)
-        if below <= 0:
-            raise NotInTableError(f"{src} ->{symbol} {dst} not in table")
-        for rule_idx, rhs in self.gvas.rules_for(symbol):
-            mids = self._justify(rule_idx, rhs, s, d, below)
-            if mids is None:
-                continue
-            cells = [s] + mids + ([d] if rhs else [])
-            children = tuple(
-                self._build(rhs[i], cells[i], cells[i + 1]) for i in range(len(rhs))
-            )
-            return FlowTree(Transition(src, symbol, dst), children)
-        raise NotInTableError(f"no justification for {src} ->{symbol} {dst}")  # unreachable
+    def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
+        m = self._stamps[key]
+        lo, hi = m.indptr[s], m.indptr[s + 1]
+        return zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         """Deterministic valid flow tree with root ``x ->symbol y``."""
@@ -262,7 +320,10 @@ class ReachTable:
             return FlowTree(Transition(tuple(x), symbol, tuple(y)))
         if symbol not in self.gvas.nonterminals:
             raise UnknownSymbolError(f"unknown symbol {symbol!r}")
-        return self._build(symbol, self.grid.encode(x), self.grid.encode(y))
+        return _build_witness(
+            self.gvas, self.grid, self._suffix_refs, symbol,
+            self.grid.encode(x), self.grid.encode(y), self._stamp_of, self._stamped_row,
+        )
 
 
 def bounded_reach(
@@ -287,27 +348,7 @@ def bounded_reach(
         raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
     n = grid.size
 
-    # Binarize: each rule becomes a chain of two-factor joins over
-    # auxiliary suffix relations; suffixes of length one alias the symbol.
-    def symbol_ref(s):
-        return ("act", s) if isinstance(s, tuple) else ("sym", s)
-
-    defs: list[tuple[tuple, tuple]] = []  # (target key, op)
-    suffix_refs: dict[tuple[int, int], tuple] = {}
-    for r, (lhs, rhs) in enumerate(g.rules):
-        k = len(rhs)
-        for i in range(1, k):
-            suffix_refs[(r, i)] = symbol_ref(rhs[k - 1]) if i == k - 1 else ("aux", r, i)
-        target = ("sym", lhs)
-        if k == 0:
-            defs.append((target, ("eps",)))
-        elif k == 1:
-            defs.append((target, ("copy", symbol_ref(rhs[0]))))
-        else:
-            defs.append((target, ("join", symbol_ref(rhs[0]), suffix_refs[(r, 1)])))
-            for i in range(1, k - 1):
-                defs.append((("aux", r, i), ("join", symbol_ref(rhs[i]), suffix_refs[(r, i + 1)])))
-
+    defs, suffix_refs = _binarize(g)
     act_mats = {("act", a): _action_matrix(grid, a) for a in g.actions}
     defined_keys = []
     seen = set()
@@ -423,23 +464,12 @@ class ReachCone:
         self.source: Config = tuple(source)
         self._max_entries = max_entries
         self._act_memo: dict[tuple, int | None] = {}
-        self._offsets = {a: self.grid.encode(tuple(max(v, 0) for v in a)) - self.grid.encode(tuple(-min(v, 0) for v in a)) for a in g.actions}
+        self._offsets = {a: _action_offset(self.grid, a) for a in g.actions}
 
+        defs, self._suffix_refs = _binarize(g)
         self._defs: dict[tuple, list[tuple]] = {}
-        self._suffix_refs: dict[tuple[int, int], tuple] = {}
-        for r, (lhs, rhs) in enumerate(g.rules):
-            k = len(rhs)
-            for i in range(1, k):
-                self._suffix_refs[(r, i)] = self._symbol_ref(rhs[k - 1]) if i == k - 1 else ("aux", r, i)
-            target = ("sym", lhs)
-            if k == 0:
-                self._defs.setdefault(target, []).append(("eps",))
-            elif k == 1:
-                self._defs.setdefault(target, []).append(("copy", self._symbol_ref(rhs[0])))
-            else:
-                self._defs.setdefault(target, []).append(("join", self._symbol_ref(rhs[0]), self._suffix_refs[(r, 1)]))
-                for i in range(1, k - 1):
-                    self._defs.setdefault(("aux", r, i), []).append(("join", self._symbol_ref(rhs[i]), self._suffix_refs[(r, i + 1)]))
+        for target, op in defs:
+            self._defs.setdefault(target, []).append(op)
         for nt in g.nonterminals:
             self._defs.setdefault(("sym", nt), [])
 
@@ -447,10 +477,6 @@ class ReachCone:
         self._deps: dict[tuple[tuple, int], set[tuple[tuple, int]]] = {}
         self._stamp = 0
         self._evaluate_all(("sym", g.start), self.grid.encode(self.source))
-
-    @staticmethod
-    def _symbol_ref(s):
-        return ("act", s) if isinstance(s, tuple) else ("sym", s)
 
     def _act_dst(self, a, s: int) -> int | None:
         key = (a, s)
@@ -532,63 +558,21 @@ class ReachCone:
             raise NotInTableError(f"source {tuple(x)} was never demanded for {symbol!r}")
         return sorted(self.grid.decode(d) for d in got)
 
-    def _feasible(self, ref, s: int, d: int, below: int) -> bool:
-        if ref[0] == "act":
-            return self._act_dst(ref[1], s) == d
-        got = self._tables.get((ref, s), {})
-        st = got.get(d, 0)
-        return 0 < st < below
+    def _stamp_of(self, key, s: int, d: int) -> int:
+        return self._tables.get((key, s), {}).get(d, 0)
 
-    def _justify(self, rule_idx: int, rhs, s: int, d: int, below: int) -> list[int] | None:
-        k = len(rhs)
-        if k == 0:
-            return [] if s == d else None
-        if k == 1:
-            return [] if self._feasible(self._symbol_ref(rhs[0]), s, d, below) else None
-        mids: list[int] = []
-        cur = s
-        for i in range(k - 1):
-            head = rhs[i]
-            suffix = self._suffix_refs[(rule_idx, i + 1)]
-            if isinstance(head, tuple):
-                nxt_d = self._act_dst(head, cur)
-                cands = [nxt_d] if nxt_d is not None else []
-            else:
-                got = self._tables.get((("sym", head), cur), {})
-                cands = sorted((c for c, v in got.items() if 0 < v < below), key=self.grid.decode)
-            nxt = None
-            for c in cands:
-                if self._feasible(suffix, c, d, below):
-                    nxt = c
-                    break
-            if nxt is None:
-                return None
-            mids.append(nxt)
-            cur = nxt
-        return mids
-
-    def _build(self, symbol, s: int, d: int) -> FlowTree:
-        src, dst = self.grid.decode(s), self.grid.decode(d)
-        if isinstance(symbol, tuple):
-            return FlowTree(Transition(src, symbol, dst))
-        below = self._tables.get((("sym", symbol), s), {}).get(d, 0)
-        if below <= 0:
-            raise NotInTableError(f"{src} ->{symbol} {dst} not in the cone")
-        for rule_idx, rhs in self.gvas.rules_for(symbol):
-            mids = self._justify(rule_idx, rhs, s, d, below)
-            if mids is None:
-                continue
-            cells = [s] + mids + ([d] if rhs else [])
-            children = tuple(self._build(rhs[i], cells[i], cells[i + 1]) for i in range(len(rhs)))
-            return FlowTree(Transition(src, symbol, dst), children)
-        raise NotInTableError(f"no justification for {src} ->{symbol} {dst}")
+    def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
+        return self._tables.get((key, s), {}).items()
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         if isinstance(symbol, tuple):
             if tuple(map(sum, zip(x, symbol))) != tuple(y):
                 raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
             return FlowTree(Transition(tuple(x), symbol, tuple(y)))
-        return self._build(symbol, self.grid.encode(x), self.grid.encode(y))
+        return _build_witness(
+            self.gvas, self.grid, self._suffix_refs, symbol,
+            self.grid.encode(x), self.grid.encode(y), self._stamp_of, self._stamped_row,
+        )
 
 
 def reach_from(g: Gvas, x, bound: int, max_entries: int = 5_000_000) -> ReachCone:
@@ -626,7 +610,3 @@ def reachable_from(table: ReachTable, x: Sequence[int], word: Sequence) -> list[
         if not front:
             break
     return sorted(table.grid.decode(i) for i in front)
-
-
-def witness_flow_tree(table: ReachTable, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
-    return table.witness(x, symbol, y)

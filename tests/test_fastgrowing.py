@@ -1,19 +1,26 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from gvaskit.errors import OrdinalRangeError
+from gvaskit.errors import CapExceededError, OrdinalRangeError
 from gvaskit.fastgrowing import (
+    BUF,
+    VAL,
     CoreView,
+    SafetyScan,
     as_weak_computer,
     build_computer,
     build_core,
     build_witness,
     computer_witness,
     derivation_check,
+    hierarchy_rows,
     safety_check,
 )
 from gvaskit.flowtree import validate_tree
 from gvaskit.gvas import Transition, validate
-from gvaskit.ordinal import OMEGA, Ordinal, fast_growing
+from gvaskit.ordinal import OMEGA, Ordinal, fast_growing, fast_growing_iter, natural_sum
 from gvaskit.reach import bounded_reach
 from gvaskit.weakcomp import check_complete, check_safe
 
@@ -139,6 +146,96 @@ def test_safety_small_grid_clauses():
 def test_safety_rejects_unknown_symbol():
     with pytest.raises(ValueError):
         safety_check(1, "Nope", 4)
+
+
+def reference_safety_check(d, symbol, table):
+    """The scan as one evaluator call per distinct clause key: the oracle
+    for the tabulated scan in :func:`safety_check`."""
+    rows, cols = table.pairs_arrays(symbol)
+    entries = len(rows)
+    if entries == 0:
+        return SafetyScan(symbol, 0, (), None, 0)
+    src = table.grid.decode_many(rows)
+    dst = table.grid.decode_many(cols)
+    cap = 2 * table.bound + 2
+    bad_level = ~np.all(src[:, 2:] == dst[:, 2:], axis=1)
+    s_in = src[:, VAL] + src[:, BUF]
+    s_out = dst[:, VAL] + dst[:, BUF]
+    if symbol == "Load":
+        bad_sum = s_out != s_in
+        slack = np.zeros(entries, dtype=np.int64)
+        cap_hits = 0
+    else:
+        if symbol == "Fn":
+            keys = np.concatenate([src[:, 2:], s_in[:, None]], axis=1)
+
+            def limit_for(key):
+                return fast_growing(Ordinal(tuple(key[:-1])), int(key[-1]), cap)
+
+        elif symbol == "Iter":
+            keys = np.concatenate([src[:, 2:], src[:, VAL][:, None], s_in[:, None]], axis=1)
+
+            def limit_for(key):
+                return fast_growing_iter(Ordinal(tuple(key[:-2])), int(key[-2]), int(key[-1]), cap)
+
+        else:
+            i = int(symbol[4:])
+            keys = np.concatenate([src[:, 2:], src[:, VAL][:, None], s_in[:, None]], axis=1)
+
+            def limit_for(key):
+                level = natural_sum(Ordinal(tuple(key[:-2])), Ordinal.omega(i - 1, int(key[-2])))
+                return fast_growing(level, int(key[-1]), cap)
+
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        limits = np.empty(len(uniq), dtype=np.int64)
+        capped = np.zeros(len(uniq), dtype=bool)
+        for j, key in enumerate(uniq):
+            try:
+                limits[j] = limit_for(key)
+            except CapExceededError:
+                limits[j] = np.iinfo(np.int64).max
+                capped[j] = True
+        per_entry_limit = limits[inverse]
+        bad_sum = s_out > per_entry_limit
+        finite = ~capped[inverse]
+        slack = np.where(finite, per_entry_limit - s_out, 0)
+        cap_hits = int(np.count_nonzero(capped[inverse]))
+    bad = bad_level | bad_sum
+    violations = tuple(
+        (tuple(int(v) for v in src[k]), tuple(int(v) for v in dst[k]))
+        for k in np.nonzero(bad)[0][:32]
+    )
+    finite_slacks = slack[~bad] if symbol != "Load" else slack
+    max_slack = int(finite_slacks.max()) if len(finite_slacks) else None
+    return SafetyScan(symbol, entries, violations, max_slack, cap_hits)
+
+
+@pytest.mark.parametrize("d,bound", [(1, 8), (1, 12), (2, 6)])
+def test_safety_scan_matches_per_key_reference(d, bound):
+    g = build_core(d)
+    table = bounded_reach(g, bound)
+    for symbol in g.nonterminals:
+        assert safety_check(d, symbol, bound, table) == reference_safety_check(d, symbol, table), symbol
+
+
+@pytest.mark.parametrize("cap", [4, 14, 18])
+def test_hierarchy_rows_match_evaluator(cap):
+    # the ordinal sample of acceptance criterion 6, at the caps of the scans
+    # above; from cap 26 on the evaluator itself recurses too deep on it
+    levels = [Ordinal(c) for c in itertools.product(range(3), repeat=3)]
+    rows = hierarchy_rows(levels, cap)
+    assert rows.shape == (len(levels), cap + 2)
+    overflows = 0
+    for level, row in zip(levels, rows):
+        for x in range(cap + 1):
+            try:
+                want = fast_growing(level, x, cap)
+            except CapExceededError:
+                want = cap + 1
+                overflows += 1
+            assert row[x] == want, (level, x)
+        assert row[cap + 1] == cap + 1
+    assert overflows > 0
 
 
 def test_completeness_safety_sandwich():

@@ -3,7 +3,7 @@ import pytest
 from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.gvas import Gvas
-from gvaskit.reach import bounded_reach, reach_from, reachable_from, witness_flow_tree
+from gvaskit.reach import bounded_reach, reach_from, reachable_from
 
 
 # --- independent oracle -----------------------------------------------------
@@ -172,8 +172,8 @@ def test_witness_validates_and_is_deterministic(pow2):
     t1 = bounded_reach(pow2, 16)
     t2 = bounded_reach(pow2, 16)
     for target in range(1, 9):
-        w1 = witness_flow_tree(t1, (3,), "S", (target,))
-        w2 = witness_flow_tree(t2, (3,), "S", (target,))
+        w1 = t1.witness((3,), "S", (target,))
+        w2 = t2.witness((3,), "S", (target,))
         assert validate_tree(pow2, w1) is None
         assert w1.label.src == (3,) and w1.label.dst == (target,)
         assert format_tree(w1) == format_tree(w2)
@@ -204,6 +204,24 @@ def test_every_start_pair_has_valid_witness(exchange):
         assert validate_tree(exchange, table.witness(x, "S", y)) is None
 
 
+CHAIN = Gvas.from_rules(1, [("S", [(1,), "S"]), ("S", [])], "S")
+
+
+def chain_depth(tree):
+    """Number of S nodes along the spine of a ``CHAIN`` tree."""
+    depth = 0
+    while tree.children:
+        depth += 1
+        tree = tree.children[-1]
+    return depth + 1
+
+
+def test_witness_of_depth_600():
+    tree = bounded_reach(CHAIN, 700).witness((0,), "S", (600,))
+    assert validate_tree(CHAIN, tree) is None
+    assert chain_depth(tree) == 601
+
+
 # --- single-source cone --------------------------------------------------------
 
 
@@ -219,6 +237,12 @@ def test_cone_witness_validates(pow2):
     tree = cone.witness((3,), "S", (8,))
     assert validate_tree(pow2, tree) is None
     assert tree.label.dst == (8,)
+
+
+def test_cone_witness_of_depth_600():
+    tree = reach_from(CHAIN, (100,), 700).witness((100,), "S", (700,))
+    assert validate_tree(CHAIN, tree) is None
+    assert chain_depth(tree) == 601
 
 
 def test_cone_out_of_grid(pow2):
