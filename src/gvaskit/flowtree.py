@@ -172,11 +172,15 @@ def shift(t: FlowTree, v: Sequence[int]) -> FlowTree:
     a = tuple(v)
     if len(a) != len(t.label.src):
         raise DimensionMismatchError(f"shift vector {a} does not match dimension {len(t.label.src)}")
-    return _map_labels(t, lambda lab: Transition(
-        tuple(x + y for x, y in zip(lab.src, a)),
+    return _map_labels(t, lambda lab: _lift_label(lab, a, a))
+
+
+def _lift_label(lab: Transition, pre: Sequence[int], post: Sequence[int]) -> Transition:
+    return Transition(
+        tuple(x + y for x, y in zip(lab.src, pre)),
         lab.symbol,
-        tuple(x + y for x, y in zip(lab.dst, a)),
-    ))
+        tuple(x + y for x, y in zip(lab.dst, post)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,76 +304,81 @@ def leq(s: FlowTree, t: FlowTree) -> Optional[tuple[Lifting, EmbeddingWitness]]:
 def replay(witness: EmbeddingWitness, s: FlowTree, t: FlowTree) -> Lifting:
     """Verify a witness against a tree pair in linear time.
 
-    Returns the root lifting; raises :class:`InvalidWitnessError` when any
-    clause fails.
+    Returns the root lifting; raises :class:`InvalidWitnessError` on the
+    first failing clause in pre-order.
     """
-    if not transition_leq(s.label, t.label):
-        raise InvalidWitnessError(f"roots not comparable: {s.label} vs {t.label}")
-    try:
-        anchor = subtree_at(t, witness.anchor)
-    except InvalidPositionError as e:
-        raise InvalidWitnessError(str(e)) from None
-    if anchor.arity != s.arity:
-        raise InvalidWitnessError(f"anchor arity {anchor.arity} differs from {s.arity}")
-    if not transition_leq(s.label, anchor.label):
-        raise InvalidWitnessError("anchor label not above the source root")
-    if len(witness.children) != s.arity:
-        raise InvalidWitnessError("witness arity differs from the source arity")
-    for w, a, b in zip(witness.children, s.children, anchor.children):
-        replay(w, a, b)
+    todo = [(witness, s, t)]
+    while todo:
+        w, a, b = todo.pop()
+        if not transition_leq(a.label, b.label):
+            raise InvalidWitnessError(f"roots not comparable: {a.label} vs {b.label}")
+        try:
+            anchor = subtree_at(b, w.anchor)
+        except InvalidPositionError as e:
+            raise InvalidWitnessError(str(e)) from None
+        if anchor.arity != a.arity:
+            raise InvalidWitnessError(f"anchor arity {anchor.arity} differs from {a.arity}")
+        if not transition_leq(a.label, anchor.label):
+            raise InvalidWitnessError("anchor label not above the source root")
+        if len(w.children) != a.arity:
+            raise InvalidWitnessError("witness arity differs from the source arity")
+        todo.extend(reversed(list(zip(w.children, a.children, anchor.children))))
     return lifting_between(s.label, t.label)
 
 
 # ---------------------------------------------------------------------------
-# Homeomorphic embedding and the adorned-tree cross-check
+# Homeomorphic embedding and the rule-instance cross-check
 
 
-def _subtrees(t) -> Iterator:
+def _subtrees(t: FlowTree) -> Iterator[FlowTree]:
     queue = deque([t])
     while queue:
         nd = queue.popleft()
         yield nd
-        queue.extend(nd[1])
+        queue.extend(nd.children)
 
 
-def _embeds(s, t, le: Callable) -> bool:
-    """Homeomorphic embedding of generic (label, children) trees.
+def _embeds(s: FlowTree, t: FlowTree, key: Callable, le: Callable) -> bool:
+    """Homeomorphic embedding of flow trees with nodes compared as
+    ``le(key(a), key(b))``.
 
     Children embed as a subsequence; greedy leftmost matching is complete
-    because a later match never enables an earlier one.
+    because a later match never enables an earlier one.  Each pair
+    question is a generator that yields the child pairs it needs and is
+    resumed with their answers, so deep trees need no recursion.
     """
-    memo: dict[tuple[int, int], bool] = {}
 
-    def go(a, b) -> bool:
-        key = (id(a), id(b))
-        if key in memo:
-            return memo[key]
-        out = False
+    def go(a: FlowTree, b: FlowTree) -> Iterator[tuple[FlowTree, FlowTree]]:
+        ka = key(a)
         for cand in _subtrees(b):
-            if not le(a[0], cand[0]):
-                continue
-            if len(a[1]) > len(cand[1]):
+            if a.arity > cand.arity or not le(ka, key(cand)):
                 continue
             i = 0
-            ok = True
-            for child in a[1]:
-                while i < len(cand[1]) and not go(child, cand[1][i]):
+            for child in a.children:
+                while i < cand.arity and not (yield child, cand.children[i]):
                     i += 1
-                if i == len(cand[1]):
-                    ok = False
+                if i == cand.arity:
                     break
                 i += 1
-            if ok:
-                out = True
-                break
-        memo[key] = out
-        return out
+            else:
+                return True
+        return False
 
-    return go(s, t)
-
-
-def _as_generic(t: FlowTree):
-    return (t.label, tuple(_as_generic(c) for c in t.children))
+    memo: dict[tuple[int, int], bool] = {}
+    stack = [((id(s), id(t)), go(s, t))]
+    answer: Optional[bool] = None
+    while stack:
+        pair, gen = stack[-1]
+        try:
+            a, b = gen.send(answer)
+        except StopIteration as done:
+            stack.pop()
+            answer = memo[pair] = done.value
+            continue
+        answer = memo.get((id(a), id(b)))
+        if answer is None:
+            stack.append(((id(a), id(b)), go(a, b)))
+    return answer
 
 
 def hom_embeds(s: FlowTree, t: FlowTree) -> bool:
@@ -378,26 +387,20 @@ def hom_embeds(s: FlowTree, t: FlowTree) -> bool:
     Strictly weaker than the flow-tree ordering: arity may grow and no
     root clause is imposed.
     """
-    return _embeds(_as_generic(s), _as_generic(t), transition_leq)
+    return _embeds(s, t, lambda nd: nd.label, transition_leq)
 
 
 Instance = tuple  # (kind key, configuration chain)
 
 
-def adorn(t: FlowTree) -> tuple:
-    """Relabel each node with its full rule instance.
-
-    The label records which rule (or action) fired together with the
-    chain of configurations across the children, so label comparability
-    forces equal shape.
-    """
-    chain = (t.label.src,) + tuple(c.label.dst for c in t.children)
-    if isinstance(t.label.symbol, tuple):
-        key = ("act", t.label.symbol)
-        chain = (t.label.src, t.label.dst)
-    else:
-        key = ("rule", t.label.symbol, tuple(c.label.symbol for c in t.children))
-    return ((key, chain), tuple(adorn(c) for c in t.children))
+def _instance(nd: FlowTree) -> Instance:
+    """The rule instance at a node: which rule (or action) fired together
+    with the chain of configurations across the children, so label
+    comparability forces equal shape."""
+    if isinstance(nd.label.symbol, tuple):
+        return ("act", nd.label.symbol), (nd.label.src, nd.label.dst)
+    key = ("rule", nd.label.symbol, tuple(c.label.symbol for c in nd.children))
+    return key, (nd.label.src,) + tuple(c.label.dst for c in nd.children)
 
 
 def instance_leq(a: Instance, b: Instance) -> bool:
@@ -407,9 +410,9 @@ def instance_leq(a: Instance, b: Instance) -> bool:
 
 
 def leq_via_adorn(s: FlowTree, t: FlowTree) -> bool:
-    """Ordering decided through adorned trees; independent cross-check of
-    :func:`leq` as a boolean."""
-    return transition_leq(s.label, t.label) and _embeds(adorn(s), adorn(t), instance_leq)
+    """Ordering decided as an embedding over rule-instance labels;
+    independent cross-check of :func:`leq` as a boolean."""
+    return transition_leq(s.label, t.label) and _embeds(s, t, _instance, instance_leq)
 
 
 # ---------------------------------------------------------------------------
@@ -423,30 +426,27 @@ def substitute(t: FlowTree, p: Sequence[int], u: FlowTree) -> FlowTree:
     siblings left of the spine shift by the lifting's pre component,
     siblings right of it by the post component.
     """
-    target = subtree_at(t, p)
-    cmp = leq(target, u)
+    cmp = leq(subtree_at(t, p), u)
     if cmp is None:
         raise PreconditionError("replaced subtree is not below the replacement")
-    delta, _ = cmp
-    a, b = delta.pre, delta.post
+    return _splice(t, p, u, cmp[0])
 
-    def go(nd: FlowTree, path: tuple[int, ...]) -> FlowTree:
-        if not path:
-            return u
-        i = path[0]
-        lab = Transition(
-            tuple(x + y for x, y in zip(nd.label.src, a)),
-            nd.label.symbol,
-            tuple(x + y for x, y in zip(nd.label.dst, b)),
-        )
-        kids = (
-            tuple(shift(c, a) for c in nd.children[: i - 1])
-            + (go(nd.children[i - 1], path[1:]),)
-            + tuple(shift(c, b) for c in nd.children[i:])
-        )
-        return FlowTree(lab, kids)
 
-    return go(t, tuple(p))
+def _splice(t: FlowTree, p: Sequence[int], u: FlowTree, delta: Lifting) -> FlowTree:
+    """:func:`substitute` with the lifting from the subtree at the valid
+    position p to u already known: walks down to p, then rebuilds the
+    spine bottom-up."""
+    spine = []
+    for i in p:
+        spine.append((t, i))
+        t = t.children[i - 1]
+    for nd, i in reversed(spine):
+        kids = nd.children
+        u = FlowTree(
+            _lift_label(nd.label, delta.pre, delta.post),
+            tuple(shift(c, delta.pre) for c in kids[: i - 1]) + (u,) + tuple(shift(c, delta.post) for c in kids[i:]),
+        )
+    return u
 
 
 def replace_children(t: FlowTree, replacements: Sequence[tuple[FlowTree, Lifting]]) -> FlowTree:
@@ -455,11 +455,7 @@ def replace_children(t: FlowTree, replacements: Sequence[tuple[FlowTree, Lifting
     if len(replacements) != t.arity:
         raise PreconditionError(f"{len(replacements)} replacements for arity {t.arity}")
     for child, (u, d) in zip(t.children, replacements):
-        expected = Transition(
-            tuple(x + y for x, y in zip(child.label.src, d.pre)),
-            child.label.symbol,
-            tuple(x + y for x, y in zip(child.label.dst, d.post)),
-        )
+        expected = _lift_label(child.label, d.pre, d.post)
         if u.label != expected:
             raise PreconditionError(f"replacement root {u.label} is not {expected}")
     if t.arity == 0:
@@ -467,12 +463,7 @@ def replace_children(t: FlowTree, replacements: Sequence[tuple[FlowTree, Lifting
     total = replacements[0][1]
     for _, d in replacements[1:]:
         total = total.chain(d)
-    lab = Transition(
-        tuple(x + y for x, y in zip(t.label.src, total.pre)),
-        t.label.symbol,
-        tuple(x + y for x, y in zip(t.label.dst, total.post)),
-    )
-    return FlowTree(lab, tuple(u for u, _ in replacements))
+    return FlowTree(_lift_label(t.label, total.pre, total.post), tuple(u for u, _ in replacements))
 
 
 def amalgamate(
@@ -487,30 +478,31 @@ def amalgamate(
     With ``s <= t1`` via lifting D1 and ``s <= t2`` via D2, the result s'
     satisfies ``t1 <= s'`` via D2, ``t2 <= s'`` via D1, and hence
     ``s <= s'`` via D1 + D2.  Both witnesses are replayed first; the
-    construction recurses through the anchors, merges the children, and
-    splices the merged block back into t2 and then t1.
+    construction descends through the anchors, merges the children, and
+    splices the merged block back into t2 and then t1.  The liftings of
+    both splices are read off the labels: the replayed witnesses certify
+    the ordering, so it is not searched for again.
     """
     replay(w1, s, t1)
     replay(w2, s, t2)
-
-    def go(a: FlowTree, b1: FlowTree, v1: EmbeddingWitness, b2: FlowTree, v2: EmbeddingWitness) -> FlowTree:
+    # pre-order expansion, then bottom-up assembly: s may share subtree
+    # objects, so results come off a stack rather than a table by node
+    expanded = []
+    todo = [(s, t1, w1, t2, w2)]
+    while todo:
+        a, b1, v1, b2, v2 = frame = todo.pop()
         sub1 = subtree_at(b1, v1.anchor)
         sub2 = subtree_at(b2, v2.anchor)
+        expanded.append((frame, sub1, sub2))
+        todo.extend(reversed(list(zip(a.children, sub1.children, v1.children, sub2.children, v2.children))))
+    built: list[FlowTree] = []
+    for (a, b1, v1, b2, v2), sub1, sub2 in reversed(expanded):
         d1 = lifting_between(a.label, sub1.label)
-        merged = tuple(
-            go(ca, c1, u1, c2, u2)
-            for ca, c1, u1, c2, u2 in zip(a.children, sub1.children, v1.children, sub2.children, v2.children)
-        )
-        lab = Transition(
-            tuple(x + y for x, y in zip(sub2.label.src, d1.pre)),
-            sub2.label.symbol,
-            tuple(x + y for x, y in zip(sub2.label.dst, d1.post)),
-        )
-        block = FlowTree(lab, merged)
-        widened = substitute(b2, v2.anchor, block)
-        return substitute(b1, v1.anchor, widened)
-
-    return go(s, t1, w1, t2, w2)
+        # the children's merges were finished just before, leftmost on top
+        block = FlowTree(_lift_label(sub2.label, d1.pre, d1.post), tuple(built.pop() for _ in a.children))
+        widened = _splice(b2, v2.anchor, block, d1)
+        built.append(_splice(b1, v1.anchor, widened, lifting_between(sub1.label, widened.label)))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

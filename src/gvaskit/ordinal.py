@@ -122,7 +122,9 @@ def fast_growing(alpha: Ordinal, n: int, cap: int = DEFAULT_CAP) -> int:
     (argument or result) crosses ``cap``; since every level is expansive,
     that implies the final value would also exceed the cap.
 
-    Memoizes (level, argument) pairs for the duration of one call.
+    Memoizes (level, argument) pairs for the duration of one call.  The
+    nested evaluation runs on an explicit stack of frames, so deep level
+    reductions need no recursion.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -130,32 +132,39 @@ def fast_growing(alpha: Ordinal, n: int, cap: int = DEFAULT_CAP) -> int:
         raise ValueError("negative argument")
 
     memo: dict[tuple[Ordinal, int], int] = {}
-
-    def go(a: Ordinal, x: int) -> int:
+    # frames waiting on a lower level: [key, level applied, running value,
+    # applications left]; a limit level applies its fundamental-sequence
+    # element once, a successor level its predecessor x+1 times
+    frames: list[list] = []
+    key = (alpha, n)
+    while True:
+        a, x = key
         if x > cap:
             raise CapExceededError(f"argument {x} exceeds cap {cap}")
-        key = (a, x)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if a.is_zero():
-            r = x + 1
-        elif a.is_successor():
-            below = a.pred()
-            if below.is_zero():
+        r = memo.get(key)
+        if r is None:
+            if a.is_zero():
+                r = x + 1
+            elif a.is_limit():
+                frames.append([key, fundamental(a, x), x, 1])
+            elif (below := a.pred()).is_zero():
                 r = 2 * x + 1  # x+1 successor steps, collapsed
             else:
-                r = x
-                for _ in range(x + 1):
-                    r = go(below, r)
-        else:
-            r = go(fundamental(a, x), x)
-        if r > cap:
-            raise CapExceededError(f"value {r} exceeds cap {cap}")
-        memo[key] = r
-        return r
-
-    return go(alpha, n)
+                frames.append([key, below, x, x + 1])
+        while r is not None:
+            if r > cap:
+                raise CapExceededError(f"value {r} exceeds cap {cap}")
+            memo[key] = r
+            if not frames:
+                return r
+            top = frames[-1]
+            top[2] = r
+            top[3] -= 1
+            if top[3]:
+                r = None
+            else:
+                key, _, r, _ = frames.pop()
+        key = (frames[-1][1], frames[-1][2])
 
 
 def fast_growing_iter(alpha: Ordinal, k: int, n: int, cap: int = DEFAULT_CAP) -> int:

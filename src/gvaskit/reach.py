@@ -474,7 +474,9 @@ class ReachCone:
             self._defs.setdefault(("sym", nt), [])
 
         self._tables: dict[tuple[tuple, int], dict[int, int]] = {}
-        self._deps: dict[tuple[tuple, int], set[tuple[tuple, int]]] = {}
+        # readers per cell, insertion-ordered so re-queueing (and with it
+        # every stamp) does not depend on the string-hash seed
+        self._deps: dict[tuple[tuple, int], dict[tuple[tuple, int], None]] = {}
         self._stamp = 0
         self._evaluate_all(("sym", g.start), self.grid.encode(self.source))
 
@@ -497,7 +499,7 @@ class ReachCone:
         if cell not in self._tables:
             self._tables[cell] = {}
             self._enqueue(cell)
-        self._deps.setdefault(cell, set()).add(reader)
+        self._deps.setdefault(cell, {})[reader] = None
         return self._tables[cell]
 
     def _enqueue(self, cell) -> None:

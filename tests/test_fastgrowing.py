@@ -218,10 +218,10 @@ def test_safety_scan_matches_per_key_reference(d, bound):
         assert safety_check(d, symbol, bound, table) == reference_safety_check(d, symbol, table), symbol
 
 
-@pytest.mark.parametrize("cap", [4, 14, 18])
+@pytest.mark.parametrize("cap", [4, 14, 18, 26, 34, 50])
 def test_hierarchy_rows_match_evaluator(cap):
     # the ordinal sample of acceptance criterion 6, at the caps of the scans
-    # above; from cap 26 on the evaluator itself recurses too deep on it
+    # above and of scans up to bound 24
     levels = [Ordinal(c) for c in itertools.product(range(3), repeat=3)]
     rows = hierarchy_rows(levels, cap)
     assert rows.shape == (len(levels), cap + 2)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gvaskit import fastgrowing
 from gvaskit import flowtree as ft
 from gvaskit.errors import (
     ChainUndefinedError,
@@ -10,6 +11,7 @@ from gvaskit.errors import (
     PreconditionError,
 )
 from gvaskit.gvas import Transition
+from gvaskit.ordinal import Ordinal
 from gvaskit.reach import bounded_reach
 
 
@@ -142,6 +144,25 @@ def test_replay_accepts_and_rejects(order_trees):
     bogus = ft.EmbeddingWitness((1, 1), wit.children)
     with pytest.raises(InvalidWitnessError):
         ft.replay(bogus, base, tall)
+
+
+def test_replay_on_a_chain_of_depth_3000(order_demo):
+    # T -> V T three thousand times, then T -> (-2); the witnesses are
+    # built by hand, anchoring every node at its counterpart
+    chain = ft.node((6,), "T", (4,), [ft.action_leaf((6,), (-2,))])
+    good = ft.EmbeddingWitness((), (ft.EmbeddingWitness(()),))
+    bad = ft.EmbeddingWitness((), (ft.EmbeddingWitness((1,)),))  # below a leaf
+    for _ in range(3000):
+        chain = ft.node((6,), "T", (4,), [ft.node((6,), "V", (6,)), chain])
+        good = ft.EmbeddingWitness((), (ft.EmbeddingWitness(()), good))
+        bad = ft.EmbeddingWitness((), (ft.EmbeddingWitness(()), bad))
+    assert ft.validate_tree(order_demo, chain) is None
+    up = ft.shift(chain, (1,))
+    assert ft.replay(good, chain, up) == ft.Lifting((1,), (1,))
+    with pytest.raises(InvalidWitnessError, match="roots not comparable"):
+        ft.replay(good, up, chain)
+    with pytest.raises(InvalidWitnessError, match="invalid at depth 0"):
+        ft.replay(bad, chain, up)
 
 
 def test_adorn_agreement_on_triple(order_trees):
@@ -295,6 +316,119 @@ def test_amalgamate_postconditions_sampled(pow2):
         if count > 120:
             break
     assert count > 60
+
+
+def reference_amalgamate(s, t1, w1, t2, w2):
+    """The amalgamation as first written: recursive, with both splices at
+    every node done by :func:`ft.substitute`, which searches the ordering
+    again with :func:`ft.leq`."""
+    ft.replay(w1, s, t1)
+    ft.replay(w2, s, t2)
+
+    def go(a, b1, v1, b2, v2):
+        sub1 = ft.subtree_at(b1, v1.anchor)
+        sub2 = ft.subtree_at(b2, v2.anchor)
+        d1 = ft.lifting_between(a.label, sub1.label)
+        merged = tuple(
+            go(ca, c1, u1, c2, u2)
+            for ca, c1, u1, c2, u2 in zip(a.children, sub1.children, v1.children, sub2.children, v2.children)
+        )
+        lab = Transition(
+            tuple(x + y for x, y in zip(sub2.label.src, d1.pre)),
+            sub2.label.symbol,
+            tuple(x + y for x, y in zip(sub2.label.dst, d1.post)),
+        )
+        widened = ft.substitute(b2, v2.anchor, ft.FlowTree(lab, merged))
+        return ft.substitute(b1, v1.anchor, widened)
+
+    return go(s, t1, w1, t2, w2)
+
+
+def has_inner_anchor(w):
+    todo = [w]
+    while todo:
+        w = todo.pop()
+        if w.anchor:
+            return True
+        todo.extend(w.children)
+    return False
+
+
+def test_amalgamate_matches_reference_on_pools(pow2, exchange, order_demo):
+    # the pools of acceptance criterion 4
+    checked = spliced = 0
+    for g, max_nodes, bound in [(pow2, 6, 5), (exchange, 5, 4), (order_demo, 6, 7)]:
+        pool = list(itertools.islice(ft.enumerate_trees(g, max_nodes, bound), 400))
+        for s in pool:
+            ups = [(t, got[1]) for t in pool if (got := ft.leq(s, t)) is not None]
+            for (t1, w1), (t2, w2) in itertools.product(ups, repeat=2):
+                assert ft.amalgamate(s, t1, w1, t2, w2) == reference_amalgamate(s, t1, w1, t2, w2)
+                checked += 1
+                spliced += has_inner_anchor(w1) or has_inner_anchor(w2)
+    assert checked > 5000 and spliced > 2000, (checked, spliced)
+
+
+def f1_witness(n):
+    return fastgrowing.build_witness(Ordinal((1,)), n, 1)
+
+
+def test_amalgamate_matches_reference_on_shifts():
+    t = f1_witness(25)
+    shifted = [ft.shift(t, v) for v in ((1, 0, 0), (0, 2, 0), (0, 0, 3))]
+    ws = [ft.leq(t, sh)[1] for sh in shifted]
+    for i, j in ((0, 1), (1, 2), (2, 2)):
+        args = (t, shifted[i], ws[i], shifted[j], ws[j])
+        assert ft.amalgamate(*args) == reference_amalgamate(*args)
+
+
+def test_amalgamate_postconditions_at_807_nodes():
+    g = fastgrowing.build_core(1)
+    s = f1_witness(100)
+    assert ft.tree_size(s) == 807
+    t1, t2 = ft.shift(s, (1, 0, 0)), ft.shift(s, (0, 1, 0))
+    d1, w1 = ft.leq(s, t1)
+    d2, w2 = ft.leq(s, t2)
+    merged = ft.amalgamate(s, t1, w1, t2, w2)
+    assert ft.validate_tree(g, merged) is None
+    assert ft.leq(t1, merged)[0] == d2
+    assert ft.leq(t2, merged)[0] == d1
+    assert ft.leq(s, merged)[0] == d1 + d2
+
+
+def root_witness(t):
+    """The witness anchoring every node at its own counterpart, as for t
+    and a shift of t; built without leq and without recursion."""
+    arities, todo = [], [t]
+    while todo:
+        nd = todo.pop()
+        arities.append(nd.arity)
+        todo.extend(reversed(nd.children))
+    built = []
+    for arity in reversed(arities):
+        built.append(ft.EmbeddingWitness((), tuple(built.pop() for _ in range(arity))))
+    return built[0]
+
+
+def test_embeddings_at_3207_nodes():
+    t = f1_witness(400)
+    assert ft.tree_size(t) == 3207
+    up = ft.shift(t, (0, 0, 1))
+    assert ft.hom_embeds(t, up) and not ft.hom_embeds(up, t)
+    assert ft.leq_via_adorn(t, up) and not ft.leq_via_adorn(up, t)
+
+
+def test_amalgamate_at_3207_nodes(monkeypatch):
+    t = f1_witness(400)
+    t1, t2 = ft.shift(t, (1, 0, 0)), ft.shift(t, (0, 0, 2))
+    w = root_witness(t)
+    assert ft.replay(w, t, t1) == ft.Lifting((1, 0, 0), (1, 0, 0))
+
+    def no_search(s, t):
+        raise AssertionError("amalgamate searched the ordering")
+
+    # the replayed witnesses certify every splice
+    monkeypatch.setattr(ft, "leq", no_search)
+    assert ft.amalgamate(t, t1, w, t2, w) == ft.shift(t, (1, 0, 2))
 
 
 # --- serialization ----------------------------------------------------------------

@@ -99,6 +99,14 @@ def test_cap_exceeded_is_typed_and_early():
     assert fast_growing(Ordinal((2,)), 23, cap=2**64) == 2**24 * 24 - 1
 
 
+@pytest.mark.parametrize("coeffs,n,cap", [((0, 0, 1), 30, 34), ((0, 0, 2), 21, 26)])
+def test_cap_exceeded_after_deep_level_reductions(coeffs, n, cap):
+    # both nest about a thousand level reductions before the first value
+    # crosses the cap
+    with pytest.raises(CapExceededError):
+        fast_growing(Ordinal(coeffs), n, cap)
+
+
 @settings(max_examples=60)
 @given(ordinals, st.integers(0, 6))
 def test_expansive(a, n):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gvaskit
 from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.gvas import Gvas
@@ -243,6 +249,36 @@ def test_cone_witness_of_depth_600():
     tree = reach_from(CHAIN, (100,), 700).witness((100,), "S", (700,))
     assert validate_tree(CHAIN, tree) is None
     assert chain_depth(tree) == 601
+
+
+CONE_WITNESSES = """
+import sys
+from gvaskit.flowtree import format_tree
+from gvaskit.gvas import parse_gvas
+from gvaskit.reach import reach_from
+with open(sys.argv[1]) as f:
+    g = parse_gvas(f.read())
+cone = reach_from(g, (2, 1), 6)
+for y in cone.successors("S", (2, 1)):
+    print(format_tree(cone.witness((2, 1), "S", y)))
+"""
+
+
+def test_cone_witnesses_do_not_depend_on_hash_seed():
+    # cone stamps follow the order in which readers are re-queued; that
+    # order must not come from string hashing
+    gvas = Path(__file__).parent / "data" / "exchange.gvas"
+    src = str(Path(gvaskit.__file__).parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", CONE_WITNESSES, str(gvas)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outs.append(done.stdout)
+    assert outs[0].count("\n") > 10
+    assert outs[0] == outs[1]
 
 
 def test_cone_out_of_grid(pow2):
