@@ -91,16 +91,23 @@ def _cmd_witness_tree(args) -> int:
     return EXIT_OK
 
 
-def _cmd_leq(args) -> int:
+def _load_valid_trees(args, *names: str):
+    """The trees of the named options, or None after reporting the first invalid one."""
     g = _load_gvas(args.gvas)
-    s = _load_tree(args.s)
-    t = _load_tree(args.t)
-    for name, tree in (("s", s), ("t", t)):
+    trees = [_load_tree(getattr(args, name)) for name in names]
+    for name, tree in zip(names, trees):
         defect = flowtree.validate_tree(g, tree)
         if defect is not None:
             _emit(f"invalid tree {name} at {defect.position}: {defect.message}")
-            return EXIT_DOMAIN
-    result = flowtree.leq(s, t)
+            return None
+    return trees
+
+
+def _cmd_leq(args) -> int:
+    trees = _load_valid_trees(args, "s", "t")
+    if trees is None:
+        return EXIT_DOMAIN
+    result = flowtree.leq(*trees)
     if result is None:
         _emit("not related")
         return EXIT_DOMAIN
@@ -110,15 +117,10 @@ def _cmd_leq(args) -> int:
 
 
 def _cmd_amalgamate(args) -> int:
-    g = _load_gvas(args.gvas)
-    s = _load_tree(args.s)
-    t1 = _load_tree(args.t1)
-    t2 = _load_tree(args.t2)
-    for name, tree in (("s", s), ("t1", t1), ("t2", t2)):
-        defect = flowtree.validate_tree(g, tree)
-        if defect is not None:
-            _emit(f"invalid tree {name} at {defect.position}: {defect.message}")
-            return EXIT_DOMAIN
+    trees = _load_valid_trees(args, "s", "t1", "t2")
+    if trees is None:
+        return EXIT_DOMAIN
+    s, t1, t2 = trees
     r1 = flowtree.leq(s, t1)
     r2 = flowtree.leq(s, t2)
     if r1 is None or r2 is None:

@@ -241,18 +241,52 @@ def lifting_between(a: Transition, b: Transition) -> Lifting:
     )
 
 
-def _bfs_positions(t: FlowTree) -> list[tuple[Position, FlowTree]]:
-    """Positions in shortest-then-lexicographic order."""
-    out: list[tuple[Position, FlowTree]] = []
-    layer: list[tuple[Position, FlowTree]] = [((), t)]
-    while layer:
-        out.extend(layer)
-        layer = [
-            (pos + (i,), c)
-            for pos, nd in layer
-            for i, c in enumerate(nd.children, start=1)
-        ]
-    return out
+Path = Optional[tuple["Path", int]]  # a position as (parent path, child index), root None
+
+
+def _subtrees(t: FlowTree) -> Iterator[tuple[Path, FlowTree]]:
+    """Subtrees with their paths, in shortest-then-lexicographic order of
+    position.  Paths share their prefixes, so a scan costs O(1) per node
+    however deep the tree; :func:`_position` spells one out."""
+    queue: deque[tuple[Path, FlowTree]] = deque([(None, t)])
+    while queue:
+        path, nd = queue.popleft()
+        yield path, nd
+        queue.extend(((path, i), c) for i, c in enumerate(nd.children, start=1))
+
+
+def _position(path: Path) -> Position:
+    steps = []
+    while path is not None:
+        path, i = path
+        steps.append(i)
+    return tuple(reversed(steps))
+
+
+def _solve(go: Callable, s: FlowTree, t: FlowTree):
+    """The answer of ``go(s, t)``, where ``go(a, b)`` is a generator that
+    yields the child pairs it needs, is resumed with their answers, and
+    returns its own.  Answers are memoized on node identity; the pending
+    questions live on an explicit stack, so deep trees need no recursion.
+    """
+    memo: dict[tuple[int, int], object] = {}
+    stack = [((id(s), id(t)), go(s, t))]
+    answer = None
+    while stack:
+        pair, gen = stack[-1]
+        try:
+            a, b = gen.send(answer)
+        except StopIteration as done:
+            stack.pop()
+            answer = memo[pair] = done.value
+            continue
+        pair = (id(a), id(b))
+        if pair in memo:
+            answer = memo[pair]  # may be None, a real answer of leq
+        else:
+            answer = None  # what a fresh generator is started with
+            stack.append((pair, go(a, b)))
+    return answer
 
 
 def leq(s: FlowTree, t: FlowTree) -> Optional[tuple[Lifting, EmbeddingWitness]]:
@@ -262,40 +296,23 @@ def leq(s: FlowTree, t: FlowTree) -> Optional[tuple[Lifting, EmbeddingWitness]]:
     lexicographically smallest anchor wins, recursively.  Memoizes on
     node identity to avoid re-searching shared substructure.
     """
-    bfs_cache: dict[int, list[tuple[Position, FlowTree]]] = {}
-    memo: dict[tuple[int, int], Optional[EmbeddingWitness]] = {}
 
-    def bfs(nd: FlowTree) -> list[tuple[Position, FlowTree]]:
-        got = bfs_cache.get(id(nd))
-        if got is None:
-            got = _bfs_positions(nd)
-            bfs_cache[id(nd)] = got
-        return got
-
-    def go(a: FlowTree, b: FlowTree) -> Optional[EmbeddingWitness]:
-        key = (id(a), id(b))
-        if key in memo:
-            return memo[key]
-        result: Optional[EmbeddingWitness] = None
+    def go(a: FlowTree, b: FlowTree) -> Iterator[tuple[FlowTree, FlowTree]]:
         if transition_leq(a.label, b.label):
-            for pos, candidate in bfs(b):
-                if candidate.arity != a.arity:
-                    continue
-                if not transition_leq(a.label, candidate.label):
+            for path, cand in _subtrees(b):
+                if cand.arity != a.arity or not transition_leq(a.label, cand.label):
                     continue
                 ws = []
-                for ca, cb in zip(a.children, candidate.children):
-                    w = go(ca, cb)
+                for pair in zip(a.children, cand.children):
+                    w = yield pair
                     if w is None:
                         break
                     ws.append(w)
                 else:
-                    result = EmbeddingWitness(pos, tuple(ws))
-                    break
-        memo[key] = result
-        return result
+                    return EmbeddingWitness(_position(path), tuple(ws))
+        return None
 
-    w = go(s, t)
+    w = _solve(go, s, t)
     if w is None:
         return None
     return lifting_between(s.label, t.label), w
@@ -330,27 +347,17 @@ def replay(witness: EmbeddingWitness, s: FlowTree, t: FlowTree) -> Lifting:
 # Homeomorphic embedding and the rule-instance cross-check
 
 
-def _subtrees(t: FlowTree) -> Iterator[FlowTree]:
-    queue = deque([t])
-    while queue:
-        nd = queue.popleft()
-        yield nd
-        queue.extend(nd.children)
-
-
 def _embeds(s: FlowTree, t: FlowTree, key: Callable, le: Callable) -> bool:
     """Homeomorphic embedding of flow trees with nodes compared as
     ``le(key(a), key(b))``.
 
     Children embed as a subsequence; greedy leftmost matching is complete
-    because a later match never enables an earlier one.  Each pair
-    question is a generator that yields the child pairs it needs and is
-    resumed with their answers, so deep trees need no recursion.
+    because a later match never enables an earlier one.
     """
 
     def go(a: FlowTree, b: FlowTree) -> Iterator[tuple[FlowTree, FlowTree]]:
         ka = key(a)
-        for cand in _subtrees(b):
+        for _, cand in _subtrees(b):
             if a.arity > cand.arity or not le(ka, key(cand)):
                 continue
             i = 0
@@ -364,21 +371,7 @@ def _embeds(s: FlowTree, t: FlowTree, key: Callable, le: Callable) -> bool:
                 return True
         return False
 
-    memo: dict[tuple[int, int], bool] = {}
-    stack = [((id(s), id(t)), go(s, t))]
-    answer: Optional[bool] = None
-    while stack:
-        pair, gen = stack[-1]
-        try:
-            a, b = gen.send(answer)
-        except StopIteration as done:
-            stack.pop()
-            answer = memo[pair] = done.value
-            continue
-        answer = memo.get((id(a), id(b)))
-        if answer is None:
-            stack.append(((id(a), id(b)), go(a, b)))
-    return answer
+    return _solve(go, s, t)
 
 
 def hom_embeds(s: FlowTree, t: FlowTree) -> bool:

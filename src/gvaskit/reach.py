@@ -213,6 +213,25 @@ def _build_witness(
     return built[0]
 
 
+def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
+    """:meth:`ReachTable.witness` and :meth:`ReachCone.witness`: the
+    endpoint and symbol checks, then :func:`_build_witness` on the
+    engine's own stamps."""
+    grid = engine.grid
+    if not grid.contains(x) or not grid.contains(y):
+        raise NotInTableError(f"{tuple(x)} or {tuple(y)} outside grid")
+    if isinstance(symbol, tuple):
+        if tuple(map(sum, zip(x, symbol))) != tuple(y):
+            raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
+        return FlowTree(Transition(tuple(x), symbol, tuple(y)))
+    if symbol not in engine.gvas.nonterminals:
+        raise UnknownSymbolError(f"unknown symbol {symbol!r}")
+    return _build_witness(
+        engine.gvas, grid, engine._suffix_refs, symbol,
+        grid.encode(x), grid.encode(y), engine._stamp_of, engine._stamped_row,
+    )
+
+
 class ReachTable:
     """Per-symbol bounded reachability relation with witness reconstruction.
 
@@ -245,13 +264,16 @@ class ReachTable:
             return int(m.data[lo + pos])
         return 0
 
+    def _matrix(self, symbol) -> sparse.csr_matrix:
+        """The relation of one symbol: an action's matrix, or a
+        nonterminal's stamps (nonzero exactly on its pairs)."""
+        if isinstance(symbol, tuple):
+            return self._action_mat(symbol)
+        return self._stamps[("sym", symbol)]
+
     def _row(self, symbol, s: int) -> np.ndarray:
         """Destination indices reachable from cell s via one symbol."""
-        if isinstance(symbol, tuple):
-            m = self._action_mat(symbol)
-            lo, hi = m.indptr[s], m.indptr[s + 1]
-            return m.indices[lo:hi].astype(np.int64)
-        m = self._stamps[("sym", symbol)]
+        m = self._matrix(symbol)
         lo, hi = m.indptr[s], m.indptr[s + 1]
         return m.indices[lo:hi].astype(np.int64)
 
@@ -278,29 +300,19 @@ class ReachTable:
         return sorted(self.grid.decode(int(i)) for i in idxs)
 
     def pairs(self, symbol) -> Iterator[tuple[Config, Config]]:
-        if isinstance(symbol, tuple):
-            m = self._action_mat(symbol)
-        else:
-            m = self._stamps[("sym", symbol)]
-        coo = m.tocoo()
+        coo = self._matrix(symbol).tocoo()
         for s, d in zip(coo.row, coo.col):
             yield self.grid.decode(int(s)), self.grid.decode(int(d))
 
     def count(self, symbol) -> int:
-        if isinstance(symbol, tuple):
-            return int(self._action_mat(symbol).nnz)
-        return int(self._stamps[("sym", symbol)].nnz)
+        return int(self._matrix(symbol).nnz)
 
     def pairs_arrays(self, symbol) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination cell indices as parallel arrays.
 
         Bulk companion to :meth:`pairs`; decode with ``grid.decode_many``.
         """
-        if isinstance(symbol, tuple):
-            m = self._action_mat(symbol)
-        else:
-            m = self._stamps[("sym", symbol)]
-        coo = m.tocoo()
+        coo = self._matrix(symbol).tocoo()
         return coo.row.astype(np.int64), coo.col.astype(np.int64)
 
     # -- witness reconstruction -------------------------------------------
@@ -312,18 +324,7 @@ class ReachTable:
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         """Deterministic valid flow tree with root ``x ->symbol y``."""
-        if not self.grid.contains(x) or not self.grid.contains(y):
-            raise NotInTableError(f"{tuple(x)} or {tuple(y)} outside grid")
-        if isinstance(symbol, tuple):
-            if tuple(map(sum, zip(x, symbol))) != tuple(y):
-                raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
-            return FlowTree(Transition(tuple(x), symbol, tuple(y)))
-        if symbol not in self.gvas.nonterminals:
-            raise UnknownSymbolError(f"unknown symbol {symbol!r}")
-        return _build_witness(
-            self.gvas, self.grid, self._suffix_refs, symbol,
-            self.grid.encode(x), self.grid.encode(y), self._stamp_of, self._stamped_row,
-        )
+        return _witness(self, x, symbol, y)
 
 
 def bounded_reach(
@@ -567,14 +568,8 @@ class ReachCone:
         return self._tables.get((key, s), {}).items()
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
-        if isinstance(symbol, tuple):
-            if tuple(map(sum, zip(x, symbol))) != tuple(y):
-                raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
-            return FlowTree(Transition(tuple(x), symbol, tuple(y)))
-        return _build_witness(
-            self.gvas, self.grid, self._suffix_refs, symbol,
-            self.grid.encode(x), self.grid.encode(y), self._stamp_of, self._stamped_row,
-        )
+        """Deterministic valid flow tree with root ``x ->symbol y``."""
+        return _witness(self, x, symbol, y)
 
 
 def reach_from(g: Gvas, x, bound: int, max_entries: int = 5_000_000) -> ReachCone:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gvaskit import flowtree as ft
 from gvaskit.cli import main
 from gvaskit.flowtree import parse_tree
 from gvaskit.gvas import parse_gvas
@@ -70,6 +71,30 @@ def test_leq_not_related(capsys):
     code, out = run(capsys, "leq", "--gvas", DATA / "order_demo.gvas",
                     "--s", DATA / "tree_base.tree", "--t", DATA / "tree_wide.tree")
     assert code == 1 and out == "not related\n"
+
+
+def test_invalid_tree_is_reported(capsys, tmp_path):
+    bad = tmp_path / "bad.tree"
+    bad.write_text("((2 S 3) ((2 (3) 5)) ((5 T 4) ((5 (-2) 3))))")
+    code, out = run(capsys, "leq", "--gvas", DATA / "order_demo.gvas", "--s", bad, "--t", DATA / "tree_tall.tree")
+    assert code == 1 and out == "invalid tree s at (): last child does not end at the target\n"
+    code, out = run(capsys, "amalgamate", "--gvas", DATA / "order_demo.gvas",
+                    "--s", DATA / "tree_base.tree", "--t1", DATA / "tree_tall.tree", "--t2", bad)
+    assert code == 1 and out == "invalid tree t2 at (): last child does not end at the target\n"
+
+
+def test_leq_and_amalgamate_on_a_chain_of_depth_1201(capsys, tmp_path):
+    # T -> V T 1200 times, then T -> (-2): deeper than the recursion limit
+    chain = ft.node((6,), "T", (4,), [ft.action_leaf((6,), (-2,))])
+    for _ in range(1200):
+        chain = ft.node((6,), "T", (4,), [ft.node((6,), "V", (6,)), chain])
+    s, t = tmp_path / "chain.tree", tmp_path / "up.tree"
+    s.write_text(ft.format_tree(chain))
+    t.write_text(ft.format_tree(ft.shift(chain, (1,))))
+    code, out = run(capsys, "leq", "--gvas", DATA / "order_demo.gvas", "--s", s, "--t", t)
+    assert code == 0 and out == "lifting pre=(1) post=(1)\n"
+    code, out = run(capsys, "amalgamate", "--gvas", DATA / "order_demo.gvas", "--s", s, "--t1", t, "--t2", t)
+    assert code == 0 and parse_tree(out) == ft.shift(chain, (2,))
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

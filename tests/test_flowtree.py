@@ -163,6 +163,9 @@ def test_replay_on_a_chain_of_depth_3000(order_demo):
         ft.replay(good, up, chain)
     with pytest.raises(InvalidWitnessError, match="invalid at depth 0"):
         ft.replay(bad, chain, up)
+    delta, found = ft.leq(chain, up)
+    assert ft.replay(found, chain, up) == delta == ft.Lifting((1,), (1,))
+    assert flat_witness(found) == flat_witness(good)
 
 
 def test_adorn_agreement_on_triple(order_trees):
@@ -202,6 +205,94 @@ def test_order_transitive_with_additive_liftings(pow2):
                 assert d_su[0] == d_st[0] + d_tu[0]
                 checked += 1
     assert checked > 10
+
+
+def _bfs_positions(t):
+    """Positions in shortest-then-lexicographic order."""
+    out = []
+    layer = [((), t)]
+    while layer:
+        out.extend(layer)
+        layer = [
+            (pos + (i,), c)
+            for pos, nd in layer
+            for i, c in enumerate(nd.children, start=1)
+        ]
+    return out
+
+
+def reference_leq(s, t):
+    """The ordering search as first written: recursive, over a cached
+    breadth-first list of every visited subtree's positions."""
+    bfs_cache = {}
+    memo = {}
+
+    def bfs(nd):
+        got = bfs_cache.get(id(nd))
+        if got is None:
+            got = _bfs_positions(nd)
+            bfs_cache[id(nd)] = got
+        return got
+
+    def go(a, b):
+        key = (id(a), id(b))
+        if key in memo:
+            return memo[key]
+        result = None
+        if ft.transition_leq(a.label, b.label):
+            for pos, candidate in bfs(b):
+                if candidate.arity != a.arity:
+                    continue
+                if not ft.transition_leq(a.label, candidate.label):
+                    continue
+                ws = []
+                for ca, cb in zip(a.children, candidate.children):
+                    w = go(ca, cb)
+                    if w is None:
+                        break
+                    ws.append(w)
+                else:
+                    result = ft.EmbeddingWitness(pos, tuple(ws))
+                    break
+        memo[key] = result
+        return result
+
+    w = go(s, t)
+    if w is None:
+        return None
+    return ft.lifting_between(s.label, t.label), w
+
+
+def flat_witness(w):
+    """(anchor, arity) in pre-order; witnesses compared this way need no
+    recursion, unlike the dataclass equality."""
+    out, todo = [], [w]
+    while todo:
+        w = todo.pop()
+        out.append((w.anchor, len(w.children)))
+        todo.extend(reversed(w.children))
+    return out
+
+
+def test_leq_matches_reference(pow2, exchange, order_demo):
+    # the whole pools of acceptance criterion 4, then witness-sized trees
+    pools = [
+        list(itertools.islice(ft.enumerate_trees(g, max_nodes, bound), 400))
+        for g, max_nodes, bound in [(pow2, 6, 5), (exchange, 5, 4), (order_demo, 6, 7)]
+    ]
+    f1 = f1_witness(25)
+    pools.append([f1] + [ft.shift(f1, v) for v in ((1, 0, 0), (0, 2, 0), (1, 0, 3))])
+    related = inner = 0
+    for pool in pools:
+        for s, t in itertools.product(pool, repeat=2):
+            got, want = ft.leq(s, t), reference_leq(s, t)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                assert flat_witness(got[1]) == flat_witness(want[1])
+                related += 1
+                inner += has_inner_anchor(got[1])
+    assert related > 800 and inner > 200, (related, inner)
 
 
 # --- surgery --------------------------------------------------------------------
@@ -415,6 +506,9 @@ def test_embeddings_at_3207_nodes():
     up = ft.shift(t, (0, 0, 1))
     assert ft.hom_embeds(t, up) and not ft.hom_embeds(up, t)
     assert ft.leq_via_adorn(t, up) and not ft.leq_via_adorn(up, t)
+    delta, w = ft.leq(t, up)
+    assert ft.replay(w, t, up) == delta == ft.Lifting((0, 0, 1), (0, 0, 1))
+    assert ft.leq(up, t) is None
 
 
 def test_amalgamate_at_3207_nodes(monkeypatch):

@@ -245,6 +245,13 @@ def test_cone_witness_validates(pow2):
     assert tree.label.dst == (8,)
 
 
+def test_witness_rejects_endpoints_outside_the_grid(exchange):
+    # at bound 6, (7, 0) would encode onto the cell of (0, 1)
+    for engine in (bounded_reach(exchange, 6), reach_from(exchange, (0, 1), 6)):
+        with pytest.raises(NotInTableError, match="outside grid"):
+            engine.witness((7, 0), "S", (0, 4))
+
+
 def test_cone_witness_of_depth_600():
     tree = reach_from(CHAIN, (100,), 700).witness((100,), "S", (700,))
     assert validate_tree(CHAIN, tree) is None
