@@ -28,10 +28,9 @@ from .errors import (
     NotInTableError,
     OutOfGridError,
     ResourceLimitError,
-    UnknownSymbolError,
 )
 from .flowtree import FlowTree
-from .gvas import Config, Gvas, Transition, fatal_defects
+from .gvas import Config, Gvas, Transition, _check_word, fatal_defects
 
 DEFAULT_MAX_CELLS = 1 << 21
 DEFAULT_MAX_PAIRS = 60_000_000
@@ -104,6 +103,11 @@ def _empty(n: int) -> sparse.csr_matrix:
 
 def _symbol_ref(s) -> tuple:
     return ("act", s) if isinstance(s, tuple) else ("sym", s)
+
+
+def _known_ref(g: Gvas, symbol) -> tuple:
+    """The relation key of a symbol of g; UnknownSymbolError for any other."""
+    return _symbol_ref(_check_word(g, (symbol,))[0])
 
 
 def _binarize(g: Gvas) -> tuple[list[tuple[tuple, tuple]], dict[tuple[int, int], tuple]]:
@@ -215,17 +219,16 @@ def _build_witness(
 
 def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
     """:meth:`ReachTable.witness` and :meth:`ReachCone.witness`: the
-    endpoint and symbol checks, then :func:`_build_witness` on the
+    symbol and endpoint checks, then :func:`_build_witness` on the
     engine's own stamps."""
+    kind, symbol = _known_ref(engine.gvas, symbol)
     grid = engine.grid
     if not grid.contains(x) or not grid.contains(y):
         raise NotInTableError(f"{tuple(x)} or {tuple(y)} outside grid")
-    if isinstance(symbol, tuple):
+    if kind == "act":
         if tuple(map(sum, zip(x, symbol))) != tuple(y):
             raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
         return FlowTree(Transition(tuple(x), symbol, tuple(y)))
-    if symbol not in engine.gvas.nonterminals:
-        raise UnknownSymbolError(f"unknown symbol {symbol!r}")
     return _build_witness(
         engine.gvas, grid, engine._suffix_refs, symbol,
         grid.encode(x), grid.encode(y), engine._stamp_of, engine._stamped_row,
@@ -238,25 +241,19 @@ class ReachTable:
     Immutable once built; safe to share.
     """
 
-    def __init__(self, g, bound, grid, stamps, suffix_refs):
+    def __init__(self, g, bound, grid, relations, suffix_refs):
         self.gvas: Gvas = g
         self.bound: int = bound
         self.grid: Grid = grid
-        self._stamps = stamps  # key -> csr int32, key is ("sym", nt) or ("aux", rule, i)
+        # key -> csr matrix, nonzero exactly on the relation's pairs: bool for
+        # ("act", a), int32 discovery stamps for ("sym", nt) and ("aux", rule, i)
+        self._relations = relations
         self._suffix_refs = suffix_refs  # (rule, i) -> key of the suffix starting at child i
-        self._action_mats: dict[tuple, sparse.csr_matrix] = {}
 
     # -- raw access -----------------------------------------------------
 
-    def _action_mat(self, a: tuple[int, ...]) -> sparse.csr_matrix:
-        m = self._action_mats.get(a)
-        if m is None:
-            m = _action_matrix(self.grid, a)
-            self._action_mats[a] = m
-        return m
-
     def _stamp_of(self, key, s: int, d: int) -> int:
-        m = self._stamps[key]
+        m = self._relations[key]
         lo, hi = m.indptr[s], m.indptr[s + 1]
         cols = m.indices[lo:hi]
         pos = np.searchsorted(cols, d)
@@ -265,17 +262,8 @@ class ReachTable:
         return 0
 
     def _matrix(self, symbol) -> sparse.csr_matrix:
-        """The relation of one symbol: an action's matrix, or a
-        nonterminal's stamps (nonzero exactly on its pairs)."""
-        if isinstance(symbol, tuple):
-            return self._action_mat(symbol)
-        return self._stamps[("sym", symbol)]
-
-    def _row(self, symbol, s: int) -> np.ndarray:
-        """Destination indices reachable from cell s via one symbol."""
-        m = self._matrix(symbol)
-        lo, hi = m.indptr[s], m.indptr[s + 1]
-        return m.indices[lo:hi].astype(np.int64)
+        """The relation of one symbol of the grammar."""
+        return self._relations[_known_ref(self.gvas, symbol)]
 
     # -- public queries ---------------------------------------------------
 
@@ -283,26 +271,22 @@ class ReachTable:
         return tuple(self.gvas.nonterminals) + tuple(self.gvas.actions)
 
     def contains(self, symbol, x: Sequence[int], y: Sequence[int]) -> bool:
+        key = _known_ref(self.gvas, symbol)
         if not self.grid.contains(x) or not self.grid.contains(y):
             return False
-        s, d = self.grid.encode(x), self.grid.encode(y)
-        if isinstance(symbol, tuple):
-            m = self._action_mat(symbol)
-            return bool(m[s, d])
-        if symbol not in self.gvas.nonterminals:
-            raise UnknownSymbolError(f"unknown symbol {symbol!r}")
-        return self._stamp_of(("sym", symbol), s, d) > 0
+        return self._stamp_of(key, self.grid.encode(x), self.grid.encode(y)) > 0
 
     def successors(self, symbol, x: Sequence[int]) -> list[Config]:
+        m = self._matrix(symbol)
         if not self.grid.contains(x):
             raise OutOfGridError(f"{tuple(x)} outside grid bound {self.bound}")
-        idxs = self._row(symbol, self.grid.encode(x))
-        return sorted(self.grid.decode(int(i)) for i in idxs)
+        s = self.grid.encode(x)
+        return sorted(self.grid.decode(int(i)) for i in m.indices[m.indptr[s]:m.indptr[s + 1]])
 
     def pairs(self, symbol) -> Iterator[tuple[Config, Config]]:
-        coo = self._matrix(symbol).tocoo()
-        for s, d in zip(coo.row, coo.col):
-            yield self.grid.decode(int(s)), self.grid.decode(int(d))
+        rows, cols = self.pairs_arrays(symbol)
+        decode = self.grid.decode
+        return ((decode(int(s)), decode(int(d))) for s, d in zip(rows, cols))
 
     def count(self, symbol) -> int:
         return int(self._matrix(symbol).nnz)
@@ -318,7 +302,7 @@ class ReachTable:
     # -- witness reconstruction -------------------------------------------
 
     def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
-        m = self._stamps[key]
+        m = self._relations[key]
         lo, hi = m.indptr[s], m.indptr[s + 1]
         return zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
 
@@ -424,17 +408,17 @@ def bounded_reach(
             raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
         round_no += 1
 
-    stamps: dict[tuple, sparse.csr_matrix] = {}
+    relations: dict[tuple, sparse.csr_matrix] = dict(act_mats)
     for key in defined_keys:
         parts = stamp_parts[key]
         if not parts:
-            stamps[key] = sparse.csr_matrix((n, n), dtype=np.int32)
+            relations[key] = sparse.csr_matrix((n, n), dtype=np.int32)
             continue
         rows = np.concatenate([p[1] for p in parts])
         cols = np.concatenate([p[2] for p in parts])
         vals = np.concatenate([np.full(len(p[1]), p[0], dtype=np.int32) for p in parts])
-        stamps[key] = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int32)
-    return ReachTable(g, bound, grid, stamps, suffix_refs)
+        relations[key] = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int32)
+    return ReachTable(g, bound, grid, relations, suffix_refs)
 
 
 @functools.lru_cache(maxsize=4)
@@ -449,8 +433,9 @@ class ReachCone:
     Tabled, demand-driven evaluation: only (symbol, source) pairs that
     some rule application actually touches are computed, which keeps
     high-dimensional membership queries far below the all-pairs table.
-    Discovered pairs carry insertion stamps, so witness reconstruction
-    works exactly as for the full table.
+    Evaluation is semi-naive: each new entry reaches each reader of its
+    cell exactly once.  Discovered pairs carry insertion stamps, so
+    witness reconstruction works exactly as for the full table.
     """
 
     def __init__(self, g: Gvas, source, bound: int, max_entries: int = 5_000_000):
@@ -475,11 +460,8 @@ class ReachCone:
             self._defs.setdefault(("sym", nt), [])
 
         self._tables: dict[tuple[tuple, int], dict[int, int]] = {}
-        # readers per cell, insertion-ordered so re-queueing (and with it
-        # every stamp) does not depend on the string-hash seed
-        self._deps: dict[tuple[tuple, int], dict[tuple[tuple, int], None]] = {}
         self._stamp = 0
-        self._evaluate_all(("sym", g.start), self.grid.encode(self.source))
+        self._evaluate((("sym", g.start), self.grid.encode(self.source)))
 
     def _act_dst(self, a, s: int) -> int | None:
         key = (a, s)
@@ -492,71 +474,83 @@ class ReachCone:
         self._act_memo[key] = d
         return d
 
-    def _lookup(self, ref, s: int, reader: tuple[tuple, int]) -> dict[int, int]:
-        if ref[0] == "act":
-            d = self._act_dst(ref[1], s)
-            return {d: 0} if d is not None else {}
-        cell = (ref, s)
-        if cell not in self._tables:
-            self._tables[cell] = {}
-            self._enqueue(cell)
-        self._deps.setdefault(cell, {})[reader] = None
-        return self._tables[cell]
+    def _evaluate(self, root: tuple[tuple, int]) -> None:
+        """Semi-naive worklist evaluation of every cell demanded from ``root``.
 
-    def _enqueue(self, cell) -> None:
-        if cell not in self._queued:
-            self._queued.add(cell)
-            self._queue.append(cell)
+        A reader ``(target, None)`` adds each entry it is given to target;
+        ``(target, right)`` is a join's left factor: each entry m demands
+        ``(right, m)`` for the reader ``(target, None)``.  A new entry is
+        queued with its cell's reader count, and only those readers get
+        it when it is popped; a later reader is given the cell's existing
+        entries when it registers.  Cells open from the worklist too, so
+        no demand chain recurses.
+        """
+        tables, defs, act_dst = self._tables, self._defs, self._act_dst
+        readers: dict[tuple[tuple, int], list[tuple]] = {}
+        work: deque = deque()  # (cell, None, 0) opens a cell; (cell, d, n) hands d to n readers
 
-    def _evaluate_all(self, root_key: tuple, root_src: int) -> None:
-        self._queue: deque = deque()
-        self._queued: set = set()
-        self._tables[(root_key, root_src)] = {}
-        self._enqueue((root_key, root_src))
-        while self._queue:
-            cell = self._queue.popleft()
-            self._queued.discard(cell)
-            key, s = cell
-            grew = False
-            table = self._tables[cell]
-
-            def add(d: int) -> None:
-                nonlocal grew
-                if d not in table:
-                    self._stamp += 1
-                    table[d] = self._stamp
-                    grew = True
-
-            for op in self._defs.get(key, ()):
-                if op[0] == "eps":
-                    add(s)
-                elif op[0] == "copy":
-                    for d in list(self._lookup(op[1], s, cell)):
-                        add(d)
-                else:
-                    _, left, right = op
-                    for m in list(self._lookup(left, s, cell)):
-                        for d in list(self._lookup(right, m, cell)):
-                            add(d)
-            if grew:
+        def add(cell, d: int) -> None:
+            table = tables[cell]
+            if d not in table:
+                self._stamp += 1
                 if self._stamp > self._max_entries:
                     raise ResourceLimitError(f"reachability cone exceeded {self._max_entries} entries")
-                for dep in self._deps.get(cell, ()):
-                    self._enqueue(dep)
+                table[d] = self._stamp
+                work.append((cell, d, len(readers[cell])))
+
+        def give(reader, m: int) -> None:
+            target, right = reader
+            if right is None:
+                add(target, m)
+            else:
+                read(right, m, (target, None))
+
+        def read(ref, s: int, reader) -> None:
+            if ref[0] == "act":
+                d = act_dst(ref[1], s)
+                if d is not None:
+                    give(reader, d)
+                return
+            cell = (ref, s)
+            if cell not in tables:
+                tables[cell] = {}
+                readers[cell] = []
+                work.append((cell, None, 0))
+            readers[cell].append(reader)
+            for d in list(tables[cell]):
+                give(reader, d)
+
+        tables[root] = {}
+        readers[root] = []
+        work.append((root, None, 0))
+        while work:
+            cell, d, n = work.popleft()
+            if d is not None:
+                for reader in readers[cell][:n]:
+                    give(reader, d)
+                continue
+            key, s = cell
+            for op in defs[key]:
+                if op[0] == "eps":
+                    add(cell, s)
+                elif op[0] == "copy":
+                    read(op[1], s, (cell, None))
+                else:
+                    read(op[1], s, (cell, op[2]))
 
     # -- queries -----------------------------------------------------------
 
     def successors(self, symbol, x: Sequence[int]) -> list[Config]:
         """Destinations from a demanded source (the cone's own source is
         always demanded for the start symbol)."""
+        key = _known_ref(self.gvas, symbol)
         if not self.grid.contains(x):
             raise OutOfGridError(f"{tuple(x)} outside grid bound {self.bound}")
         s = self.grid.encode(x)
-        if isinstance(symbol, tuple):
-            d = self._act_dst(symbol, s)
+        if key[0] == "act":
+            d = self._act_dst(key[1], s)
             return [self.grid.decode(d)] if d is not None else []
-        cell = (("sym", symbol), s)
-        got = self._tables.get(cell)
+        got = self._tables.get((key, s))
         if got is None:
             raise NotInTableError(f"source {tuple(x)} was never demanded for {symbol!r}")
         return sorted(self.grid.decode(d) for d in got)
@@ -590,20 +584,10 @@ def reachable_from(table: ReachTable, x: Sequence[int], word: Sequence) -> list[
     """
     if not table.grid.contains(x):
         raise OutOfGridError(f"{tuple(x)} outside grid bound {table.bound}")
-    nts = set(table.gvas.nonterminals)
-    acts = set(table.gvas.actions)
+    mats = [table._matrix(s) for s in word]
     front = {table.grid.encode(x)}
-    for s in word:
-        sym = s if isinstance(s, str) else tuple(s)
-        if isinstance(sym, str):
-            if sym not in nts:
-                raise UnknownSymbolError(f"unknown nonterminal {sym!r}")
-        elif sym not in acts:
-            raise UnknownSymbolError(f"unknown action {sym}")
-        nxt: set[int] = set()
-        for idx in front:
-            nxt.update(int(i) for i in table._row(sym, idx))
-        front = nxt
+    for m in mats:
+        front = {int(d) for s in front for d in m.indices[m.indptr[s]:m.indptr[s + 1]]}
         if not front:
             break
     return sorted(table.grid.decode(i) for i in front)

@@ -104,6 +104,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_reach_rejects_an_action_outside_the_grammar(capsys):
+    code, out = run(capsys, "reach", "--gvas", DATA / "pow2.gvas", "--from", "(1)", "--symbol", "(3)", "--bound", "4")
+    assert code == 1
+    assert out == ""
+
+
 def test_cap_exceeded_exit_code(capsys):
     code, _ = run(capsys, "falpha-eval", "--alpha", "w", "--n", "2", "--cap", "1000000")
     assert code == 3

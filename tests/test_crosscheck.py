@@ -6,11 +6,13 @@ grammars is a strong mutual oracle.  Parser round trips run under
 hypothesis with generated values.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from gvaskit import flowtree as ft
+from gvaskit.errors import NotInTableError
 from gvaskit.gvas import Gvas, format_gvas, parse_gvas
 from gvaskit.ordinal import Ordinal, format_ordinal, parse_ordinal
 from gvaskit.pvas import format_pvas, gvas_to_pvas, parse_pvas
@@ -39,18 +41,28 @@ def random_gvas(rng: random.Random) -> Gvas:
 
 def test_table_and_cone_agree_on_random_grammars():
     rng = random.Random(7)
-    checked = 0
+    checked = demanded = 0
     for _ in range(60):
         g = random_gvas(rng)
         bound = rng.randint(2, 5)
         table = bounded_reach(g, bound)
+        cells = list(itertools.product(range(bound + 1), repeat=g.dim))
         for _ in range(3):
             src = tuple(rng.randint(0, bound) for _ in range(g.dim))
             cone = reach_from(g, src, bound)
             assert cone.successors(g.start, src) == table.successors(g.start, src), (
                 format_gvas(g), bound, src)
             checked += 1
+            # every cell the cone demanded holds the table's full row
+            for nt, x in itertools.product(g.nonterminals, cells):
+                try:
+                    got = cone.successors(nt, x)
+                except NotInTableError:
+                    continue
+                assert got == table.successors(nt, x), (format_gvas(g), bound, src, nt, x)
+                demanded += 1
     assert checked >= 150
+    assert demanded > checked  # more than the start cells alone
 
 
 def test_both_engines_build_valid_witnesses_for_same_pairs():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import gvaskit
-from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError
+from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError, UnknownSymbolError
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.gvas import Gvas
 from gvaskit.reach import bounded_reach, reach_from, reachable_from
@@ -159,6 +159,8 @@ def test_resource_limits(pow2):
         bounded_reach(pow2, 10, max_cells=5)
     with pytest.raises(ResourceLimitError):
         bounded_reach(pow2, 10, max_pairs=3)
+    with pytest.raises(ResourceLimitError, match="exceeded 100 entries"):
+        reach_from(CHAIN, (0,), 700, max_entries=100)
 
 
 # --- composition and witnesses ------------------------------------------------
@@ -172,6 +174,31 @@ def test_reachable_from(pow2):
     assert reachable_from(table, (2,), ("T", "T")) == [(v,) for v in range(2, 9)]
     with pytest.raises(OutOfGridError):
         reachable_from(table, (99,), ("S",))
+
+
+ENGINES = {"table": lambda g: bounded_reach(g, 4), "cone": lambda g: reach_from(g, (1,), 4)}
+
+
+@pytest.mark.parametrize("symbol", [(3,), "Q"], ids=["action", "nonterminal"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_unknown_symbols_are_rejected(pow2, engine, symbol):
+    # (1) + (3) = (4) is in the grid, but (3) is not one of pow2's actions
+    eng = ENGINES[engine](pow2)
+    queries = [
+        lambda: eng.successors(symbol, (1,)),
+        lambda: eng.witness((1,), symbol, (4,)),
+    ]
+    if engine == "table":
+        queries += [
+            lambda: eng.contains(symbol, (1,), (4,)),
+            lambda: eng.pairs(symbol),
+            lambda: eng.count(symbol),
+            lambda: eng.pairs_arrays(symbol),
+            lambda: reachable_from(eng, (1,), ("S", symbol)),
+        ]
+    for query in queries:
+        with pytest.raises(UnknownSymbolError):
+            query()
 
 
 def test_witness_validates_and_is_deterministic(pow2):
@@ -272,7 +299,7 @@ for y in cone.successors("S", (2, 1)):
 
 
 def test_cone_witnesses_do_not_depend_on_hash_seed():
-    # cone stamps follow the order in which readers are re-queued; that
+    # cone stamps follow the order in which entries reach their readers; that
     # order must not come from string hashing
     gvas = Path(__file__).parent / "data" / "exchange.gvas"
     src = str(Path(gvaskit.__file__).parents[1])
