@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .gvas import format_config, format_gvas, parse_config, parse_gvas, validate
+from .gvas import _IDENT, format_config, format_gvas, parse_config, parse_gvas, validate
 from .ordinal import parse_ordinal
 
 EXIT_OK = 0
@@ -45,6 +45,12 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _symbol(text: str):
+    """A ``--symbol`` value: an identifier names a nonterminal, anything
+    else is read as an action vector."""
+    return text if _IDENT.fullmatch(text) else parse_config(text)
+
+
 def _cmd_validate(args) -> int:
     g = _load_gvas(args.gvas)
     defects = validate(g)
@@ -62,7 +68,7 @@ def _cmd_reach(args) -> int:
     g = _load_gvas(args.gvas)
     table = reach.bounded_reach(g, args.bound)
     start = parse_config(getattr(args, "from"))
-    symbol = args.symbol if args.symbol in g.nonterminals else parse_config(args.symbol)
+    symbol = _symbol(args.symbol)
     for c in table.successors(symbol, start):
         _emit(format_config(c))
     return EXIT_OK
@@ -85,7 +91,7 @@ def _cmd_witness_tree(args) -> int:
     table = reach.bounded_reach(g, args.bound)
     x = parse_config(getattr(args, "from"))
     y = parse_config(args.to)
-    symbol = args.symbol if args.symbol in g.nonterminals else parse_config(args.symbol)
+    symbol = _symbol(args.symbol)
     tree = table.witness(x, symbol, y)
     _emit(flowtree.format_tree(tree))
     return EXIT_OK

@@ -7,9 +7,10 @@ value from v to the hierarchy function of v at the encoded level, and can
 never exceed it; wrapping the core with an input loader and an output
 drain yields a weak computer for any fixed level.
 
-Witness runs are constructed, never searched: exact trees come out of a
-structural recursion on the level, so construction cost is linear in tree
-size and scales to every instance the value cap admits.
+Witness runs are derived, never searched: one iterative run expands the
+grammar's own rules, picking each nonterminal's rule from the current
+configuration, so construction cost is linear in tree size and scales to
+every instance the value cap admits.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, OrdinalRangeError
-from .flowtree import FlowTree, action_leaf, node
-from .gvas import Config, Gvas
+from .flowtree import FlowTree
+from .gvas import Config, Gvas, Transition
 from .ordinal import DEFAULT_CAP, Ordinal, fast_growing
 from .reach import ReachTable, cached_reach
 from .weakcomp import WeakComputer
@@ -42,10 +43,6 @@ class CoreView:
     val: int
     buf: int
     level: Ordinal
-
-    @classmethod
-    def from_config(cls, c: Sequence[int]) -> "CoreView":
-        return cls(c[0], c[1], Ordinal(tuple(c[2:])))
 
     def to_config(self, d: int) -> Config:
         if self.level.degree > d:
@@ -213,132 +210,83 @@ def derivation_check(d: int, kind: str, n: int = 0, i: Optional[int] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Constructed witnesses
+# Derived witnesses
+
+
+def _choose(symbol: str, c: Config) -> int:
+    """Index, among ``symbol``'s rules in declaration order, of the rule a
+    witness run takes at configuration ``c``."""
+    if symbol == "Fn":  # base at level zero, else the lowest non-zero digit's rule
+        return next((1 + i for i, v in enumerate(c[2:]) if v > 0), 0)
+    if symbol == "Load":
+        return int(c[BUF] > 0)
+    if symbol == "Main":
+        return 0
+    return int(c[VAL] > 0)  # Iter, Desc_i and Emit spin while the value is positive
+
+
+def _derive(g: Gvas, choose, symbol: str, src: Config) -> FlowTree:
+    """The flow tree that expands ``symbol`` from ``src`` taking, at each
+    nonterminal, the rule ``choose(nonterminal, config)`` picks among its
+    rules in ``g.rules``.
+
+    Actions apply left to right and each node closes at the configuration
+    its last child reaches.  Frames live on an explicit stack, so chains
+    as long as the values they transfer need no recursion.
+    """
+    alts: dict[str, list[tuple]] = {}
+    for lhs, rhs in g.rules:
+        alts.setdefault(lhs, []).append(rhs)
+
+    def frame(sym: str, c: Config) -> list:
+        # symbol, source, pending right-hand side, current config, children
+        return [sym, c, iter(alts[sym][choose(sym, c)]), c, []]
+
+    stack = [frame(symbol, tuple(src))]
+    while True:
+        top = stack[-1]
+        sym, start, rest, cur, children = top
+        for s in rest:
+            if isinstance(s, str):
+                top[3] = cur
+                stack.append(frame(s, cur))
+                break
+            nxt = tuple(v + a for v, a in zip(cur, s))
+            children.append(FlowTree(Transition(cur, s, nxt)))
+            cur = nxt
+        else:
+            done = FlowTree(Transition(start, sym, cur), tuple(children))
+            stack.pop()
+            if not stack:
+                return done
+            stack[-1][3] = cur
+            stack[-1][4].append(done)
+
+
+def _check_instance(alpha: Ordinal, n: int, d: int, cap: int) -> None:
+    if d < 1 or alpha.degree > d:
+        raise OrdinalRangeError(f"{alpha} does not fit depth {d}")
+    fast_growing(alpha, n, cap)  # cap guard: raises before anything oversized is built
 
 
 def build_witness(alpha: Ordinal, n: int, d: int, cap: int = DEFAULT_CAP) -> FlowTree:
     """Valid flow tree rewriting (n, 0, alpha) to (F(n), 0, alpha) via ``Fn``.
 
-    Structural recursion on the level: base increments, successor levels
-    stash the value and re-apply, limit levels step down the fundamental
-    sequence.  Raises the cap error before building anything oversized.
+    Derived from the core grammar's own rules: the base rule at level
+    zero, the successor or limit rule of the lowest non-zero digit, and
+    loops that spin until their counter is empty.  Raises the cap error
+    before building anything oversized.
     """
-    if d < 1 or alpha.degree > d:
-        raise OrdinalRangeError(f"{alpha} does not fit depth {d}")
-    fast_growing(alpha, n, cap)  # cap guard; the recursion re-derives values
-    dim = d + 2
-    iv, dv = _unit(dim, VAL, 1), _unit(dim, VAL, -1)
-    ib, db = _unit(dim, BUF, 1), _unit(dim, BUF, -1)
-
-    def idig(k):
-        return _unit(dim, 2 + k, 1)
-
-    def ddig(k):
-        return _unit(dim, 2 + k, -1)
-
-    def load_tree(c: Config) -> FlowTree:
-        # transfer the whole buffer into the value; chains are value-long,
-        # so build bottom-up instead of recursing
-        chain = []
-        cur = c
-        while cur[BUF] > 0:
-            first = action_leaf(cur, iv)
-            second = action_leaf(first.label.dst, db)
-            chain.append((cur, first, second))
-            cur = second.label.dst
-        tree = node(cur, "Load", cur)
-        for start, first, second in reversed(chain):
-            tree = node(start, "Load", tree.label.dst, (first, second, tree))
-        return tree
-
-    def iter_tree(c: Config) -> FlowTree:
-        # apply Fn once per unit of value, stashing as it goes
-        chain = []
-        cur = c
-        while cur[VAL] > 0:
-            a = action_leaf(cur, dv)
-            b = action_leaf(a.label.dst, ib)
-            chain.append((cur, a, b))
-            cur = b.label.dst
-        inner = load_tree(cur)
-        tree = node(cur, "Iter", inner.label.dst, (inner,))
-        for start, a, b in reversed(chain):
-            fn = fn_tree(tree.label.dst)
-            tree = node(start, "Iter", fn.label.dst, (a, b, tree, fn))
-        return tree
-
-    def desc_tree(i: int, c: Config) -> FlowTree:
-        # walk the fundamental-sequence index down to the stash, then apply
-        chain = []
-        cur = c
-        while cur[VAL] > 0:
-            a = action_leaf(cur, dv)
-            b = action_leaf(a.label.dst, ib)
-            bump = action_leaf(b.label.dst, idig(i - 1))
-            chain.append((cur, a, b, bump))
-            cur = bump.label.dst
-        ld = load_tree(cur)
-        fn = fn_tree(ld.label.dst)
-        tree = node(cur, f"Desc{i}", fn.label.dst, (ld, fn))
-        for start, a, b, bump in reversed(chain):
-            down = action_leaf(tree.label.dst, ddig(i - 1))
-            tree = node(start, f"Desc{i}", down.label.dst, (a, b, bump, tree, down))
-        return tree
-
-    def fn_tree(c: Config) -> FlowTree:
-        level = Ordinal(tuple(c[2:]))
-        if level.is_zero():
-            leaf = action_leaf(c, iv)
-            return node(c, "Fn", leaf.label.dst, (leaf,))
-        if level.is_successor():
-            drop = action_leaf(c, ddig(0))
-            it = iter_tree(drop.label.dst)
-            fn = fn_tree(it.label.dst)
-            back = action_leaf(fn.label.dst, idig(0))
-            return node(c, "Fn", back.label.dst, (drop, it, fn, back))
-        i = next(k for k, v in enumerate(level.coeffs) if v > 0)
-        drop = action_leaf(c, ddig(i))
-        bump = action_leaf(drop.label.dst, idig(i - 1))
-        ds = desc_tree(i, bump.label.dst)
-        down = action_leaf(ds.label.dst, ddig(i - 1))
-        back = action_leaf(down.label.dst, idig(i))
-        return node(c, "Fn", back.label.dst, (drop, bump, ds, down, back))
-
-    start = CoreView(n, 0, alpha).to_config(d)
-    return fn_tree(start)
+    _check_instance(alpha, n, d, cap)
+    return _derive(build_core(d), _choose, "Fn", CoreView(n, 0, alpha).to_config(d))
 
 
 def computer_witness(alpha: Ordinal, n: int, d: int, cap: int = DEFAULT_CAP) -> FlowTree:
-    """Complete run of the wrapped computer: load the level, apply the
-    core once, drain the value into the output counter."""
-    core = build_witness(alpha, n, d, cap)
-    dim = d + 2
-    dv, ib = _unit(dim, VAL, -1), _unit(dim, BUF, 1)
-    start: Config = (n, 0) + (0,) * d
-    leaves = []
-    cur = start
-    for i in range(d):
-        for _ in range(alpha.coeff(i)):
-            leaf = action_leaf(cur, _unit(dim, 2 + i, 1))
-            leaves.append(leaf)
-            cur = leaf.label.dst
-    assert cur == core.label.src
-
-    def emit_tree(c: Config) -> FlowTree:
-        chain = []
-        cur = c
-        while cur[VAL] > 0:
-            a = action_leaf(cur, dv)
-            b = action_leaf(a.label.dst, ib)
-            chain.append((cur, a, b))
-            cur = b.label.dst
-        tree = node(cur, "Emit", cur)
-        for start, a, b in reversed(chain):
-            tree = node(start, "Emit", tree.label.dst, (a, b, tree))
-        return tree
-
-    emit = emit_tree(core.label.dst)
-    return node(start, "Main", emit.label.dst, tuple(leaves) + (core, emit))
+    """Complete run of the wrapped computer from (n, 0, 0...): load the
+    level, apply the core once, drain the value into the output counter;
+    derived from :func:`build_computer`'s rules like :func:`build_witness`."""
+    _check_instance(alpha, n, d, cap)
+    return _derive(build_computer(alpha, d), _choose, "Main", (n, 0) + (0,) * d)
 
 
 # ---------------------------------------------------------------------------

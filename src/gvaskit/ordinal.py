@@ -40,10 +40,6 @@ class Ordinal:
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def from_int(cls, n: int) -> "Ordinal":
-        return cls((n,)) if n else cls(())
-
-    @classmethod
     def omega(cls, power: int = 1, coeff: int = 1) -> "Ordinal":
         """The ordinal omega^power * coeff."""
         if power < 0:

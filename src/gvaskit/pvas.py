@@ -8,7 +8,6 @@ grammar runs correspond to runs that fully consume the initial stack.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +18,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedModelError,
 )
-from .gvas import Action, Config, Gvas, format_config
+from .gvas import _IDENT, Action, Config, Gvas, format_config, parse_config
 
 PvasAction = tuple[tuple[str, ...], tuple[str, ...], Action]
 
@@ -196,9 +195,6 @@ def pvas_bounded_explore(
 #
 # `_` is the empty word; stack words are space-separated symbols.
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-
-
 def _parse_stack_word(text: str, line_no: int, col: int) -> tuple[str, ...]:
     text = text.strip()
     if text == "_":
@@ -214,12 +210,18 @@ def parse_pvas(text: str) -> Pvas:
     dim: int | None = None
     alphabet: tuple[str, ...] | None = None
     actions: list[tuple[tuple[str, ...], tuple[str, ...], Action]] = []
+    delta_at: list[tuple[int, int]] = []  # (line, column) of each action's delta
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("dim "):
-            dim = int(line[4:].strip())
+            try:
+                dim = int(line[4:].strip())
+            except ValueError:
+                raise ParseError(f"bad dimension {line[4:].strip()!r}", line_no, 5, ("natural",)) from None
+            if dim < 0:
+                raise ParseError("dimension must be non-negative", line_no, 5)
             continue
         if line.startswith("stack "):
             alphabet = tuple(line[6:].split())
@@ -231,18 +233,18 @@ def parse_pvas(text: str) -> Pvas:
                 raise ParseError("expected 'action pop / push / (delta)'", line_no, 1)
             pop = _parse_stack_word(parts[0], line_no, 8)
             push = _parse_stack_word(parts[1], line_no, 8 + len(parts[0]) + 1)
-            vec = parts[2].strip()
-            m = re.fullmatch(r"\(\s*(-?\d+)(\s*,\s*-?\d+)*\s*\)", vec)
-            if not m:
-                raise ParseError(f"bad delta {vec!r}", line_no, 8 + len(parts[0]) + len(parts[1]) + 2, ("(v1,...,vd)",))
-            delta = tuple(int(v) for v in vec.strip("() \t").split(","))
-            actions.append((pop, push, delta))
+            col = 8 + len(parts[0]) + len(parts[1]) + 2
+            actions.append((pop, push, parse_config(parts[2].strip(), line_no, col)))
+            delta_at.append((line_no, col))
             continue
         raise ParseError("expected 'dim', 'stack', or 'action'", line_no, 1)
     if dim is None:
         raise ParseError("missing 'dim' line", 1, 1, ("dim N",))
     if alphabet is None:
         raise ParseError("missing 'stack' line", 1, 1, ("stack A B ...",))
+    for (_, _, delta), (line_no, col) in zip(actions, delta_at):
+        if len(delta) != dim:
+            raise ParseError(f"delta {format_config(delta)} has length {len(delta)}, expected {dim}", line_no, col)
     return Pvas.make(dim, alphabet, actions)
 
 

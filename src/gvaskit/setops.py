@@ -123,16 +123,13 @@ def project(p: DefinablePredicate, keep: Sequence[int]) -> DefinablePredicate:
     return DefinablePredicate(len(keep), permute_coords(p.gvas, perm), p.aux + len(dropped))
 
 
-def _star_chain(dim: int, actions: Sequence[Action]) -> Gvas:
-    """Grammar for the language ``a1* a2* ... ak*`` over arbitrary actions."""
+def _star_chain(dim: int, actions: Sequence[Action], prefix: tuple = ()) -> Gvas:
+    """Grammar for the language ``prefix a1* a2* ... ak*`` over arbitrary actions."""
     names = [f"P{i}" for i in range(1, len(actions) + 1)]
-    rules: list[tuple[str, tuple]] = []
-    if not actions:
-        return Gvas.from_rules(dim, [("S", ())], "S")
-    rules.append(("S", (names[0],)))
+    rules: list[tuple[str, tuple]] = [("S", prefix + tuple(names[:1]))]
     for i, v in enumerate(actions):
         rules.append((names[i], (tuple(v), names[i])))
-        rules.append((names[i], (names[i + 1],) if i + 1 < len(actions) else ()))
+        rules.append((names[i], tuple(names[i + 1 : i + 2])))
     return Gvas.from_rules(dim, rules, "S")
 
 
@@ -143,16 +140,7 @@ def linear_set(base: Sequence[int], periods: Sequence[Sequence[int]]) -> Definab
     n = len(b)
     if any(len(v) != n for v in ps) or any(v < 0 for v in b) or any(x < 0 for v in ps for x in v):
         raise ArityMismatchError("base and periods must be non-negative vectors of one arity")
-    names = [f"P{i}" for i in range(1, len(ps) + 1)]
-    rules: list[tuple[str, tuple]] = []
-    if ps:
-        rules.append(("S", (b, names[0])))
-        for i, v in enumerate(ps):
-            rules.append((names[i], (v, names[i])))
-            rules.append((names[i], (names[i + 1],) if i + 1 < len(ps) else ()))
-    else:
-        rules.append(("S", (b,)))
-    return DefinablePredicate(n, Gvas.from_rules(n, rules, "S"), 0)
+    return DefinablePredicate(n, _star_chain(n, ps, (b,)), 0)
 
 
 def force_zero(g: Gvas, zeroed: Sequence[int]) -> Gvas:
@@ -265,17 +253,6 @@ def compose_relations(r1: DefinablePredicate, r2: DefinablePredicate) -> Definab
     # reorder: x, z first; y, y' join the auxiliaries
     perm = list(range(n)) + list(range(3 * n, 4 * n)) + list(range(n, 3 * n)) + list(range(4 * n, d + 1))
     return DefinablePredicate(2 * n, permute_coords(g, perm), d + 1 - 2 * n)
-
-
-def sufficient_bound(p: DefinablePredicate, bound: int) -> int:
-    """Coarse internal grid bound for complete membership answers up to
-    ``bound``.
-
-    Budgeted constructions need headroom for the budget counter, which
-    tracks sums of zeroed coordinates; a factor of the dimension is a
-    safe over-approximation at desk scale.
-    """
-    return bound * max(1, p.gvas.dim - p.arity)
 
 
 # ---------------------------------------------------------------------------

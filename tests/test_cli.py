@@ -29,6 +29,8 @@ GOLDEN_CASES = [
     ("amalgamate_base.txt", ["amalgamate", "--gvas", DATA / "order_demo.gvas", "--s", DATA / "tree_base.tree", "--t1", DATA / "tree_tall.tree", "--t2", DATA / "tree_tall.tree"]),
     ("falpha_eval.txt", ["falpha-eval", "--alpha", "2", "--n", "2"]),
     ("setop_intersect.txt", ["setop", "intersect", DATA / "evens.pred", DATA / "threes.pred"]),
+    ("witness_f2_d1.txt", ["witness", "--alpha", "2", "--n", "2", "--d", "1"]),
+    ("witness_omega_d2.txt", ["witness", "--alpha", "w", "--n", "1", "--d", "2"]),
 ]
 
 
@@ -108,6 +110,27 @@ def test_reach_rejects_an_action_outside_the_grammar(capsys):
     code, out = run(capsys, "reach", "--gvas", DATA / "pow2.gvas", "--from", "(1)", "--symbol", "(3)", "--bound", "4")
     assert code == 1
     assert out == ""
+
+
+def test_reach_rejects_an_unknown_nonterminal(capsys):
+    code = main(["reach", "--gvas", str(DATA / "pow2.gvas"), "--from", "(3)", "--symbol", "Q", "--bound", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err == "error: unknown nonterminal 'Q'\n"
+
+
+@pytest.mark.parametrize("text", [
+    "dim x\nstack S\naction S / _ / (1)\n",
+    "dim -1\nstack S\n",
+    "dim 2\nstack S\naction S / _ / (1)\n",
+], ids=["bad-dim", "negative-dim", "short-delta"])
+def test_from_pvas_reports_parse_errors(capsys, tmp_path, text):
+    f = tmp_path / "m.pvas"
+    f.write_text(text)
+    code = main(["from-pvas", "--pvas", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("parse error:")
 
 
 def test_cap_exceeded_exit_code(capsys):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gvaskit.errors import ArityMismatchError
-from gvaskit.gvas import Gvas, validate
+from gvaskit.gvas import Gvas, format_gvas, validate
 from gvaskit.reach import reach_from
 from gvaskit.setops import (
     DefinablePredicate,
@@ -67,6 +67,9 @@ def test_linear_set_examples():
     singleton = linear_set((4,), [])
     assert members_upto(singleton, 8) == [(4,)]
     assert members_upto(evens(), 8) == [(0,), (2,), (4,), (6,), (8,)]
+    assert format_gvas(p.gvas) == (
+        "dim 2\nstart S\nS -> (0,1) P1\nP1 -> (1,0) P1 | P2\nP2 -> (1,1) P2 | eps\n"
+    )
 
 
 # --- boolean-style combinators ----------------------------------------------------
@@ -259,14 +262,6 @@ def test_compose_rejects_odd_arity(graph_pow2):
 
 
 # --- files ----------------------------------------------------------------------
-
-
-def test_sufficient_bound_certifies_known_members():
-    from gvaskit.setops import sufficient_bound
-
-    inter = intersect(evens(), threes())
-    assert member_bounded(inter, (6,), sufficient_bound(inter, 6))
-    assert sufficient_bound(evens(), 8) == 8  # no auxiliaries, no slack
 
 
 def test_predicate_file_round_trip(graph_pow2):
