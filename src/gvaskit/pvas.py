@@ -216,6 +216,8 @@ def parse_pvas(text: str) -> Pvas:
         if not line:
             continue
         if line.startswith("dim "):
+            if dim is not None:
+                raise ParseError("duplicate dim line", line_no, 1)
             try:
                 dim = int(line[4:].strip())
             except ValueError:
@@ -224,6 +226,8 @@ def parse_pvas(text: str) -> Pvas:
                 raise ParseError("dimension must be non-negative", line_no, 5)
             continue
         if line.startswith("stack "):
+            if alphabet is not None:
+                raise ParseError("duplicate stack line", line_no, 1)
             alphabet = tuple(line[6:].split())
             continue
         if line.startswith("action "):

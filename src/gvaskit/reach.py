@@ -4,7 +4,17 @@ A pair (x, y) enters the table for symbol X exactly when some flow tree
 for ``x ->X y`` keeps every node configuration inside the grid
 ``{0..B}^dim``.  Relations are sparse boolean matrices indexed by grid
 cells; rules are binarized into chains of two-factor joins and the least
-fixpoint is evaluated semi-naively, round by round.
+fixpoint is evaluated semi-naively, round by round: a round joins only
+the pairs the previous round found (the deltas) with the relations as
+they stood when the round began.
+
+While the fixpoint runs, each relation is a short list of disjoint
+blocks whose sizes shrink geometrically, newest last, as in a
+log-structured merge.  A block holds its pairs as sorted linear keys
+``s * n + d`` with their stamps, plus the CSR matrices the joins multiply
+by.  A round's candidates are deduplicated and each is looked up by
+binary search in every block, so the round's membership test and insert
+cost O(|delta| log |relation|) rather than O(|relation|).
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand by searching, per table entry, for
@@ -95,10 +105,6 @@ def _action_matrix(grid: Grid, a: tuple[int, ...]) -> sparse.csr_matrix:
     cols = rows + _action_offset(grid, a)
     data = np.ones(len(rows), dtype=bool)
     return sparse.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size), dtype=bool)
-
-
-def _empty(n: int) -> sparse.csr_matrix:
-    return sparse.csr_matrix((n, n), dtype=bool)
 
 
 def _symbol_ref(s) -> tuple:
@@ -246,7 +252,8 @@ class ReachTable:
         self.bound: int = bound
         self.grid: Grid = grid
         # key -> csr matrix, nonzero exactly on the relation's pairs: bool for
-        # ("act", a), int32 discovery stamps for ("sym", nt) and ("aux", rule, i)
+        # ("act", a), discovery stamps for ("sym", nt) and ("aux", rule, i) in
+        # the smallest unsigned type that holds the last round
         self._relations = relations
         self._suffix_refs = suffix_refs  # (rule, i) -> key of the suffix starting at child i
 
@@ -311,6 +318,152 @@ class ReachTable:
         return _witness(self, x, symbol, y)
 
 
+def _key_dtype(n: int) -> type:
+    """The integer type of the linear keys ``s * n + d`` of an n-cell grid."""
+    return np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
+
+
+def _rows_matrix(keys: np.ndarray, n: int, data=None) -> sparse.csr_matrix:
+    """The CSR matrix of sorted linear keys; boolean unless ``data`` gives
+    the stored values."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
+    indices = np.empty(len(keys), dtype=np.int32)
+    np.remainder(keys, n, out=indices, casting="unsafe")
+    if data is None:
+        data = np.ones(len(keys), dtype=bool)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _row_keys(m: sparse.csr_matrix) -> np.ndarray:
+    """Linear keys ``s * n + d`` of the pairs of a CSR matrix."""
+    n = m.shape[0]
+    keys = np.repeat(np.arange(n, dtype=_key_dtype(n)) * n, np.diff(m.indptr))
+    keys += m.indices
+    return keys
+
+
+def _col_keys(mt: sparse.csr_matrix) -> np.ndarray:
+    """Linear keys ``s * n + d`` of the pairs of the transpose of a CSR matrix."""
+    n = mt.shape[0]
+    keys = mt.indices.astype(_key_dtype(n))
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=keys.dtype), np.diff(mt.indptr))
+    return keys
+
+
+def _merge(older: tuple[np.ndarray, np.ndarray], newer: tuple[np.ndarray, np.ndarray]):
+    """The union of two disjoint sets of pairs, each sorted linear keys
+    with their stamps."""
+    at = np.searchsorted(older[0], newer[0]) + np.arange(len(newer[0]))
+    old = np.ones(len(older[0]) + len(newer[0]), dtype=bool)
+    old[at] = False
+    out = []
+    for a, b in zip(older, newer):
+        both = np.empty(len(old), dtype=np.result_type(a, b))
+        both[old] = a
+        both[at] = b
+        out.append(both)
+    return tuple(out)
+
+
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+class _Block:
+    """One batch of a relation's pairs, disjoint from its other batches.
+
+    ``keys`` holds the linear keys ``s * n + d`` in ascending order and
+    ``stamps`` their discovery rounds.  ``rows`` is the batch as a boolean
+    CSR matrix and ``cols`` its transpose, each built only if a join
+    multiplies by it: a join's product with a delta then reads only the
+    rows of the other factor that the delta hits.
+    """
+
+    __slots__ = ("keys", "stamps", "rows", "cols")
+
+    def __init__(self, keys: np.ndarray, stamps, n: int, rows: bool, cols: bool):
+        self.keys, self.stamps = keys, stamps
+        m = _rows_matrix(keys, n) if rows or cols else None
+        self.rows = m if rows else None
+        self.cols = m.T.tocsr() if cols else None
+
+    def absent(self, cand: np.ndarray) -> np.ndarray:
+        """The keys of ``cand`` not in this (never empty) block."""
+        pos = np.searchsorted(self.keys, cand)
+        np.minimum(pos, len(self.keys) - 1, out=pos)
+        return cand[self.keys[pos] != cand]
+
+
+def _rounds(
+    defs, defined_keys, act_mats, n: int, max_pairs: int,
+) -> tuple[dict[tuple, list[_Block]], int]:
+    """The semi-naive rounds of :func:`bounded_reach`: each defined
+    relation's blocks at the fixpoint, and the last round that found a pair."""
+    # joins multiply by the blocks of right factors as rows, of left factors as transposes
+    lefts = {op[1] for _, op in defs if op[0] == "join"}
+    rights = {op[2] for _, op in defs if op[0] == "join"}
+
+    blocks: dict[tuple, list[_Block]] = {
+        ref: [_Block(_row_keys(m), None, n, True, True)] for ref, m in act_mats.items()}
+    deltas = {ref: stack[0] for ref, stack in blocks.items()}  # every action is new in round 1
+    blocks.update((k, []) for k in defined_keys)
+
+    round_no = 1
+    while True:
+        contribs: dict[tuple, list[np.ndarray]] = {}
+        for target, op in defs:
+            acc = contribs.setdefault(target, [])
+            if op[0] == "eps":
+                if round_no == 1:
+                    acc.append(np.arange(n, dtype=_key_dtype(n)) * (n + 1))
+            elif op[0] == "copy":
+                if op[1] in deltas:
+                    acc.append(deltas[op[1]].keys)
+            else:
+                _, left, right = op
+                if left in deltas:
+                    acc.extend(_row_keys(deltas[left].rows @ b.rows) for b in blocks[right])
+                if right in deltas:
+                    acc.extend(_col_keys(deltas[right].cols @ b.cols) for b in blocks[left])
+        fresh: dict[tuple, np.ndarray] = {}
+        for key in defined_keys:
+            parts = contribs.pop(key, None)
+            if not parts:
+                continue
+            cand = np.concatenate(parts)
+            del parts
+            cand.sort()
+            cand = _first_of_runs(cand)
+            for block in blocks[key]:
+                cand = block.absent(cand)
+            if len(cand):
+                fresh[key] = cand
+        if not fresh:
+            break
+        # every product of the round has read the relations: only now may they grow
+        deltas = {}
+        for key, keys in fresh.items():
+            stamps = np.full(len(keys), round_no, dtype=np.min_scalar_type(round_no))
+            factor = key in lefts or key in rights
+            deltas[key] = block = _Block(keys, stamps, n, factor, factor)
+            stack = blocks[key]
+            while stack and len(stack[-1].keys) <= 4 * len(keys):
+                keys, stamps = _merge((stack[-1].keys, stack.pop().stamps), (keys, stamps))
+            if len(keys) > len(block.keys):
+                block = _Block(keys, stamps, n, key in rights, key in lefts)
+            stack.append(block)
+        total = sum(len(b.keys) for k in defined_keys for b in blocks[k])
+        if total > max_pairs:
+            raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
+        round_no += 1
+
+    return {k: blocks[k] for k in defined_keys}, round_no - 1
+
+
 def bounded_reach(
     g: Gvas,
     bound: int,
@@ -322,6 +475,21 @@ def bounded_reach(
 
     Deterministic: the output (including witness stamps) depends only on
     the grammar value and the bound.
+
+    Round r multiplies each join's factor deltas from round r - 1 by the
+    blocks of the other factor: the left delta by the right factor's
+    blocks as rows, the right delta's transpose by the transposes of the
+    left factor's blocks, so both products touch only the rows the delta
+    reaches.  The candidates of each relation are sorted, deduplicated
+    and searched for in its blocks; those found in none are the
+    relation's fresh pairs, stamped r.  No block changes until every
+    product of the round is taken, so stamps are exactly round numbers.
+    A fresh batch becomes the newest block after absorbing each newest
+    block that holds at most four times its pairs: a relation of N pairs
+    has O(log N) blocks, and each pair is copied O(log N) times.  Memory
+    is O(pairs) plus one index row of O(cells) per block matrix; no state
+    is cells by cells.  At the end, each relation's blocks are merged and
+    released one by one into its stamped matrix.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -346,78 +514,17 @@ def bounded_reach(
         if key not in seen:
             seen.add(key)
             defined_keys.append(key)
-
-    fulls: dict[tuple, sparse.csr_matrix] = {k: _empty(n) for k in defined_keys}
-    deltas: dict[tuple, sparse.csr_matrix] = {k: _empty(n) for k in defined_keys}
-    stamp_parts: dict[tuple, list] = {k: [] for k in defined_keys}
-
-    def full_of(ref):
-        return act_mats[ref] if ref[0] == "act" else fulls[ref]
-
-    def delta_of(ref):
-        if ref[0] == "act":
-            return act_mats[ref] if round_no == 1 else _empty(n)
-        return deltas[ref]
-
-    identity = sparse.identity(n, dtype=bool, format="csr")
-    round_no = 1
-    while True:
-        contribs: dict[tuple, list] = {}
-        for target, op in defs:
-            acc = contribs.setdefault(target, [])
-            if op[0] == "eps":
-                if round_no == 1:
-                    acc.append(identity)
-            elif op[0] == "copy":
-                d = delta_of(op[1])
-                if d.nnz:
-                    acc.append(d)
-            else:
-                _, left, right = op
-                ld, rd = delta_of(left), delta_of(right)
-                if ld.nnz:
-                    acc.append(ld @ full_of(right))
-                if rd.nnz:
-                    acc.append(rd.__rmatmul__(full_of(left)))
-        progressed = False
-        new_deltas: dict[tuple, sparse.csr_matrix] = {}
-        for key in defined_keys:
-            parts = contribs.get(key, [])
-            parts = [p for p in parts if p.nnz]
-            if not parts:
-                new_deltas[key] = _empty(n)
-                continue
-            combined = parts[0]
-            for p in parts[1:]:
-                combined = combined + p
-            fresh = combined > fulls[key]
-            fresh.eliminate_zeros()
-            if fresh.nnz == 0:
-                new_deltas[key] = _empty(n)
-                continue
-            progressed = True
-            fulls[key] = fulls[key] + fresh
-            coo = fresh.tocoo()
-            stamp_parts[key].append((round_no, coo.row.copy(), coo.col.copy()))
-            new_deltas[key] = fresh.tocsr()
-        if not progressed:
-            break
-        deltas = new_deltas
-        total = sum(m.nnz for m in fulls.values())
-        if total > max_pairs:
-            raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
-        round_no += 1
-
+    blocks, last_round = _rounds(defs, defined_keys, act_mats, n, max_pairs)
+    stamp_dtype = np.min_scalar_type(last_round)
     relations: dict[tuple, sparse.csr_matrix] = dict(act_mats)
     for key in defined_keys:
-        parts = stamp_parts[key]
-        if not parts:
-            relations[key] = sparse.csr_matrix((n, n), dtype=np.int32)
-            continue
-        rows = np.concatenate([p[1] for p in parts])
-        cols = np.concatenate([p[2] for p in parts])
-        vals = np.concatenate([np.full(len(p[1]), p[0], dtype=np.int32) for p in parts])
-        relations[key] = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int32)
+        stack = blocks.pop(key)
+        pairs = (np.zeros(0, dtype=_key_dtype(n)), np.zeros(0, dtype=stamp_dtype))
+        while stack:  # newest first, each block released once merged
+            block = stack.pop()
+            pairs = _merge((block.keys, block.stamps), pairs)
+            del block
+        relations[key] = _rows_matrix(pairs[0], n, pairs[1].astype(stamp_dtype, copy=False))
     return ReachTable(g, bound, grid, relations, suffix_refs)
 
 

@@ -123,7 +123,9 @@ def test_reach_rejects_an_unknown_nonterminal(capsys):
     "dim x\nstack S\naction S / _ / (1)\n",
     "dim -1\nstack S\n",
     "dim 2\nstack S\naction S / _ / (1)\n",
-], ids=["bad-dim", "negative-dim", "short-delta"])
+    "dim 1\nstack S\ndim 1\naction S / _ / (1)\n",
+    "dim 1\nstack S\naction S / _ / (1)\nstack S T\n",
+], ids=["bad-dim", "negative-dim", "short-delta", "dup-dim", "dup-stack"])
 def test_from_pvas_reports_parse_errors(capsys, tmp_path, text):
     f = tmp_path / "m.pvas"
     f.write_text(text)
@@ -235,3 +237,17 @@ def test_safety_json(capsys):
     data = json.loads(out)
     assert {s["symbol"] for s in data["scans"]} == {"Fn", "Iter", "Load"}
     assert all(s["violations"] == 0 for s in data["scans"])
+
+
+def test_safety_text_reports_checked_and_vacuous_on_stderr(capsys):
+    code = main(["safety", "--d", "1", "--bound", "8"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (GOLDEN / "safety_d1_b8.txt").read_text()
+    code, out = run(capsys, "safety", "--d", "1", "--bound", "8", "--format", "json")
+    assert code == 0
+    scans = json.loads(out)["scans"]
+    assert captured.err.splitlines() == ["symbol checked vacuous"] + [
+        f"{s['symbol']} {s['entries'] - s['cap_hits']} {s['cap_hits']}" for s in scans
+    ]
+    assert scans[0]["symbol"] == "Fn" and scans[0]["cap_hits"] > scans[0]["entries"] // 2

@@ -1,7 +1,7 @@
 import pytest
 
 from gvaskit.gvas import Gvas
-from gvaskit.errors import NotEnabledError, ResourceLimitError, UnsupportedModelError
+from gvaskit.errors import NotEnabledError, ParseError, ResourceLimitError, UnsupportedModelError
 from gvaskit.pvas import (
     Pvas,
     PvasConfig,
@@ -155,3 +155,13 @@ def test_text_round_trip(exchange_pvas):
     assert parse_pvas(text) == exchange_pvas
     assert "action S / S S / (0,0)" in text
     assert "action S / _ / (-1,2)" in text
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("dim 1\nstack S\ndim 2\n", "duplicate dim line", 3),
+    ("dim 1\nstack S\naction S / _ / (1)\nstack S T\n", "duplicate stack line", 4),
+])
+def test_duplicate_header_lines_are_rejected(text, message, line):
+    with pytest.raises(ParseError, match=message) as e:
+        parse_pvas(text)
+    assert (e.value.line, e.value.column) == (line, 1)

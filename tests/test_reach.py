@@ -1,15 +1,20 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 import gvaskit
 from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError, UnknownSymbolError
 from gvaskit.flowtree import format_tree, validate_tree
-from gvaskit.gvas import Gvas
-from gvaskit.reach import bounded_reach, reach_from, reachable_from
+from gvaskit.fastgrowing import build_core
+from gvaskit.gvas import Gvas, parse_gvas
+from gvaskit.reach import Grid, _action_matrix, _binarize, bounded_reach, reach_from, reachable_from
+from test_crosscheck import random_gvas
 
 
 # --- independent oracle -----------------------------------------------------
@@ -118,6 +123,133 @@ def test_fixpoint_matches_brute_force(g):
     assert got == want
     # yield lengths 9 and 10 add nothing at this scale, so 8 is exhaustive
     assert brute_start_table(g, bound, max_len=10) == want
+
+
+# --- fixpoint vs the full-matrix reference loop -------------------------------
+
+
+def reference_bounded_reach(g, bound, max_pairs=60_000_000):
+    """Stamped relations of the round-synchronous fixpoint, the plain way.
+
+    Each round unions every contribution and subtracts the whole relation
+    with full-matrix sparse operations; a pair's stamp is the round that
+    first found it.
+    """
+    grid = Grid(g.dim, bound)
+    n = grid.size
+    defs, _ = _binarize(g)
+    act_mats = {("act", a): _action_matrix(grid, a) for a in g.actions}
+    defined_keys = list(dict.fromkeys([t for t, _ in defs] + [("sym", nt) for nt in g.nonterminals]))
+    empty = sparse.csr_matrix((n, n), dtype=bool)
+    fulls = {k: empty for k in defined_keys}
+    deltas = dict(fulls)
+    stamp_parts = {k: [] for k in defined_keys}
+
+    def full_of(ref):
+        return act_mats[ref] if ref[0] == "act" else fulls[ref]
+
+    def delta_of(ref):
+        if ref[0] == "act":
+            return act_mats[ref] if round_no == 1 else empty
+        return deltas[ref]
+
+    round_no = 1
+    while True:
+        contribs = {}
+        for target, op in defs:
+            acc = contribs.setdefault(target, [])
+            if op[0] == "eps":
+                if round_no == 1:
+                    acc.append(sparse.identity(n, dtype=bool, format="csr"))
+            elif op[0] == "copy":
+                acc.append(delta_of(op[1]))
+            else:
+                _, left, right = op
+                acc.append(delta_of(left) @ full_of(right))
+                acc.append(full_of(left) @ delta_of(right))
+        progressed = False
+        new_deltas = {}
+        for key in defined_keys:
+            combined = empty
+            for part in contribs.get(key, []):
+                combined = combined + part
+            fresh = combined > fulls[key]
+            fresh.eliminate_zeros()
+            new_deltas[key] = fresh
+            if fresh.nnz:
+                progressed = True
+                fulls[key] = fulls[key] + fresh
+                coo = fresh.tocoo()
+                stamp_parts[key].append((coo.row, coo.col, np.full(fresh.nnz, round_no)))
+        if not progressed:
+            break
+        deltas = new_deltas
+        total = sum(m.nnz for m in fulls.values())
+        if total > max_pairs:
+            raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
+        round_no += 1
+
+    relations = {}
+    for key, parts in stamp_parts.items():
+        rows, cols, vals = (np.concatenate([np.zeros(0, dtype=np.int64)] + [p[i] for p in parts]) for i in range(3))
+        relations[key] = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int32)
+    return relations
+
+
+def assert_same_stamps(g, bound):
+    got = bounded_reach(g, bound)._relations
+    want = reference_bounded_reach(g, bound)
+    for key, m in want.items():
+        assert np.array_equal(got[key].indptr, m.indptr), (key, bound)
+        assert np.array_equal(got[key].indices, m.indices), (key, bound)
+        assert np.array_equal(got[key].data, m.data), (key, bound)
+    assert set(got) == set(want) | {("act", a) for a in g.actions}
+
+
+def test_fixpoint_matches_reference(pow2, exchange, order_demo):
+    f1 = parse_gvas((Path(__file__).parent / "data" / "computer_f1.gvas").read_text())
+    for g, bound in [
+        (pow2, 16), (exchange, 6), (order_demo, 12), (f1, 8),
+        (build_core(1), 8), (build_core(2), 4), (CHAIN, 50),
+        (WIDE, 50_000),  # 50001 cells: linear keys past 2**31 take the int64 path
+    ]:
+        assert_same_stamps(g, bound)
+    rng = random.Random(5)
+    for _ in range(40):
+        assert_same_stamps(random_gvas(rng), rng.randint(2, 6))
+
+
+@pytest.mark.parametrize("limit", [3, 1000, 50000])
+def test_pair_limit_matches_reference(limit):
+    core = build_core(1)
+    with pytest.raises(ResourceLimitError) as want:
+        reference_bounded_reach(core, 8, max_pairs=limit)
+    with pytest.raises(ResourceLimitError) as got:
+        bounded_reach(core, 8, max_pairs=limit)
+    assert str(got.value) == str(want.value)
+
+
+WIDE_RULES = [("S", [(1,), "T"]), ("S", [(2,)]), ("T", [(-1,)]), ("T", [(1,)])]
+WIDE = Gvas.from_rules(1, WIDE_RULES, "S")
+WIDE_GRID = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from gvaskit.gvas import Gvas
+from gvaskit.reach import bounded_reach
+g = Gvas.from_rules(1, {WIDE_RULES!r}, "S")
+print(bounded_reach(g, 200_000).count("S"))
+"""
+
+
+def test_fixpoint_state_grows_with_pairs_not_cells():
+    # 200001 cells: any n-by-n dense state would need far more than 1 GB
+    src = str(Path(gvaskit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", WIDE_GRID], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == 2 * 200_000 - 1  # x -> x below the top, x -> x + 2 below it by two
 
 
 # --- the doubling grammar's exact relation -----------------------------------
@@ -253,6 +385,16 @@ def test_witness_of_depth_600():
     tree = bounded_reach(CHAIN, 700).witness((0,), "S", (600,))
     assert validate_tree(CHAIN, tree) is None
     assert chain_depth(tree) == 601
+
+
+@pytest.mark.parametrize("bound,dtype", [(200, np.uint8), (300, np.uint16)])
+def test_stamps_take_the_smallest_type_of_the_last_round(bound, dtype):
+    table = bounded_reach(CHAIN, bound)  # the pair 0 -> bound is found in round bound + 1
+    stamps = table._relations[("sym", "S")].data
+    assert stamps.dtype == dtype and int(stamps.max()) == bound + 1
+    stamp = table._stamp_of(("sym", "S"), 0, bound)
+    assert type(stamp) is int and stamp == bound + 1
+    assert all(type(v) is int for _, v in table._stamped_row(("sym", "S"), 0))
 
 
 # --- single-source cone --------------------------------------------------------
