@@ -165,24 +165,21 @@ def derivation_check(d: int, kind: str, n: int = 0, i: Optional[int] = None) -> 
     def ddig(k):
         return _unit(dim, 2 + k, -1)
 
-    steps: list[tuple[str, tuple]]  # (nonterminal rewritten, its rhs)
+    # each step rewrites a nonterminal by its rule of that index in build_core(d)'s order
+    steps: list[tuple[str, int]]
     if kind == "base":
         start: tuple = ("Fn",)
-        steps = [("Fn", (iv,))]
+        steps = [("Fn", 0)]
         target = (iv,)
     elif kind == "succ":
         start = ("Fn",)
-        steps = [("Fn", (ddig(0), "Iter", "Fn", idig(0)))]
-        steps += [("Iter", (dv, ib, "Iter", "Fn"))] * n
-        steps += [("Iter", ("Load",))]
+        steps = [("Fn", 1)] + [("Iter", 1)] * n + [("Iter", 0)]
         target = (ddig(0),) + (dv, ib) * n + ("Load",) + ("Fn",) * (n + 1) + (idig(0),)
     elif kind == "limit":
         if i is None or not 0 < i < d:
             raise ValueError("limit schema needs a digit index 0 < i < d")
         start = ("Fn",)
-        steps = [("Fn", (ddig(i), idig(i - 1), f"Desc{i}", ddig(i - 1), idig(i)))]
-        steps += [(f"Desc{i}", (dv, ib, idig(i - 1), f"Desc{i}", ddig(i - 1)))] * n
-        steps += [(f"Desc{i}", ("Load", "Fn"))]
+        steps = [("Fn", 1 + i)] + [(f"Desc{i}", 1)] * n + [(f"Desc{i}", 0)]
         target = (
             (ddig(i), idig(i - 1))
             + (dv, ib, idig(i - 1)) * n
@@ -192,15 +189,14 @@ def derivation_check(d: int, kind: str, n: int = 0, i: Optional[int] = None) -> 
         )
     elif kind == "transfer":
         start = ("Load",)
-        steps = [("Load", (iv, db, "Load"))] * n
-        steps += [("Load", ())]
+        steps = [("Load", 1)] * n + [("Load", 0)]
         target = (iv, db) * n
     else:
         raise ValueError(f"unknown schema kind {kind!r}")
 
     trace = [start]
-    for nt, rhs in steps:
-        nxt = _leftmost_apply(g, trace[-1], nt, rhs)
+    for nt, k in steps:
+        nxt = _leftmost_apply(g, trace[-1], nt, g.rules_for(nt)[k][1])
         if nxt not in derive_step(g, trace[-1]):
             raise AssertionError(f"{trace[-1]} does not rewrite to {nxt}")
         trace.append(nxt)

@@ -391,6 +391,7 @@ def parse_gvas(text: str) -> Gvas:
     dim: int | None = None
     start: str | None = None
     rules: list[tuple[str, Word]] = []
+    action_at: list[tuple[Action, int, int]] = []  # each action with its line and column
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -429,16 +430,16 @@ def parse_gvas(text: str) -> Gvas:
                     if s == "eps":
                         raise ParseError("'eps' must stand alone", line_no, col)
                 rhs = tuple(s for s, _ in symbols)
-            if dim is not None:
-                for s, col in zip(rhs, (c for _, c in symbols)):
-                    if not isinstance(s, str) and len(s) != dim:
-                        raise ParseError(f"action {format_config(s)} has length {len(s)}, expected {dim}", line_no, col)
+                action_at += ((s, line_no, col) for s, col in symbols if not isinstance(s, str))
             rules.append((lhs, rhs))
             base += len(alt) + 1
     if dim is None:
         raise ParseError("missing 'dim' line", 1, 1, ("dim N",))
     if start is None:
         raise ParseError("missing 'start' line", 1, 1, ("start S",))
+    for a, line_no, col in action_at:
+        if len(a) != dim:
+            raise ParseError(f"action {format_config(a)} has length {len(a)}, expected {dim}", line_no, col)
     return Gvas.from_rules(dim, rules, start)
 
 

@@ -201,7 +201,7 @@ def _parse_stack_word(text: str, line_no: int, col: int) -> tuple[str, ...]:
         return ()
     syms = text.split()
     for s in syms:
-        if not _IDENT.fullmatch(s):
+        if s in ("_", "eps") or not _IDENT.fullmatch(s):  # "_" and "eps" denote empty words
             raise ParseError(f"bad stack symbol {s!r}", line_no, col, ("identifier", "_"))
     return tuple(syms)
 
@@ -228,7 +228,12 @@ def parse_pvas(text: str) -> Pvas:
         if line.startswith("stack "):
             if alphabet is not None:
                 raise ParseError("duplicate stack line", line_no, 1)
-            alphabet = tuple(line[6:].split())
+            alphabet = _parse_stack_word(line[6:], line_no, 7)
+            if not alphabet:
+                raise ParseError("empty stack alphabet", line_no, 7, ("identifier",))
+            dup = next((a for i, a in enumerate(alphabet) if a in alphabet[:i]), None)
+            if dup is not None:
+                raise ParseError(f"duplicate stack symbol {dup!r}", line_no, 7)
             continue
         if line.startswith("action "):
             body = line[7:]

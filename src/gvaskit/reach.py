@@ -2,19 +2,22 @@
 
 A pair (x, y) enters the table for symbol X exactly when some flow tree
 for ``x ->X y`` keeps every node configuration inside the grid
-``{0..B}^dim``.  Relations are sparse boolean matrices indexed by grid
-cells; rules are binarized into chains of two-factor joins and the least
-fixpoint is evaluated semi-naively, round by round: a round joins only
-the pairs the previous round found (the deltas) with the relations as
-they stood when the round began.
+``{0..B}^dim``.  A relation over the grid's n cells is a set of pairs
+kept as sorted linear keys ``s * n + d`` with a stamp each; rules are
+binarized into chains of two-factor joins and the least fixpoint is
+evaluated semi-naively, round by round: a round joins only the pairs the
+previous round found (the deltas) with the relations as they stood when
+the round began.
 
 While the fixpoint runs, each relation is a short list of disjoint
 blocks whose sizes shrink geometrically, newest last, as in a
-log-structured merge.  A block holds its pairs as sorted linear keys
-``s * n + d`` with their stamps, plus the CSR matrices the joins multiply
-by.  A round's candidates are deduplicated and each is looked up by
-binary search in every block, so the round's membership test and insert
-cost O(|delta| log |relation|) rather than O(|relation|).
+log-structured merge.  A block holds its keys and stamps, plus the CSR
+matrices the joins multiply by.  A round's candidates are deduplicated
+and each is looked up by binary search in every block, so the round's
+membership test and insert cost O(|delta| log |relation|) rather than
+O(|relation|).  The finished table keeps each relation as its merged
+keys and stamps, the same format, and answers a query about a source
+cell from the slice of keys that cell's row occupies.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand by searching, per table entry, for
@@ -73,10 +76,6 @@ class Grid:
             out.append(v)
         return tuple(out)
 
-    def coords_matrix(self) -> np.ndarray:
-        """All grid cells as a (size, dim) array, row i = decode(i)."""
-        return self.decode_many(np.arange(self.size, dtype=np.int64))
-
     def decode_many(self, idx: np.ndarray) -> np.ndarray:
         """Vectorized decode: (n,) indices to an (n, dim) coordinate array."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -97,14 +96,20 @@ def _action_target(grid: Grid, a: tuple[int, ...], s: int) -> int | None:
     return s + _action_offset(grid, a) if grid.contains(out) else None
 
 
-def _action_matrix(grid: Grid, a: tuple[int, ...]) -> sparse.csr_matrix:
-    coords = grid.coords_matrix()
-    shifted = coords + np.asarray(a, dtype=np.int64)
+def _key_dtype(n: int) -> type:
+    """The integer type of the linear keys ``s * n + d`` of an n-cell grid."""
+    return np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
+
+
+def _action_keys(grid: Grid, a: tuple[int, ...]) -> np.ndarray:
+    """Sorted linear keys of action a's in-grid applications: the pair
+    (s, s + offset) has key ``s * (n + 1) + offset``."""
+    shifted = grid.decode_many(np.arange(grid.size)) + np.asarray(a, dtype=np.int64)
     ok = np.all((shifted >= 0) & (shifted <= grid.bound), axis=1)
-    rows = np.nonzero(ok)[0]
-    cols = rows + _action_offset(grid, a)
-    data = np.ones(len(rows), dtype=bool)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size), dtype=bool)
+    keys = np.nonzero(ok)[0].astype(_key_dtype(grid.size))
+    keys *= grid.size + 1
+    keys += _action_offset(grid, a)
+    return keys
 
 
 def _symbol_ref(s) -> tuple:
@@ -116,29 +121,37 @@ def _known_ref(g: Gvas, symbol) -> tuple:
     return _symbol_ref(_check_word(g, (symbol,))[0])
 
 
-def _binarize(g: Gvas) -> tuple[list[tuple[tuple, tuple]], dict[tuple[int, int], tuple]]:
+def _check_valid(g: Gvas) -> None:
+    """ValueError naming every fatal defect of g, if it has any."""
+    bad = fatal_defects(g)
+    if bad:
+        raise ValueError("invalid GVAS: " + "; ".join(str(d) for d in bad))
+
+
+def _binarize(g: Gvas) -> tuple[dict[tuple, list[tuple]], dict[tuple[int, int], tuple]]:
     """Rules as chains of two-factor joins over auxiliary suffix relations.
 
-    Returns the definitions ``(target key, op)`` in rule order, where op is
-    ``("eps",)``, ``("copy", ref)`` or ``("join", left, right)``, and the
+    Returns each relation key's definitions in rule order, where a
+    definition is ``("eps",)``, ``("copy", ref)`` or ``("join", left,
+    right)`` and every nonterminal has a (possibly empty) entry, and the
     key of the suffix of each rule starting at child i (i >= 1); suffixes
     of length one alias the symbol.
     """
-    defs: list[tuple[tuple, tuple]] = []
+    defs: dict[tuple, list[tuple]] = {("sym", nt): [] for nt in g.nonterminals}
     suffix_refs: dict[tuple[int, int], tuple] = {}
     for r, (lhs, rhs) in enumerate(g.rules):
         k = len(rhs)
         for i in range(1, k):
             suffix_refs[(r, i)] = _symbol_ref(rhs[k - 1]) if i == k - 1 else ("aux", r, i)
-        target = ("sym", lhs)
+        ops = defs[("sym", lhs)]
         if k == 0:
-            defs.append((target, ("eps",)))
+            ops.append(("eps",))
         elif k == 1:
-            defs.append((target, ("copy", _symbol_ref(rhs[0]))))
+            ops.append(("copy", _symbol_ref(rhs[0])))
         else:
-            defs.append((target, ("join", _symbol_ref(rhs[0]), suffix_refs[(r, 1)])))
+            ops.append(("join", _symbol_ref(rhs[0]), suffix_refs[(r, 1)]))
             for i in range(1, k - 1):
-                defs.append((("aux", r, i), ("join", _symbol_ref(rhs[i]), suffix_refs[(r, i + 1)])))
+                defs[("aux", r, i)] = [("join", _symbol_ref(rhs[i]), suffix_refs[(r, i + 1)])]
     return defs, suffix_refs
 
 
@@ -251,31 +264,29 @@ class ReachTable:
         self.gvas: Gvas = g
         self.bound: int = bound
         self.grid: Grid = grid
-        # key -> csr matrix, nonzero exactly on the relation's pairs: bool for
-        # ("act", a), discovery stamps for ("sym", nt) and ("aux", rule, i) in
+        # key -> (sorted linear keys s * n + d, their stamps): True for
+        # ("act", a), discovery rounds for ("sym", nt) and ("aux", rule, i) in
         # the smallest unsigned type that holds the last round
         self._relations = relations
         self._suffix_refs = suffix_refs  # (rule, i) -> key of the suffix starting at child i
 
     # -- raw access -----------------------------------------------------
 
-    def _stamp_of(self, key, s: int, d: int) -> int:
-        m = self._relations[key]
-        lo, hi = m.indptr[s], m.indptr[s + 1]
-        cols = m.indices[lo:hi]
-        pos = np.searchsorted(cols, d)
-        if pos < len(cols) and cols[pos] == d:
-            return int(m.data[lo + pos])
-        return 0
+    def _row(self, key, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Destination cells and stamps of relation ``key``'s pairs from cell s."""
+        keys, stamps = self._relations[key]
+        first = s * self.grid.size
+        # needles of the keys' own type: any other type converts all of keys per search
+        lo, hi = keys.searchsorted(np.array((first, first + self.grid.size), dtype=keys.dtype))
+        return keys[lo:hi] - keys.dtype.type(first), stamps[lo:hi]
 
-    def _matrix(self, symbol) -> sparse.csr_matrix:
-        """The relation of one symbol of the grammar."""
-        return self._relations[_known_ref(self.gvas, symbol)]
+    def _stamp_of(self, key, s: int, d: int) -> int:
+        keys, stamps = self._relations[key]
+        k = s * self.grid.size + d
+        pos = keys.searchsorted(keys.dtype.type(k))
+        return int(stamps[pos]) if pos < len(keys) and keys[pos] == k else 0
 
     # -- public queries ---------------------------------------------------
-
-    def symbols(self) -> tuple:
-        return tuple(self.gvas.nonterminals) + tuple(self.gvas.actions)
 
     def contains(self, symbol, x: Sequence[int], y: Sequence[int]) -> bool:
         key = _known_ref(self.gvas, symbol)
@@ -284,11 +295,11 @@ class ReachTable:
         return self._stamp_of(key, self.grid.encode(x), self.grid.encode(y)) > 0
 
     def successors(self, symbol, x: Sequence[int]) -> list[Config]:
-        m = self._matrix(symbol)
+        key = _known_ref(self.gvas, symbol)
         if not self.grid.contains(x):
             raise OutOfGridError(f"{tuple(x)} outside grid bound {self.bound}")
-        s = self.grid.encode(x)
-        return sorted(self.grid.decode(int(i)) for i in m.indices[m.indptr[s]:m.indptr[s + 1]])
+        cols, _ = self._row(key, self.grid.encode(x))
+        return sorted(map(self.grid.decode, cols.tolist()))
 
     def pairs(self, symbol) -> Iterator[tuple[Config, Config]]:
         rows, cols = self.pairs_arrays(symbol)
@@ -296,42 +307,33 @@ class ReachTable:
         return ((decode(int(s)), decode(int(d))) for s, d in zip(rows, cols))
 
     def count(self, symbol) -> int:
-        return int(self._matrix(symbol).nnz)
+        return len(self._relations[_known_ref(self.gvas, symbol)][0])
 
     def pairs_arrays(self, symbol) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination cell indices as parallel arrays.
 
         Bulk companion to :meth:`pairs`; decode with ``grid.decode_many``.
         """
-        coo = self._matrix(symbol).tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64)
+        keys, _ = self._relations[_known_ref(self.gvas, symbol)]
+        return np.divmod(keys.astype(np.int64), self.grid.size)
 
     # -- witness reconstruction -------------------------------------------
 
     def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
-        m = self._relations[key]
-        lo, hi = m.indptr[s], m.indptr[s + 1]
-        return zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
+        cols, stamps = self._row(key, s)
+        return zip(cols.tolist(), stamps.tolist())
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         """Deterministic valid flow tree with root ``x ->symbol y``."""
         return _witness(self, x, symbol, y)
 
 
-def _key_dtype(n: int) -> type:
-    """The integer type of the linear keys ``s * n + d`` of an n-cell grid."""
-    return np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
-
-
-def _rows_matrix(keys: np.ndarray, n: int, data=None) -> sparse.csr_matrix:
-    """The CSR matrix of sorted linear keys; boolean unless ``data`` gives
-    the stored values."""
+def _rows_matrix(keys: np.ndarray, n: int) -> sparse.csr_matrix:
+    """The boolean CSR matrix of sorted linear keys."""
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
     indices = np.empty(len(keys), dtype=np.int32)
     np.remainder(keys, n, out=indices, casting="unsafe")
-    if data is None:
-        data = np.ones(len(keys), dtype=bool)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return sparse.csr_matrix((np.ones(len(keys), dtype=bool), indices, indptr), shape=(n, n))
 
 
 def _row_keys(m: sparse.csr_matrix) -> np.ndarray:
@@ -399,39 +401,41 @@ class _Block:
 
 
 def _rounds(
-    defs, defined_keys, act_mats, n: int, max_pairs: int,
+    defs: dict[tuple, list[tuple]], act_keys: dict[tuple, np.ndarray], n: int, max_pairs: int,
 ) -> tuple[dict[tuple, list[_Block]], int]:
     """The semi-naive rounds of :func:`bounded_reach`: each defined
     relation's blocks at the fixpoint, and the last round that found a pair."""
+    joins = [op for ops in defs.values() for op in ops if op[0] == "join"]
     # joins multiply by the blocks of right factors as rows, of left factors as transposes
-    lefts = {op[1] for _, op in defs if op[0] == "join"}
-    rights = {op[2] for _, op in defs if op[0] == "join"}
+    lefts = {op[1] for op in joins}
+    rights = {op[2] for op in joins}
 
     blocks: dict[tuple, list[_Block]] = {
-        ref: [_Block(_row_keys(m), None, n, True, True)] for ref, m in act_mats.items()}
+        ref: [_Block(keys, None, n, True, True)] for ref, keys in act_keys.items()}
     deltas = {ref: stack[0] for ref, stack in blocks.items()}  # every action is new in round 1
-    blocks.update((k, []) for k in defined_keys)
+    blocks.update((k, []) for k in defs)
 
     round_no = 1
     while True:
         contribs: dict[tuple, list[np.ndarray]] = {}
-        for target, op in defs:
-            acc = contribs.setdefault(target, [])
-            if op[0] == "eps":
-                if round_no == 1:
-                    acc.append(np.arange(n, dtype=_key_dtype(n)) * (n + 1))
-            elif op[0] == "copy":
-                if op[1] in deltas:
-                    acc.append(deltas[op[1]].keys)
-            else:
-                _, left, right = op
-                if left in deltas:
-                    acc.extend(_row_keys(deltas[left].rows @ b.rows) for b in blocks[right])
-                if right in deltas:
-                    acc.extend(_col_keys(deltas[right].cols @ b.cols) for b in blocks[left])
+        for target, ops in defs.items():
+            acc = contribs[target] = []
+            for op in ops:
+                if op[0] == "eps":
+                    if round_no == 1:
+                        acc.append(np.arange(n, dtype=_key_dtype(n)) * (n + 1))
+                elif op[0] == "copy":
+                    if op[1] in deltas:
+                        acc.append(deltas[op[1]].keys)
+                else:
+                    _, left, right = op
+                    if left in deltas:
+                        acc.extend(_row_keys(deltas[left].rows @ b.rows) for b in blocks[right])
+                    if right in deltas:
+                        acc.extend(_col_keys(deltas[right].cols @ b.cols) for b in blocks[left])
         fresh: dict[tuple, np.ndarray] = {}
-        for key in defined_keys:
-            parts = contribs.pop(key, None)
+        for key in defs:
+            parts = contribs.pop(key)
             if not parts:
                 continue
             cand = np.concatenate(parts)
@@ -456,12 +460,12 @@ def _rounds(
             if len(keys) > len(block.keys):
                 block = _Block(keys, stamps, n, key in rights, key in lefts)
             stack.append(block)
-        total = sum(len(b.keys) for k in defined_keys for b in blocks[k])
+        total = sum(len(b.keys) for k in defs for b in blocks[k])
         if total > max_pairs:
             raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
         round_no += 1
 
-    return {k: blocks[k] for k in defined_keys}, round_no - 1
+    return {k: blocks[k] for k in defs}, round_no - 1
 
 
 def bounded_reach(
@@ -489,42 +493,29 @@ def bounded_reach(
     has O(log N) blocks, and each pair is copied O(log N) times.  Memory
     is O(pairs) plus one index row of O(cells) per block matrix; no state
     is cells by cells.  At the end, each relation's blocks are merged and
-    released one by one into its stamped matrix.
+    released one by one into its keys and stamps, which the table keeps.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    bad = fatal_defects(g)
-    if bad:
-        raise ValueError("invalid GVAS: " + "; ".join(str(d) for d in bad))
+    _check_valid(g)
     grid = Grid(g.dim, bound)
     if grid.size > max_cells:
         raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
     n = grid.size
 
     defs, suffix_refs = _binarize(g)
-    act_mats = {("act", a): _action_matrix(grid, a) for a in g.actions}
-    defined_keys = []
-    seen = set()
-    for target, _ in defs:
-        if target not in seen:
-            seen.add(target)
-            defined_keys.append(target)
-    for nt in g.nonterminals:  # ruleless nonterminals still get (empty) tables
-        key = ("sym", nt)
-        if key not in seen:
-            seen.add(key)
-            defined_keys.append(key)
-    blocks, last_round = _rounds(defs, defined_keys, act_mats, n, max_pairs)
+    act_keys = {("act", a): _action_keys(grid, a) for a in g.actions}
+    blocks, last_round = _rounds(defs, act_keys, n, max_pairs)
     stamp_dtype = np.min_scalar_type(last_round)
-    relations: dict[tuple, sparse.csr_matrix] = dict(act_mats)
-    for key in defined_keys:
+    relations = {ref: (keys, np.ones(len(keys), dtype=bool)) for ref, keys in act_keys.items()}
+    for key in defs:
         stack = blocks.pop(key)
         pairs = (np.zeros(0, dtype=_key_dtype(n)), np.zeros(0, dtype=stamp_dtype))
         while stack:  # newest first, each block released once merged
             block = stack.pop()
             pairs = _merge((block.keys, block.stamps), pairs)
             del block
-        relations[key] = _rows_matrix(pairs[0], n, pairs[1].astype(stamp_dtype, copy=False))
+        relations[key] = (pairs[0], pairs[1].astype(stamp_dtype, copy=False))
     return ReachTable(g, bound, grid, relations, suffix_refs)
 
 
@@ -546,9 +537,7 @@ class ReachCone:
     """
 
     def __init__(self, g: Gvas, source, bound: int, max_entries: int = 5_000_000):
-        bad = fatal_defects(g)
-        if bad:
-            raise ValueError("invalid GVAS: " + "; ".join(str(d) for d in bad))
+        _check_valid(g)
         self.gvas = g
         self.bound = bound
         self.grid = Grid(g.dim, bound)
@@ -559,12 +548,7 @@ class ReachCone:
         self._act_memo: dict[tuple, int | None] = {}
         self._offsets = {a: _action_offset(self.grid, a) for a in g.actions}
 
-        defs, self._suffix_refs = _binarize(g)
-        self._defs: dict[tuple, list[tuple]] = {}
-        for target, op in defs:
-            self._defs.setdefault(target, []).append(op)
-        for nt in g.nonterminals:
-            self._defs.setdefault(("sym", nt), [])
+        self._defs, self._suffix_refs = _binarize(g)
 
         self._tables: dict[tuple[tuple, int], dict[int, int]] = {}
         self._stamp = 0
@@ -691,10 +675,10 @@ def reachable_from(table: ReachTable, x: Sequence[int], word: Sequence) -> list[
     """
     if not table.grid.contains(x):
         raise OutOfGridError(f"{tuple(x)} outside grid bound {table.bound}")
-    mats = [table._matrix(s) for s in word]
+    keys = [_known_ref(table.gvas, s) for s in word]
     front = {table.grid.encode(x)}
-    for m in mats:
-        front = {int(d) for s in front for d in m.indices[m.indptr[s]:m.indptr[s + 1]]}
+    for key in keys:
+        front = {d for s in front for d in table._row(key, s)[0].tolist()}
         if not front:
             break
     return sorted(table.grid.decode(i) for i in front)

@@ -30,6 +30,8 @@ class WeakComputer:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
+        if self.aux < 0:
+            raise ArityMismatchError(f"dimension {self.gvas.dim} has no room for input and output counters")
         if self.gvas.dim != 2 + self.aux:
             raise ArityMismatchError(f"dimension {self.gvas.dim} is not 2 + aux {self.aux}")
 

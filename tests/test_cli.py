@@ -106,6 +106,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_action_length_before_dim_is_a_located_parse_error(tmp_path, capsys):
+    f = tmp_path / "early.gvas"
+    f.write_text("start S\nS -> (1,2)\ndim 1\n")
+    code = main(["reach", "--gvas", str(f), "--from", "(0)", "--symbol", "S", "--bound", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "parse error: 2:6: action (1,2) has length 2, expected 1\n"
+
+
 def test_reach_rejects_an_action_outside_the_grammar(capsys):
     code, out = run(capsys, "reach", "--gvas", DATA / "pow2.gvas", "--from", "(1)", "--symbol", "(3)", "--bound", "4")
     assert code == 1
@@ -125,7 +134,11 @@ def test_reach_rejects_an_unknown_nonterminal(capsys):
     "dim 2\nstack S\naction S / _ / (1)\n",
     "dim 1\nstack S\ndim 1\naction S / _ / (1)\n",
     "dim 1\nstack S\naction S / _ / (1)\nstack S T\n",
-], ids=["bad-dim", "negative-dim", "short-delta", "dup-dim", "dup-stack"])
+    "dim 1\nstack S 1x\naction S / _ / (1)\n",
+    "dim 1\nstack S S\naction S / S S / (1)\n",
+    "dim 1\nstack _\n",
+], ids=["bad-dim", "negative-dim", "short-delta", "dup-dim", "dup-stack", "bad-stack-symbol",
+        "repeated-stack-symbol", "empty-stack"])
 def test_from_pvas_reports_parse_errors(capsys, tmp_path, text):
     f = tmp_path / "m.pvas"
     f.write_text(text)
@@ -212,6 +225,14 @@ def test_unknown_oracle_is_usage_error(capsys):
     code, _ = run(capsys, "check-weak", "--gvas", DATA / "computer_f1.gvas",
                   "--oracle", "sqrt", "--n-max", "1", "--bound", "4")
     assert code == 2
+
+
+def test_check_weak_needs_input_and_output_counters(capsys):
+    code = main(["check-weak", "--gvas", str(DATA / "pow2.gvas"), "--oracle", "pow2", "--n-max", "1", "--bound", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: dimension 1 has no room for input and output counters\n"
 
 
 def test_check_weak_table(capsys):

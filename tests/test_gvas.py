@@ -209,3 +209,13 @@ def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as e:
         parse_gvas("dim 1\nstart S\nS -> eps (1)\n")
     assert e.value.line == 3
+
+
+@pytest.mark.parametrize("text", [
+    "dim 1\nstart S\nS -> (1,2)\n",
+    "start S\nS -> (1,2)\ndim 1\n",  # the rule comes before the dim line
+])
+def test_action_length_is_checked_wherever_dim_is(text):
+    with pytest.raises(ParseError, match="action \\(1,2\\) has length 2, expected 1") as e:
+        parse_gvas(text)
+    assert (e.value.line, e.value.column) == (text.splitlines().index("S -> (1,2)") + 1, 6)

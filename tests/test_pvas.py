@@ -165,3 +165,16 @@ def test_duplicate_header_lines_are_rejected(text, message, line):
     with pytest.raises(ParseError, match=message) as e:
         parse_pvas(text)
     assert (e.value.line, e.value.column) == (line, 1)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dim 1\nstack S 1x\naction S / _ / (1)\n", "bad stack symbol '1x'"),
+    ("dim 1\nstack S S\naction S / S S / (1)\n", "duplicate stack symbol 'S'"),
+    ("dim 1\nstack _\n", "empty stack alphabet"),
+    ("dim 1\nstack S eps\naction S / eps / (1)\n", "bad stack symbol 'eps'"),
+    ("dim 1\nstack S _\n", "bad stack symbol '_'"),
+])
+def test_stack_line_symbols_are_checked(text, message):
+    with pytest.raises(ParseError, match=message) as e:
+        parse_pvas(text)
+    assert (e.value.line, e.value.column) == (2, 7)

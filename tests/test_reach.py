@@ -13,7 +13,7 @@ from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError, 
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
-from gvaskit.reach import Grid, _action_matrix, _binarize, bounded_reach, reach_from, reachable_from
+from gvaskit.reach import Grid, _binarize, bounded_reach, reach_from, reachable_from
 from test_crosscheck import random_gvas
 
 
@@ -128,18 +128,27 @@ def test_fixpoint_matches_brute_force(g):
 # --- fixpoint vs the full-matrix reference loop -------------------------------
 
 
+def reference_action(grid, a):
+    """The boolean matrix of action a's in-grid applications, cell by cell."""
+    n = grid.size
+    shifted = grid.decode_many(np.arange(n)) + np.asarray(a, dtype=np.int64)
+    ok = np.all((shifted >= 0) & (shifted <= grid.bound), axis=1)
+    cols = shifted[ok] @ (grid.bound + 1) ** np.arange(grid.dim, dtype=np.int64)
+    return sparse.csr_matrix((np.ones(len(cols), dtype=bool), (np.nonzero(ok)[0], cols)), shape=(n, n))
+
+
 def reference_bounded_reach(g, bound, max_pairs=60_000_000):
-    """Stamped relations of the round-synchronous fixpoint, the plain way.
+    """Every relation of the round-synchronous fixpoint, the plain way.
 
     Each round unions every contribution and subtracts the whole relation
     with full-matrix sparse operations; a pair's stamp is the round that
-    first found it.
+    first found it.  Action relations are boolean.
     """
     grid = Grid(g.dim, bound)
     n = grid.size
     defs, _ = _binarize(g)
-    act_mats = {("act", a): _action_matrix(grid, a) for a in g.actions}
-    defined_keys = list(dict.fromkeys([t for t, _ in defs] + [("sym", nt) for nt in g.nonterminals]))
+    act_mats = {("act", a): reference_action(grid, a) for a in g.actions}
+    defined_keys = list(defs)
     empty = sparse.csr_matrix((n, n), dtype=bool)
     fulls = {k: empty for k in defined_keys}
     deltas = dict(fulls)
@@ -156,17 +165,18 @@ def reference_bounded_reach(g, bound, max_pairs=60_000_000):
     round_no = 1
     while True:
         contribs = {}
-        for target, op in defs:
-            acc = contribs.setdefault(target, [])
-            if op[0] == "eps":
-                if round_no == 1:
-                    acc.append(sparse.identity(n, dtype=bool, format="csr"))
-            elif op[0] == "copy":
-                acc.append(delta_of(op[1]))
-            else:
-                _, left, right = op
-                acc.append(delta_of(left) @ full_of(right))
-                acc.append(full_of(left) @ delta_of(right))
+        for target, ops in defs.items():
+            acc = contribs[target] = []
+            for op in ops:
+                if op[0] == "eps":
+                    if round_no == 1:
+                        acc.append(sparse.identity(n, dtype=bool, format="csr"))
+                elif op[0] == "copy":
+                    acc.append(delta_of(op[1]))
+                else:
+                    _, left, right = op
+                    acc.append(delta_of(left) @ full_of(right))
+                    acc.append(full_of(left) @ delta_of(right))
         progressed = False
         new_deltas = {}
         for key in defined_keys:
@@ -189,21 +199,42 @@ def reference_bounded_reach(g, bound, max_pairs=60_000_000):
             raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
         round_no += 1
 
-    relations = {}
+    relations = dict(act_mats)
     for key, parts in stamp_parts.items():
         rows, cols, vals = (np.concatenate([np.zeros(0, dtype=np.int64)] + [p[i] for p in parts]) for i in range(3))
         relations[key] = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int32)
     return relations
 
 
-def assert_same_stamps(g, bound):
-    got = bounded_reach(g, bound)._relations
+def assert_same_stamps(g, bound, samples=12):
+    """The table's relations and its answers to queries both equal the
+    reference's: every key and stamp, and per-cell queries on a sample of
+    source cells (always the first and the last)."""
+    table = bounded_reach(g, bound)
     want = reference_bounded_reach(g, bound)
+    grid, n = table.grid, table.grid.size
+    assert set(table._relations) == set(want)
+    rng = random.Random(bound)
+    cells = sorted({0, n - 1} | set(rng.sample(range(n), min(samples, n))))
     for key, m in want.items():
-        assert np.array_equal(got[key].indptr, m.indptr), (key, bound)
-        assert np.array_equal(got[key].indices, m.indices), (key, bound)
-        assert np.array_equal(got[key].data, m.data), (key, bound)
-    assert set(got) == set(want) | {("act", a) for a in g.actions}
+        want_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
+        keys, stamps = table._relations[key]
+        assert np.array_equal(keys, want_rows * n + m.indices), (key, bound)
+        assert np.array_equal(stamps, m.data), (key, bound)
+        for s in cells:
+            row = slice(m.indptr[s], m.indptr[s + 1])
+            assert list(table._stamped_row(key, s)) == list(zip(m.indices[row].tolist(), m.data[row].tolist()))
+        if key[0] == "aux":
+            continue
+        symbol = key[1]
+        assert table.count(symbol) == m.nnz, (key, bound)
+        rows, cols = table.pairs_arrays(symbol)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, m.indices), (key, bound)
+        for s in cells:
+            x, dests = grid.decode(s), set(m.indices[m.indptr[s]:m.indptr[s + 1]].tolist())
+            assert table.successors(symbol, x) == sorted(map(grid.decode, dests)), (key, bound, x)
+            for d in sorted(dests) + rng.sample(range(n), min(samples, n)):
+                assert table.contains(symbol, x, grid.decode(d)) == (d in dests), (key, bound, x, d)
 
 
 def test_fixpoint_matches_reference(pow2, exchange, order_demo):
@@ -390,7 +421,7 @@ def test_witness_of_depth_600():
 @pytest.mark.parametrize("bound,dtype", [(200, np.uint8), (300, np.uint16)])
 def test_stamps_take_the_smallest_type_of_the_last_round(bound, dtype):
     table = bounded_reach(CHAIN, bound)  # the pair 0 -> bound is found in round bound + 1
-    stamps = table._relations[("sym", "S")].data
+    _, stamps = table._relations[("sym", "S")]
     assert stamps.dtype == dtype and int(stamps.max()) == bound + 1
     stamp = table._stamp_of(("sym", "S"), 0, bound)
     assert type(stamp) is int and stamp == bound + 1

@@ -103,6 +103,11 @@ def test_round_trip_preserves_membership(pow2_computer):
     assert got == {(x, y) for x, y in window if y <= 2**x}
 
 
+def test_weak_computer_needs_input_and_output_counters(pow2):
+    with pytest.raises(ArityMismatchError, match="dimension 1 has no room for input and output counters"):
+        WeakComputer(pow2, aux=-1, oracle=lambda n: n)
+
+
 def test_definable_to_wc_needs_arity_2():
     with pytest.raises(ArityMismatchError):
         definable_to_wc(linear_set((0,), [(1,)]), lambda n: n)
