@@ -225,6 +225,8 @@ def _cmd_safety(args) -> int:
                         "violations": len(s.violations),
                         "max_slack": s.max_slack,
                         "cap_hits": s.cap_hits,
+                        "checked": s.entries - s.cap_hits,
+                        "vacuous": s.cap_hits,
                     }
                     for s in scans
                 ],

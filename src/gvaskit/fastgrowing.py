@@ -332,11 +332,17 @@ def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = 
     grid, so a cap overflow certifies the clause vacuously (the bound
     exceeds anything the grid can hold); such entries count as cap hits.
 
-    Every argument a clause needs lies in 0..cap, so the hierarchy is
-    tabulated once per distinct level with :func:`hierarchy_rows` (the
-    sentinel ``cap + 1`` marks an overflow) and each entry's limit is one
-    gather from that table; ``Iter`` gathers from the row composed with
-    itself value-many times.
+    A clause's limit depends only on the source cell (its level digits,
+    value and buffer) and the checked sum only on the destination cell,
+    so limits, sums and level codes are tabulated once per grid cell.
+    Limits are filled for the cells that occur as sources, from the
+    hierarchy tabulated once per distinct level among them with
+    :func:`hierarchy_rows` (the sentinel ``cap + 1`` marks an overflow;
+    ``Iter`` composes its row with itself value-many times).  Each entry
+    is then checked by gathers from these per-cell arrays, kept in the
+    narrowest integer types that hold them, at the source and destination
+    indices of :meth:`ReachTable.pairs_arrays`; the first 32 bad entries
+    in key order are reported.
     """
     g = build_core(d)
     if symbol not in g.nonterminals:
@@ -347,19 +353,19 @@ def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = 
     entries = len(rows)
     if entries == 0:
         return SafetyScan(symbol, 0, (), None, 0)
-    src = table.grid.decode_many(rows)
-    dst = table.grid.decode_many(cols)
     cap = 2 * bound + 2
-
-    bad_level = ~np.all(src[:, 2:] == dst[:, 2:], axis=1)
-    s_in = src[:, VAL] + src[:, BUF]
-    s_out = dst[:, VAL] + dst[:, BUF]
-
+    cells = table.grid.decode_many(np.arange(table.grid.size))
+    # signed, to hold every sum, limit (sentinel included) and their differences
+    small = np.min_scalar_type(-(cap + 1))
+    total = (cells[:, VAL] + cells[:, BUF]).astype(small)
+    level = (cells[:, 2:] @ ((bound + 1) ** np.arange(d))).astype(np.min_scalar_type(len(cells)))
     if symbol == "Load":
-        bad_sum = s_out != s_in
-        slack = np.zeros(entries, dtype=np.int64)
-        cap_hits = 0
+        limit = total
     else:
+        limit = np.full(len(cells), cap + 1, dtype=small)
+        is_src = np.zeros(len(cells), dtype=bool)
+        is_src[rows] = True
+        src = cells[is_src]
         digits = src[:, 2:]
         if symbol.startswith("Desc"):
             digits = digits.copy()
@@ -369,24 +375,29 @@ def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = 
         codes = digits @ (radix ** np.arange(d, dtype=np.int64))
         _, first, level_of = np.unique(codes, return_index=True, return_inverse=True)
         table_rows = hierarchy_rows([Ordinal(tuple(digits[j])) for j in first], cap)
+        s_in = src[:, VAL] + src[:, BUF]
         if symbol == "Iter":
             vals = src[:, VAL]
             iterates = [np.broadcast_to(np.arange(cap + 2), table_rows.shape)]
             for _ in range(int(vals.max())):
                 iterates.append(np.take_along_axis(table_rows, iterates[-1], axis=1))
-            limit = np.stack(iterates)[vals, level_of, s_in]
+            limit[is_src] = np.stack(iterates)[vals, level_of, s_in]
         else:
-            limit = table_rows[level_of, s_in]
-        capped = limit > cap
-        bad_sum = ~capped & (s_out > limit)
-        slack = np.where(capped, 0, limit - s_out)
-        cap_hits = int(np.count_nonzero(capped))
+            limit[is_src] = table_rows[level_of, s_in]
 
-    bad = bad_level | bad_sum
-    viol_idx = np.nonzero(bad)[0][:32]
-    violations = tuple(
-        (tuple(int(v) for v in src[k]), tuple(int(v) for v in dst[k])) for k in viol_idx
-    )
-    finite_slacks = slack[~bad] if symbol != "Load" else slack
-    max_slack = int(finite_slacks.max()) if len(finite_slacks) else None
+    bad = level[rows] != level[cols]
+    lim = limit[rows]
+    out = total[cols]
+    if symbol == "Load":
+        bad |= out != lim
+        cap_hits, max_slack = 0, 0
+    else:
+        bad |= out > lim  # never on a cap hit: the sentinel exceeds every sum in the grid
+        capped = lim > cap
+        cap_hits = int(np.count_nonzero(capped))
+        # a cap hit that restores the level passes with slack 0
+        slack = np.where(capped, 0, lim - out)[~bad]
+        max_slack = int(slack.max()) if len(slack) else None
+    decode = table.grid.decode
+    violations = tuple((decode(int(rows[k])), decode(int(cols[k]))) for k in np.flatnonzero(bad)[:32])
     return SafetyScan(symbol, entries, violations, max_slack, cap_hits)

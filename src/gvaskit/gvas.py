@@ -50,7 +50,13 @@ class Gvas:
         rules: Sequence[tuple[str, Sequence["str | Action"]]],
         start: str,
     ) -> "Gvas":
-        """Build a GVAS, inferring symbol orders from first appearance."""
+        """Build a GVAS, inferring symbol orders from first appearance.
+
+        Every nonterminal must be an identifier of the text format other
+        than ``eps``, which denotes the empty rule there; ValueError
+        names the first one that is not, so :func:`format_gvas` always
+        writes text that parses back to the same grammar.
+        """
         nts: dict[str, None] = {start: None}
         acts: dict[Action, None] = {}
         frozen = []
@@ -63,6 +69,11 @@ class Gvas:
                 else:
                     acts.setdefault(s, None)
             frozen.append((lhs, row))
+        for nt in nts:
+            if nt == "eps":
+                raise ValueError("nonterminal 'eps' would read back as the empty rule")
+            if not _IDENT.fullmatch(nt):
+                raise ValueError(f"nonterminal {nt!r} is not an identifier")
         return cls(dim, tuple(nts), tuple(acts), tuple(frozen), start)
 
     def rules_for(self, nt: str) -> list[tuple[int, Word]]:
@@ -386,6 +397,14 @@ def _tokenize_rhs(text: str, line: int, offset: int) -> list[tuple["str | Action
     return out
 
 
+def _header_value(line: str, keyword: str) -> tuple[str, int]:
+    """The value after ``keyword`` on a header line, and the 1-based
+    column of its first character in the line as written."""
+    after = len(line) - len(line.lstrip()) + len(keyword)
+    rest = line[after:]
+    return rest.strip(), after + len(rest) - len(rest.lstrip()) + 1
+
+
 def parse_gvas(text: str) -> Gvas:
     """Parse the line-oriented GVAS text format."""
     dim: int | None = None
@@ -397,29 +416,31 @@ def parse_gvas(text: str) -> Gvas:
         if not line.strip():
             continue
         stripped = line.strip()
+        indent = len(line) - len(stripped)  # line is already stripped on the right
         if stripped.startswith("dim "):
             if dim is not None:
-                raise ParseError("duplicate dim line", line_no, 1)
+                raise ParseError("duplicate dim line", line_no, indent + 1)
+            value, col = _header_value(line, "dim")
             try:
-                dim = int(stripped[4:].strip())
+                dim = int(value)
             except ValueError:
-                raise ParseError(f"bad dimension {stripped[4:].strip()!r}", line_no, 5, ("natural",)) from None
+                raise ParseError(f"bad dimension {value!r}", line_no, col, ("natural",)) from None
             if dim < 0:
-                raise ParseError("dimension must be non-negative", line_no, 5)
+                raise ParseError("dimension must be non-negative", line_no, col)
             continue
         if stripped.startswith("start "):
             if start is not None:
-                raise ParseError("duplicate start line", line_no, 1)
-            start = stripped[6:].strip()
-            if not _IDENT.fullmatch(start):
-                raise ParseError(f"bad start symbol {start!r}", line_no, 7, ("identifier",))
+                raise ParseError("duplicate start line", line_no, indent + 1)
+            start, col = _header_value(line, "start")
+            if start == "eps" or not _IDENT.fullmatch(start):
+                raise ParseError(f"bad start symbol {start!r}", line_no, col, ("identifier",))
             continue
         if "->" not in line:
-            raise ParseError("expected 'dim', 'start', or a rule", line_no, 1, ("LHS -> rhs",))
+            raise ParseError("expected 'dim', 'start', or a rule", line_no, indent + 1, ("LHS -> rhs",))
         lhs_text, rhs_text = line.split("->", 1)
         lhs = lhs_text.strip()
-        if not _IDENT.fullmatch(lhs):
-            raise ParseError(f"bad rule left side {lhs!r}", line_no, 1, ("identifier",))
+        if lhs == "eps" or not _IDENT.fullmatch(lhs):
+            raise ParseError(f"bad rule left side {lhs!r}", line_no, indent + 1, ("identifier",))
         base = len(lhs_text) + 2
         for alt in rhs_text.split("|"):
             symbols = _tokenize_rhs(alt, line_no, base)

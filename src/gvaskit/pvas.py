@@ -8,6 +8,7 @@ grammar runs correspond to runs that fully consume the initial stack.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedModelError,
 )
-from .gvas import _IDENT, Action, Config, Gvas, format_config, parse_config
+from .gvas import _IDENT, Action, Config, Gvas, _header_value, format_config, parse_config
 
 PvasAction = tuple[tuple[str, ...], tuple[str, ...], Action]
 
@@ -195,15 +196,16 @@ def pvas_bounded_explore(
 #
 # `_` is the empty word; stack words are space-separated symbols.
 
-def _parse_stack_word(text: str, line_no: int, col: int) -> tuple[str, ...]:
-    text = text.strip()
-    if text == "_":
-        return ()
-    syms = text.split()
-    for s in syms:
+def _stack_words(text: str, line_no: int, col: int) -> list[tuple[str, int]]:
+    """Each symbol of one stack word with its column; ``col`` is the
+    column of ``text``'s first character in its line."""
+    words = [(m.group(), col + m.start()) for m in re.finditer(r"\S+", text)]
+    if [s for s, _ in words] == ["_"]:
+        return []
+    for s, c in words:
         if s in ("_", "eps") or not _IDENT.fullmatch(s):  # "_" and "eps" denote empty words
-            raise ParseError(f"bad stack symbol {s!r}", line_no, col, ("identifier", "_"))
-    return tuple(syms)
+            raise ParseError(f"bad stack symbol {s!r}", line_no, c, ("identifier", "_"))
+    return words
 
 
 def parse_pvas(text: str) -> Pvas:
@@ -212,41 +214,50 @@ def parse_pvas(text: str) -> Pvas:
     actions: list[tuple[tuple[str, ...], tuple[str, ...], Action]] = []
     delta_at: list[tuple[int, int]] = []  # (line, column) of each action's delta
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0].rstrip()
+        stripped = line.strip()
+        if not stripped:
             continue
-        if line.startswith("dim "):
+        indent = len(line) - len(stripped)
+        if stripped.startswith("dim "):
             if dim is not None:
-                raise ParseError("duplicate dim line", line_no, 1)
+                raise ParseError("duplicate dim line", line_no, indent + 1)
+            value, col = _header_value(line, "dim")
             try:
-                dim = int(line[4:].strip())
+                dim = int(value)
             except ValueError:
-                raise ParseError(f"bad dimension {line[4:].strip()!r}", line_no, 5, ("natural",)) from None
+                raise ParseError(f"bad dimension {value!r}", line_no, col, ("natural",)) from None
             if dim < 0:
-                raise ParseError("dimension must be non-negative", line_no, 5)
+                raise ParseError("dimension must be non-negative", line_no, col)
             continue
-        if line.startswith("stack "):
+        if stripped.startswith("stack "):
             if alphabet is not None:
-                raise ParseError("duplicate stack line", line_no, 1)
-            alphabet = _parse_stack_word(line[6:], line_no, 7)
-            if not alphabet:
-                raise ParseError("empty stack alphabet", line_no, 7, ("identifier",))
-            dup = next((a for i, a in enumerate(alphabet) if a in alphabet[:i]), None)
-            if dup is not None:
-                raise ParseError(f"duplicate stack symbol {dup!r}", line_no, 7)
+                raise ParseError("duplicate stack line", line_no, indent + 1)
+            value, col = _header_value(line, "stack")
+            words = _stack_words(value, line_no, col)
+            if not words:
+                raise ParseError("empty stack alphabet", line_no, col, ("identifier",))
+            seen: set[str] = set()
+            for a, c in words:
+                if a in seen:
+                    raise ParseError(f"duplicate stack symbol {a!r}", line_no, c)
+                seen.add(a)
+            alphabet = tuple(a for a, _ in words)
             continue
-        if line.startswith("action "):
-            body = line[7:]
-            parts = body.split("/")
+        if stripped.startswith("action "):
+            at = indent + len("action")  # index of the body's first character
+            parts = line[at:].split("/")
             if len(parts) != 3:
-                raise ParseError("expected 'action pop / push / (delta)'", line_no, 1)
-            pop = _parse_stack_word(parts[0], line_no, 8)
-            push = _parse_stack_word(parts[1], line_no, 8 + len(parts[0]) + 1)
-            col = 8 + len(parts[0]) + len(parts[1]) + 2
-            actions.append((pop, push, parse_config(parts[2].strip(), line_no, col)))
+                raise ParseError("expected 'action pop / push / (delta)'", line_no, indent + 1)
+            pop_text, push_text, delta_text = parts
+            pop = tuple(s for s, _ in _stack_words(pop_text, line_no, at + 1))
+            push = tuple(s for s, _ in _stack_words(push_text, line_no, at + len(pop_text) + 2))
+            delta_text = delta_text.lstrip()  # it runs to the end of the line
+            col = len(line) - len(delta_text) + 1
+            actions.append((pop, push, parse_config(delta_text, line_no, col)))
             delta_at.append((line_no, col))
             continue
-        raise ParseError("expected 'dim', 'stack', or 'action'", line_no, 1)
+        raise ParseError("expected 'dim', 'stack', or 'action'", line_no, indent + 1)
     if dim is None:
         raise ParseError("missing 'dim' line", 1, 1, ("dim N",))
     if alphabet is None:

@@ -310,12 +310,15 @@ class ReachTable:
         return len(self._relations[_known_ref(self.gvas, symbol)][0])
 
     def pairs_arrays(self, symbol) -> tuple[np.ndarray, np.ndarray]:
-        """Source and destination cell indices as parallel arrays.
+        """Source and destination cell indices as parallel arrays, in key
+        order (sorted by source, then destination).
 
         Bulk companion to :meth:`pairs`; decode with ``grid.decode_many``.
+        Both arrays have the type of the table's keys: ``int32`` when
+        n(n+1) fits it for an n-cell grid, else ``int64``.
         """
         keys, _ = self._relations[_known_ref(self.gvas, symbol)]
-        return np.divmod(keys.astype(np.int64), self.grid.size)
+        return np.divmod(keys, keys.dtype.type(self.grid.size))
 
     # -- witness reconstruction -------------------------------------------
 

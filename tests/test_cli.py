@@ -258,6 +258,10 @@ def test_safety_json(capsys):
     data = json.loads(out)
     assert {s["symbol"] for s in data["scans"]} == {"Fn", "Iter", "Load"}
     assert all(s["violations"] == 0 for s in data["scans"])
+    for s in data["scans"]:
+        assert (s["checked"], s["vacuous"]) == (s["entries"] - s["cap_hits"], s["cap_hits"]), s["symbol"]
+    load = next(s for s in data["scans"] if s["symbol"] == "Load")
+    assert load["vacuous"] == 0 and load["checked"] == load["entries"] > 0
 
 
 def test_safety_text_reports_checked_and_vacuous_on_stderr(capsys):

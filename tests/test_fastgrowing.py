@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from gvaskit.fastgrowing import (
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.gvas import Transition, validate
 from gvaskit.ordinal import OMEGA, Ordinal, fast_growing, fast_growing_iter, natural_sum
-from gvaskit.reach import bounded_reach
+from gvaskit.reach import ReachTable, bounded_reach
 from gvaskit.weakcomp import check_complete, check_safe
 
 
@@ -218,6 +219,52 @@ def test_safety_scan_matches_per_key_reference(d, bound):
     table = bounded_reach(g, bound)
     for symbol in g.nonterminals:
         assert safety_check(d, symbol, bound, table) == reference_safety_check(d, symbol, table), symbol
+
+
+def test_safety_scan_reports_injected_violations_like_the_reference():
+    """Pairs that break the level or the sum, injected into a valid
+    core(1)@8 table, run the violation paths: key order, the cap of 32
+    reported violations, and a slack that skips bad entries."""
+    table = bounded_reach(build_core(1), 8)
+    grid, n = table.grid, table.grid.size
+    # at level 0 both clauses cap the sum 16 of (8,8,0) below it from these sources
+    broken_sum = [((v, 0, 0), (8, 8, 0)) for v in range(8)]
+    # these leave level 1; some sources overflow the cap and some would show large slack
+    broken_level = [((v, b, 1), (0, 0, 0)) for v in range(9) for b in range(9)]
+    relations = dict(table._relations)
+    for symbol in ("Fn", "Iter"):
+        keys, stamps = relations[("sym", symbol)]
+        extra = np.array([grid.encode(x) * n + grid.encode(y) for x, y in broken_sum + broken_level], dtype=keys.dtype)
+        assert not np.isin(extra, keys).any()
+        merged = np.union1d(keys, extra)
+        assert merged.dtype == keys.dtype
+        relations[("sym", symbol)] = (merged, np.ones(len(merged), dtype=stamps.dtype))
+    broken = ReachTable(table.gvas, table.bound, grid, relations, table._suffix_refs)
+    for symbol in ("Fn", "Iter"):
+        clean = safety_check(1, symbol, 8, table)
+        scan = safety_check(1, symbol, 8, broken)
+        assert scan == reference_safety_check(1, symbol, broken), symbol
+        assert scan.entries == clean.entries + len(broken_sum) + len(broken_level)
+        assert len(scan.violations) == 32
+        assert scan.violations[: len(broken_sum)] == tuple(broken_sum)
+        assert set(scan.violations[len(broken_sum):]) <= set(broken_level)
+        assert scan.max_slack == clean.max_slack
+        assert scan.cap_hits > clean.cap_hits
+
+
+@pytest.mark.parametrize("symbol", ["Fn", "Iter"])
+def test_safety_scan_allocates_little_per_entry(symbol):
+    # per-cell tables and narrow gathers: the scan's own arrays stay far
+    # below the 130 bytes per entry of decoding every entry's cells
+    table = bounded_reach(build_core(1), 12)
+    tracemalloc.start()
+    try:
+        scan = safety_check(1, symbol, 12, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.entries > 100_000
+    assert peak <= 48 * scan.entries, peak / scan.entries
 
 
 @pytest.mark.parametrize("cap", [4, 14, 18, 26, 34, 50])

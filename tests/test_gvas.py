@@ -211,6 +211,35 @@ def test_parse_errors_carry_location():
     assert e.value.line == 3
 
 
+@pytest.mark.parametrize("text,message,column", [
+    ("  dim x\nstart S\nS -> (1)\n", "bad dimension 'x'", 7),
+    ("dim   -1\nstart S\n", "dimension must be non-negative", 7),
+    ("dim 1\nstart    1S\nS -> (1)\n", "bad start symbol '1S'", 10),
+    ("dim 1\n  start eps\n", "bad start symbol 'eps'", 9),
+    ("dim 1\nstart S\n  eps -> (1)\n", "bad rule left side 'eps'", 3),
+    ("dim 1\nstart S\n   start S\n", "duplicate start line", 4),
+])
+def test_header_errors_report_columns_of_the_raw_line(text, message, column):
+    with pytest.raises(ParseError, match=message) as e:
+        parse_gvas(text)
+    assert e.value.column == column
+
+
+@pytest.mark.parametrize("rules", [
+    [("S", ["eps", (1,)]), ("eps", [])],  # written as "S -> eps (1)", which does not parse
+    [("S", ["eps"]), ("eps", [(1,)])],  # written as "S -> eps", which parses as the empty rule
+])
+def test_nonterminal_eps_is_rejected(rules):
+    with pytest.raises(ValueError, match="'eps'"):
+        Gvas.from_rules(1, rules, "S")
+
+
+@pytest.mark.parametrize("name", ["1S", "S T", "", "S->T"])
+def test_nonterminal_names_must_be_identifiers(name):
+    with pytest.raises(ValueError, match=repr(name)):
+        Gvas.from_rules(1, [("S", [name]), (name, [(1,)])], "S")
+
+
 @pytest.mark.parametrize("text", [
     "dim 1\nstart S\nS -> (1,2)\n",
     "start S\nS -> (1,2)\ndim 1\n",  # the rule comes before the dim line

@@ -177,4 +177,23 @@ def test_duplicate_header_lines_are_rejected(text, message, line):
 def test_stack_line_symbols_are_checked(text, message):
     with pytest.raises(ParseError, match=message) as e:
         parse_pvas(text)
-    assert (e.value.line, e.value.column) == (2, 7)
+    # each case is at fault in the last word of its stack line
+    stack_line = text.splitlines()[1]
+    assert (e.value.line, e.value.column) == (2, stack_line.rindex(" ") + 2)
+
+
+@pytest.mark.parametrize("text,message,column", [
+    ("  dim x\nstack S\n", "bad dimension 'x'", 7),
+    ("dim    -1\nstack S\n", "dimension must be non-negative", 8),
+    ("dim 1\n  stack   S  1x\n", "bad stack symbol '1x'", 14),
+    ("dim 1\nstack S  T   S\n", "duplicate stack symbol 'S'", 14),
+    ("dim 1\nstack    _\n", "empty stack alphabet", 10),
+    ("dim 1\nstack S\n  action S  1y / _ / (1)\n", "bad stack symbol '1y'", 13),
+    ("dim 1\nstack S\naction S / S eps / (1)\n", "bad stack symbol 'eps'", 14),
+    ("dim 1\nstack S\naction S / _ /   (1,2)\n", "delta \\(1,2\\) has length 2", 18),
+    ("dim 1\nstack S\n   dim 2\n", "duplicate dim line", 4),
+])
+def test_parse_errors_report_columns_of_the_raw_line(text, message, column):
+    with pytest.raises(ParseError, match=message) as e:
+        parse_pvas(text)
+    assert e.value.column == column
