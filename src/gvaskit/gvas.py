@@ -405,6 +405,16 @@ def _header_value(line: str, keyword: str) -> tuple[str, int]:
     return rest.strip(), after + len(rest) - len(rest.lstrip()) + 1
 
 
+def _header_dim(line: str, line_no: int) -> int:
+    """The dimension on a ``dim`` header line, written in ASCII digits."""
+    value, col = _header_value(line, "dim")
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise ParseError(f"bad dimension {value!r}", line_no, col, ("natural",))
+    if value.startswith("-"):
+        raise ParseError("dimension must be non-negative", line_no, col)
+    return int(value)
+
+
 def parse_gvas(text: str) -> Gvas:
     """Parse the line-oriented GVAS text format."""
     dim: int | None = None
@@ -420,13 +430,7 @@ def parse_gvas(text: str) -> Gvas:
         if stripped.startswith("dim "):
             if dim is not None:
                 raise ParseError("duplicate dim line", line_no, indent + 1)
-            value, col = _header_value(line, "dim")
-            try:
-                dim = int(value)
-            except ValueError:
-                raise ParseError(f"bad dimension {value!r}", line_no, col, ("natural",)) from None
-            if dim < 0:
-                raise ParseError("dimension must be non-negative", line_no, col)
+            dim = _header_dim(line, line_no)
             continue
         if stripped.startswith("start "):
             if start is not None:

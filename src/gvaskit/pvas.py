@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedModelError,
 )
-from .gvas import _IDENT, Action, Config, Gvas, _header_value, format_config, parse_config
+from .gvas import _IDENT, Action, Config, Gvas, _header_dim, _header_value, format_config, parse_config
 
 PvasAction = tuple[tuple[str, ...], tuple[str, ...], Action]
 
@@ -38,6 +38,9 @@ class Pvas:
         actions: Sequence[tuple[Sequence[str], Sequence[str], Sequence[int]]],
     ) -> "Pvas":
         alphabet = tuple(stack_alphabet)
+        for s in alphabet:  # as parse_pvas requires: "_" and "eps" denote empty words
+            if s in ("_", "eps") or not _IDENT.fullmatch(s):
+                raise ValueError(f"stack symbol {s!r} is not an identifier other than '_' and 'eps'")
         known = set(alphabet)
         rows = []
         for pop, push, delta in actions:
@@ -222,13 +225,7 @@ def parse_pvas(text: str) -> Pvas:
         if stripped.startswith("dim "):
             if dim is not None:
                 raise ParseError("duplicate dim line", line_no, indent + 1)
-            value, col = _header_value(line, "dim")
-            try:
-                dim = int(value)
-            except ValueError:
-                raise ParseError(f"bad dimension {value!r}", line_no, col, ("natural",)) from None
-            if dim < 0:
-                raise ParseError("dimension must be non-negative", line_no, col)
+            dim = _header_dim(line, line_no)
             continue
         if stripped.startswith("stack "):
             if alphabet is not None:

@@ -1,23 +1,23 @@
-"""Bounded reachability: the fixpoint engine behind every semantic query.
+"""Bounded reachability: the two engines behind every semantic query.
 
-A pair (x, y) enters the table for symbol X exactly when some flow tree
-for ``x ->X y`` keeps every node configuration inside the grid
-``{0..B}^dim``.  A relation over the grid's n cells is a set of pairs
-kept as sorted linear keys ``s * n + d`` with a stamp each; rules are
-binarized into chains of two-factor joins and the least fixpoint is
-evaluated semi-naively, round by round: a round joins only the pairs the
-previous round found (the deltas) with the relations as they stood when
-the round began.
+A pair (x, y) enters the relation of symbol X exactly when some flow
+tree for ``x ->X y`` keeps every node configuration inside the grid
+``{0..B}^dim``.  Both engines keep a relation over the grid's n cells as
+sorted linear keys ``s * n + d`` with a stamp each, binarize rules into
+chains of two-factor joins and evaluate the least fixpoint semi-naively,
+round by round: a round joins only the pairs the previous round found
+(the deltas) with the relations as they stood when the round began.
+While the rounds run, each relation is a short list of disjoint blocks
+whose sizes shrink geometrically, newest last, as in a log-structured
+merge.  A round's candidates are deduplicated and looked up by binary
+search in every block, so its membership test and insert cost
+O(|delta| log |relation|) rather than O(|relation|).
 
-While the fixpoint runs, each relation is a short list of disjoint
-blocks whose sizes shrink geometrically, newest last, as in a
-log-structured merge.  A block holds its keys and stamps, plus the CSR
-matrices the joins multiply by.  A round's candidates are deduplicated
-and each is looked up by binary search in every block, so the round's
-membership test and insert cost O(|delta| log |relation|) rather than
-O(|relation|).  The finished table keeps each relation as its merged
-keys and stamps, the same format, and answers a query about a source
-cell from the slice of keys that cell's row occupies.
+:func:`bounded_reach` computes every pair, multiplying deltas by CSR
+matrices its blocks also hold.  :class:`ReachCone` computes a relation
+only on the source rows that rule applications from one source demand,
+joining deltas by gathers from the sorted keys themselves.  Both answer
+a query about a source cell from the slice of keys its row occupies.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand by searching, per table entry, for
@@ -30,18 +30,13 @@ deterministic without storing a derivation per pair.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    NotInTableError,
-    OutOfGridError,
-    ResourceLimitError,
-)
+from .errors import NotInTableError, OutOfGridError, ResourceLimitError
 from .flowtree import FlowTree
 from .gvas import Config, Gvas, Transition, _check_word, fatal_defects
 
@@ -88,12 +83,23 @@ class Grid:
 
 def _action_offset(grid: Grid, a: tuple[int, ...]) -> int:
     """Index distance an in-grid application of action a moves a cell by."""
-    return grid.encode(tuple(max(v, 0) for v in a)) - grid.encode(tuple(-min(v, 0) for v in a))
+    return sum(v * (grid.bound + 1) ** i for i, v in enumerate(a))
 
 
 def _action_target(grid: Grid, a: tuple[int, ...], s: int) -> int | None:
     out = tuple(x + y for x, y in zip(grid.decode(s), a))
     return s + _action_offset(grid, a) if grid.contains(out) else None
+
+
+def _moved(grid: Grid, a: tuple[int, ...], cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``cells`` action a keeps inside the grid, checked on the
+    digits it moves, and the cells it takes them to."""
+    ok = np.ones(len(cells), dtype=bool)
+    for i, v in enumerate(a):
+        if v:
+            digit = cells // (grid.bound + 1) ** i % (grid.bound + 1)
+            ok &= digit <= grid.bound - v if v > 0 else digit >= -v
+    return ok, cells + _action_offset(grid, a)
 
 
 def _key_dtype(n: int) -> type:
@@ -102,14 +108,10 @@ def _key_dtype(n: int) -> type:
 
 
 def _action_keys(grid: Grid, a: tuple[int, ...]) -> np.ndarray:
-    """Sorted linear keys of action a's in-grid applications: the pair
-    (s, s + offset) has key ``s * (n + 1) + offset``."""
-    shifted = grid.decode_many(np.arange(grid.size)) + np.asarray(a, dtype=np.int64)
-    ok = np.all((shifted >= 0) & (shifted <= grid.bound), axis=1)
-    keys = np.nonzero(ok)[0].astype(_key_dtype(grid.size))
-    keys *= grid.size + 1
-    keys += _action_offset(grid, a)
-    return keys
+    """Sorted linear keys of action a's in-grid applications."""
+    cells = np.arange(grid.size, dtype=_key_dtype(grid.size))
+    ok, dst = _moved(grid, a, cells)
+    return cells[ok] * grid.size + dst[ok]
 
 
 def _symbol_ref(s) -> tuple:
@@ -254,23 +256,9 @@ def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
     )
 
 
-class ReachTable:
-    """Per-symbol bounded reachability relation with witness reconstruction.
-
-    Immutable once built; safe to share.
-    """
-
-    def __init__(self, g, bound, grid, relations, suffix_refs):
-        self.gvas: Gvas = g
-        self.bound: int = bound
-        self.grid: Grid = grid
-        # key -> (sorted linear keys s * n + d, their stamps): True for
-        # ("act", a), discovery rounds for ("sym", nt) and ("aux", rule, i) in
-        # the smallest unsigned type that holds the last round
-        self._relations = relations
-        self._suffix_refs = suffix_refs  # (rule, i) -> key of the suffix starting at child i
-
-    # -- raw access -----------------------------------------------------
+class _Relations:
+    """The queries both engines answer from ``self._relations``: relation
+    key -> (sorted linear keys ``s * n + d``, their stamps)."""
 
     def _row(self, key, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Destination cells and stamps of relation ``key``'s pairs from cell s."""
@@ -286,7 +274,30 @@ class ReachTable:
         pos = keys.searchsorted(keys.dtype.type(k))
         return int(stamps[pos]) if pos < len(keys) and keys[pos] == k else 0
 
-    # -- public queries ---------------------------------------------------
+    def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
+        cols, stamps = self._row(key, s)
+        return zip(cols.tolist(), stamps.tolist())
+
+    def _decoded(self, cols: np.ndarray) -> list[Config]:
+        """The configurations of cells, sorted."""
+        return sorted(map(tuple, self.grid.decode_many(cols).tolist()))
+
+
+class ReachTable(_Relations):
+    """Per-symbol bounded reachability relation with witness reconstruction.
+
+    Immutable once built; safe to share.
+    """
+
+    def __init__(self, g, bound, grid, relations, suffix_refs):
+        self.gvas: Gvas = g
+        self.bound: int = bound
+        self.grid: Grid = grid
+        # key -> (sorted linear keys s * n + d, their stamps): True for
+        # ("act", a), discovery rounds for ("sym", nt) and ("aux", rule, i) in
+        # the smallest unsigned type that holds the last round
+        self._relations = relations
+        self._suffix_refs = suffix_refs  # (rule, i) -> key of the suffix starting at child i
 
     def contains(self, symbol, x: Sequence[int], y: Sequence[int]) -> bool:
         key = _known_ref(self.gvas, symbol)
@@ -298,8 +309,7 @@ class ReachTable:
         key = _known_ref(self.gvas, symbol)
         if not self.grid.contains(x):
             raise OutOfGridError(f"{tuple(x)} outside grid bound {self.bound}")
-        cols, _ = self._row(key, self.grid.encode(x))
-        return sorted(map(self.grid.decode, cols.tolist()))
+        return self._decoded(self._row(key, self.grid.encode(x))[0])
 
     def pairs(self, symbol) -> Iterator[tuple[Config, Config]]:
         rows, cols = self.pairs_arrays(symbol)
@@ -319,12 +329,6 @@ class ReachTable:
         """
         keys, _ = self._relations[_known_ref(self.gvas, symbol)]
         return np.divmod(keys, keys.dtype.type(self.grid.size))
-
-    # -- witness reconstruction -------------------------------------------
-
-    def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
-        cols, stamps = self._row(key, s)
-        return zip(cols.tolist(), stamps.tolist())
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         """Deterministic valid flow tree with root ``x ->symbol y``."""
@@ -396,11 +400,38 @@ class _Block:
         self.rows = m if rows else None
         self.cols = m.T.tocsr() if cols else None
 
-    def absent(self, cand: np.ndarray) -> np.ndarray:
-        """The keys of ``cand`` not in this (never empty) block."""
-        pos = np.searchsorted(self.keys, cand)
-        np.minimum(pos, len(self.keys) - 1, out=pos)
-        return cand[self.keys[pos] != cand]
+
+def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Which entries of ``cand`` occur in the sorted array ``keys``."""
+    if not len(keys):
+        return np.zeros(len(cand), dtype=bool)
+    return keys.take(keys.searchsorted(cand), mode="clip") == cand
+
+
+def _fresh(parts: list[np.ndarray], stack: list[_Block]) -> np.ndarray:
+    """The distinct candidates of ``parts`` (emptied to release them) that no block of ``stack`` holds."""
+    cand = np.concatenate(parts)
+    parts.clear()
+    cand.sort()
+    cand = _first_of_runs(cand)
+    for block in stack:
+        cand = cand[~_isin(block.keys, cand)]
+    return cand
+
+
+def _absorb(stack: list[_Block], keys: np.ndarray, stamps: np.ndarray):
+    """A fresh batch merged with (and popping) each newest block of at most four times its pairs."""
+    while stack and len(stack[-1].keys) <= 4 * len(keys):
+        keys, stamps = _merge((stack[-1].keys, stack.pop().stamps), (keys, stamps))
+    return keys, stamps
+
+
+def _collapse(stack: list[_Block], key_dtype, stamp_dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A relation's keys and stamps, merged from its blocks, each released once merged."""
+    pairs = (np.zeros(0, dtype=key_dtype), np.zeros(0, dtype=stamp_dtype))
+    while stack:  # newest first
+        pairs = _merge((stack[-1].keys, stack.pop().stamps), pairs)
+    return pairs[0], pairs[1].astype(stamp_dtype, copy=False)
 
 
 def _rounds(
@@ -437,16 +468,8 @@ def _rounds(
                     if right in deltas:
                         acc.extend(_col_keys(deltas[right].cols @ b.cols) for b in blocks[left])
         fresh: dict[tuple, np.ndarray] = {}
-        for key in defs:
-            parts = contribs.pop(key)
-            if not parts:
-                continue
-            cand = np.concatenate(parts)
-            del parts
-            cand.sort()
-            cand = _first_of_runs(cand)
-            for block in blocks[key]:
-                cand = block.absent(cand)
+        for key, parts in contribs.items():
+            cand = _fresh(parts, blocks[key]) if parts else parts
             if len(cand):
                 fresh[key] = cand
         if not fresh:
@@ -457,12 +480,10 @@ def _rounds(
             stamps = np.full(len(keys), round_no, dtype=np.min_scalar_type(round_no))
             factor = key in lefts or key in rights
             deltas[key] = block = _Block(keys, stamps, n, factor, factor)
-            stack = blocks[key]
-            while stack and len(stack[-1].keys) <= 4 * len(keys):
-                keys, stamps = _merge((stack[-1].keys, stack.pop().stamps), (keys, stamps))
+            keys, stamps = _absorb(blocks[key], keys, stamps)
             if len(keys) > len(block.keys):
                 block = _Block(keys, stamps, n, key in rights, key in lefts)
-            stack.append(block)
+            blocks[key].append(block)
         total = sum(len(b.keys) for k in defs for b in blocks[k])
         if total > max_pairs:
             raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
@@ -512,13 +533,7 @@ def bounded_reach(
     stamp_dtype = np.min_scalar_type(last_round)
     relations = {ref: (keys, np.ones(len(keys), dtype=bool)) for ref, keys in act_keys.items()}
     for key in defs:
-        stack = blocks.pop(key)
-        pairs = (np.zeros(0, dtype=_key_dtype(n)), np.zeros(0, dtype=stamp_dtype))
-        while stack:  # newest first, each block released once merged
-            block = stack.pop()
-            pairs = _merge((block.keys, block.stamps), pairs)
-            del block
-        relations[key] = (pairs[0], pairs[1].astype(stamp_dtype, copy=False))
+        relations[key] = _collapse(blocks.pop(key), _key_dtype(n), stamp_dtype)
     return ReachTable(g, bound, grid, relations, suffix_refs)
 
 
@@ -528,15 +543,126 @@ def cached_reach(g: Gvas, bound: int) -> ReachTable:
     return bounded_reach(g, bound)
 
 
-class ReachCone:
+def _gather(blocks: list[_Block], rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the blocks' pairs on the given rows, each with the index in ``rows`` of its row."""
+    at, got = [], []
+    first = rows * n
+    for b in blocks:
+        lo = b.keys.searchsorted(first)
+        cnt = b.keys.searchsorted(first + n) - lo
+        total = cnt.sum()
+        if total:
+            at.append(np.repeat(np.arange(len(rows)), cnt))
+            got.append(b.keys[np.arange(total) + (lo + cnt - cnt.cumsum())[at[-1]]])
+    return (np.concatenate(at), np.concatenate(got)) if got else (rows[:0].astype(np.intp), rows[:0])
+
+
+def _cone(grid: Grid, defs: dict[tuple, list[tuple]], root: tuple[tuple, int], max_entries: int):
+    """The rounds of :class:`ReachCone`: each relation's pairs on its demanded rows, and those rows."""
+    n, key_dtype = grid.size, _key_dtype(grid.size)
+    dem, blocks = {k: np.zeros(0, dtype=key_dtype) for k in defs}, {k: [] for k in defs}
+    # left factors of joins with a relation, as blocks of keys d * n + s
+    joins = [op for ops in defs.values() for op in ops if op[0] == "join"]
+    flipped = {op[1]: [] for op in joins if "act" not in (op[1][0], op[2][0])}
+    # demand that needs no pair: a copy or left factor on its target's rows, a right factor past a left action
+    static = {k: [(op[1], None) if op[1][0] != "act" else (op[2], op[1][1])
+                  for op in ops if op[0] != "eps" and not op[1][0] == op[-1][0] == "act"] for k, ops in defs.items()}
+    wants = {root[0]: [np.array([root[1]], dtype=key_dtype)]}
+    fresh: dict[tuple, np.ndarray] = {}
+    round_no = entries = 0
+
+    def visible(key, x, rows) -> np.ndarray:
+        """Keys of x's pairs newly visible to key: its fresh pairs on key's rows, all of it on key's new rows."""
+        if x[0] == "act":  # only on new rows: an action has no fresh pairs
+            ok, m = _moved(grid, x[1], rows)
+            return rows[ok] * n + m[ok]
+        parts = [_gather(blocks[x], rows, n)[1]] if len(rows) else []
+        if x in fresh:
+            parts.append(fresh[x][_isin(dem[key], fresh[x] // n)])
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    def add(key, cand: np.ndarray) -> None:
+        if len(cand):
+            cands.setdefault(key, []).append(cand)
+
+    while True:
+        new_rows: dict[tuple, np.ndarray] = {}
+        while wants:  # each part sorted and distinct
+            key = next(iter(wants))
+            parts = wants.pop(key)
+            want = parts[0] if len(parts) == 1 else _first_of_runs(np.sort(np.concatenate(parts)))
+            want = want[~(_isin(dem[key], want) | _isin(new_rows.get(key, want[:0]), want))]
+            if len(want):
+                new_rows[key] = np.sort(np.concatenate((new_rows[key], want))) if key in new_rows else want
+                for x, a in static[key]:
+                    ok, m = _moved(grid, a, want) if a else (slice(None), want)
+                    wants.setdefault(x, []).append(m[ok])
+        for key, rows in new_rows.items():
+            dem[key] = np.sort(np.concatenate((dem[key], rows)), kind="stable")
+        if not new_rows and not fresh:
+            break
+        round_no += 1
+        cands, wants = {}, {}
+        for key, ops in defs.items():
+            rows = new_rows.get(key, dem[key][:0])
+            for op in ops if len(dem[key]) else ():
+                if op[0] == "eps":
+                    add(key, rows * (n + 1))
+                    continue
+                x, r = op[1], op[-1]
+                if len(rows) or x in fresh:
+                    vis = visible(key, x, rows)
+                    if op[0] == "copy":
+                        add(key, vis)
+                    elif len(vis) and r[0] == "act":
+                        s, m = np.divmod(vis, n)
+                        ok, d = _moved(grid, r[1], m)
+                        add(key, s[ok] * n + d[ok])
+                    elif len(vis):  # demand r at m and read it there, m ascending for the searches
+                        m, s = np.divmod(np.sort(vis % n * n + vis // n), n)
+                        if x[0] != "act":
+                            wants.setdefault(r, []).append(_first_of_runs(m))
+                        at, got = _gather(blocks[r], m, n)
+                        add(key, s[at] * n + got % n)
+                if op[0] == "join" and r in fresh:  # x's pairs on key's rows into r's fresh pairs
+                    m, d = np.divmod(fresh[r], n)
+                    if x[0] == "act":
+                        ok, s = _moved(grid, tuple(-v for v in x[1]), m)
+                    else:
+                        at, got = _gather(flipped[x], m, n)
+                        s, d, ok = got % n, d[at], True
+                    ok &= _isin(dem[key], s)
+                    add(key, s[ok] * n + d[ok])
+        # every candidate of the round is taken: only now may the relations grow
+        fresh = {}
+        for key, parts in cands.items():
+            cand = _fresh(parts, blocks[key])
+            if len(cand):
+                fresh[key] = cand
+                entries += len(cand)
+                stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
+                blocks[key].append(_Block(*_absorb(blocks[key], cand, stamps), n, False, False))
+                if key in flipped:
+                    t = np.sort(cand % n * n + cand // n)
+                    flipped[key].append(_Block(*_absorb(flipped[key], t, stamps), n, False, False))
+        if entries > max_entries:
+            raise ResourceLimitError(f"reachability cone exceeded {max_entries} entries")
+    return {k: _collapse(blocks.pop(k), key_dtype, np.min_scalar_type(round_no)) for k in defs}, dem
+
+
+class ReachCone(_Relations):
     """Single-source slice of the bounded reachability relation.
 
-    Tabled, demand-driven evaluation: only (symbol, source) pairs that
-    some rule application actually touches are computed, which keeps
-    high-dimensional membership queries far below the all-pairs table.
-    Evaluation is semi-naive: each new entry reaches each reader of its
-    cell exactly once.  Discovered pairs carry insertion stamps, so
-    witness reconstruction works exactly as for the full table.
+    Demand-driven evaluation keeps high-dimensional membership queries far
+    below the all-pairs table: a relation is computed only on the source
+    rows that rule applications from the cone's source demand.  Round r
+    reads each copy and join left factor on its target's new rows (where
+    it is demanded in the same round) and its fresh pairs on all of them;
+    a join demands its right factor at their destinations and gathers
+    its rows there, and joins its fresh pairs with the left factor's
+    through their transposed keys.  Actions are checked on the digits
+    they move.  Fresh pairs are stamped r and nothing grows before the
+    round ends, so witnesses are rebuilt as for the table.
     """
 
     def __init__(self, g: Gvas, source, bound: int, max_entries: int = 5_000_000):
@@ -544,95 +670,16 @@ class ReachCone:
         self.gvas = g
         self.bound = bound
         self.grid = Grid(g.dim, bound)
+        n = self.grid.size
+        if n * (n + 1) > np.iinfo(np.int64).max:
+            raise ResourceLimitError(f"grid has {n} cells: a cone's keys s * n + d overflow int64")
         if not self.grid.contains(source):
             raise OutOfGridError(f"{tuple(source)} outside grid bound {bound}")
         self.source: Config = tuple(source)
-        self._max_entries = max_entries
-        self._act_memo: dict[tuple, int | None] = {}
-        self._offsets = {a: _action_offset(self.grid, a) for a in g.actions}
-
-        self._defs, self._suffix_refs = _binarize(g)
-
-        self._tables: dict[tuple[tuple, int], dict[int, int]] = {}
-        self._stamp = 0
-        self._evaluate((("sym", g.start), self.grid.encode(self.source)))
-
-    def _act_dst(self, a, s: int) -> int | None:
-        key = (a, s)
-        hit = self._act_memo.get(key, -1)
-        if hit != -1:
-            return hit
-        c = self.grid.decode(s)
-        out = tuple(x + y for x, y in zip(c, a))
-        d = s + self._offsets[a] if all(0 <= v <= self.bound for v in out) else None
-        self._act_memo[key] = d
-        return d
-
-    def _evaluate(self, root: tuple[tuple, int]) -> None:
-        """Semi-naive worklist evaluation of every cell demanded from ``root``.
-
-        A reader ``(target, None)`` adds each entry it is given to target;
-        ``(target, right)`` is a join's left factor: each entry m demands
-        ``(right, m)`` for the reader ``(target, None)``.  A new entry is
-        queued with its cell's reader count, and only those readers get
-        it when it is popped; a later reader is given the cell's existing
-        entries when it registers.  Cells open from the worklist too, so
-        no demand chain recurses.
-        """
-        tables, defs, act_dst = self._tables, self._defs, self._act_dst
-        readers: dict[tuple[tuple, int], list[tuple]] = {}
-        work: deque = deque()  # (cell, None, 0) opens a cell; (cell, d, n) hands d to n readers
-
-        def add(cell, d: int) -> None:
-            table = tables[cell]
-            if d not in table:
-                self._stamp += 1
-                if self._stamp > self._max_entries:
-                    raise ResourceLimitError(f"reachability cone exceeded {self._max_entries} entries")
-                table[d] = self._stamp
-                work.append((cell, d, len(readers[cell])))
-
-        def give(reader, m: int) -> None:
-            target, right = reader
-            if right is None:
-                add(target, m)
-            else:
-                read(right, m, (target, None))
-
-        def read(ref, s: int, reader) -> None:
-            if ref[0] == "act":
-                d = act_dst(ref[1], s)
-                if d is not None:
-                    give(reader, d)
-                return
-            cell = (ref, s)
-            if cell not in tables:
-                tables[cell] = {}
-                readers[cell] = []
-                work.append((cell, None, 0))
-            readers[cell].append(reader)
-            for d in list(tables[cell]):
-                give(reader, d)
-
-        tables[root] = {}
-        readers[root] = []
-        work.append((root, None, 0))
-        while work:
-            cell, d, n = work.popleft()
-            if d is not None:
-                for reader in readers[cell][:n]:
-                    give(reader, d)
-                continue
-            key, s = cell
-            for op in defs[key]:
-                if op[0] == "eps":
-                    add(cell, s)
-                elif op[0] == "copy":
-                    read(op[1], s, (cell, None))
-                else:
-                    read(op[1], s, (cell, op[2]))
-
-    # -- queries -----------------------------------------------------------
+        defs, self._suffix_refs = _binarize(g)
+        root = (("sym", g.start), self.grid.encode(self.source))
+        # key -> (sorted keys s * n + d on demanded rows, stamps); key -> demanded rows
+        self._relations, self._dem = _cone(self.grid, defs, root, max_entries)
 
     def successors(self, symbol, x: Sequence[int]) -> list[Config]:
         """Destinations from a demanded source (the cone's own source is
@@ -642,18 +689,11 @@ class ReachCone:
             raise OutOfGridError(f"{tuple(x)} outside grid bound {self.bound}")
         s = self.grid.encode(x)
         if key[0] == "act":
-            d = self._act_dst(key[1], s)
+            d = _action_target(self.grid, key[1], s)
             return [self.grid.decode(d)] if d is not None else []
-        got = self._tables.get((key, s))
-        if got is None:
+        if not _isin(self._dem[key], np.array([s], dtype=self._dem[key].dtype))[0]:
             raise NotInTableError(f"source {tuple(x)} was never demanded for {symbol!r}")
-        return sorted(self.grid.decode(d) for d in got)
-
-    def _stamp_of(self, key, s: int, d: int) -> int:
-        return self._tables.get((key, s), {}).get(d, 0)
-
-    def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
-        return self._tables.get((key, s), {}).items()
+        return self._decoded(self._row(key, s)[0])
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         """Deterministic valid flow tree with root ``x ->symbol y``."""

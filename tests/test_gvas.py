@@ -214,6 +214,9 @@ def test_parse_errors_carry_location():
 @pytest.mark.parametrize("text,message,column", [
     ("  dim x\nstart S\nS -> (1)\n", "bad dimension 'x'", 7),
     ("dim   -1\nstart S\n", "dimension must be non-negative", 7),
+    ("dim 1_0\nstart S\nS -> eps\n", "bad dimension '1_0'", 5),
+    ("dim  +1\nstart S\nS -> eps\n", "bad dimension '\\+1'", 6),
+    ("dim \u0661\nstart S\nS -> eps\n", "bad dimension", 5),  # an Arabic-Indic one
     ("dim 1\nstart    1S\nS -> (1)\n", "bad start symbol '1S'", 10),
     ("dim 1\n  start eps\n", "bad start symbol 'eps'", 9),
     ("dim 1\nstart S\n  eps -> (1)\n", "bad rule left side 'eps'", 3),

@@ -144,6 +144,14 @@ def test_pvas_to_gvas_push_only_expansion():
     assert (2,) in table.successors("Z", (0,))
 
 
+@pytest.mark.parametrize("symbol", ["eps", "_", "1x", "a b", ""])
+def test_make_rejects_stack_symbols_the_text_format_cannot_write(symbol):
+    # pvas_to_gvas would name a nonterminal after it, and format_gvas then
+    # writes text that parse_gvas rejects or reads as another grammar
+    with pytest.raises(ValueError, match="stack symbol"):
+        Pvas.make(1, (symbol, "S"), [((symbol,), ("S",), (1,)), (("S",), (), (0,))])
+
+
 def test_pvas_to_gvas_rejects_multi_pop():
     p = Pvas.make(1, ["A", "B"], [(("A", "B"), (), (0,))])
     with pytest.raises(UnsupportedModelError):
@@ -185,6 +193,8 @@ def test_stack_line_symbols_are_checked(text, message):
 @pytest.mark.parametrize("text,message,column", [
     ("  dim x\nstack S\n", "bad dimension 'x'", 7),
     ("dim    -1\nstack S\n", "dimension must be non-negative", 8),
+    ("dim 1_0\nstack S\n", "bad dimension '1_0'", 5),
+    ("dim  +1\nstack S\n", "bad dimension '\\+1'", 6),
     ("dim 1\n  stack   S  1x\n", "bad stack symbol '1x'", 14),
     ("dim 1\nstack S  T   S\n", "duplicate stack symbol 'S'", 14),
     ("dim 1\nstack    _\n", "empty stack alphabet", 10),

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError, 
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
-from gvaskit.reach import Grid, _binarize, bounded_reach, reach_from, reachable_from
+from gvaskit.reach import Grid, _action_target, _binarize, bounded_reach, reach_from, reachable_from
+from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
+from gvaskit.weakcomp import definable_to_wc, wc_to_definable
 from test_crosscheck import random_gvas
 
 
@@ -431,6 +434,130 @@ def test_stamps_take_the_smallest_type_of_the_last_round(bound, dtype):
 # --- single-source cone --------------------------------------------------------
 
 
+def reference_cone(g, source, bound):
+    """Every demanded (relation key, source) cell of the cone with its
+    destinations and their stamps, by a per-entry worklist.
+
+    A reader ``(target, None)`` adds each entry it is given to target;
+    ``(target, right)`` is a join's left factor: each entry m demands
+    ``(right, m)`` for the reader ``(target, None)``.  A new entry is
+    queued with its cell's reader count, and only those readers get it
+    when it is popped; a later reader is given the cell's existing
+    entries when it registers.  Stamps count insertions.
+    """
+    grid = Grid(g.dim, bound)
+    defs, _ = _binarize(g)
+    tables, readers, work = {}, {}, deque()
+    stamp = 0
+
+    def add(cell, d):
+        nonlocal stamp
+        if d not in tables[cell]:
+            stamp += 1
+            tables[cell][d] = stamp
+            work.append((cell, d, len(readers[cell])))
+
+    def give(reader, m):
+        target, right = reader
+        if right is None:
+            add(target, m)
+        else:
+            read(right, m, (target, None))
+
+    def open_cell(cell):
+        tables[cell], readers[cell] = {}, []
+        work.append((cell, None, 0))
+
+    def read(ref, s, reader):
+        if ref[0] == "act":
+            d = _action_target(grid, ref[1], s)
+            if d is not None:
+                give(reader, d)
+            return
+        cell = (ref, s)
+        if cell not in tables:
+            open_cell(cell)
+        readers[cell].append(reader)
+        for d in list(tables[cell]):
+            give(reader, d)
+
+    open_cell((("sym", g.start), grid.encode(source)))
+    while work:
+        cell, d, count = work.popleft()
+        if d is not None:
+            for reader in readers[cell][:count]:
+                give(reader, d)
+            continue
+        key, s = cell
+        for op in defs[key]:
+            if op[0] == "eps":
+                add(cell, s)
+            elif op[0] == "copy":
+                read(op[1], s, (cell, None))
+            else:
+                read(op[1], s, (cell, op[2]))
+    return tables
+
+
+def assert_same_cone(g, source, bound, witnesses=6):
+    """The cone demands the reference's rows of every relation and holds
+    its entries on them; sampled witnesses of every nonterminal validate."""
+    cone = reach_from(g, source, bound)
+    want = reference_cone(g, source, bound)
+    n = cone.grid.size
+    defs, _ = _binarize(g)
+    assert set(cone._relations) == set(cone._dem) == set(defs)
+    assert {key for key, _ in want} <= set(defs)
+    for key, (keys, stamps) in cone._relations.items():
+        rows = sorted(s for k, s in want if k == key)
+        assert cone._dem[key].tolist() == rows, (key, source, bound)
+        pairs = sorted(s * n + d for (k, s), row in want.items() if k == key for d in row)
+        assert keys.tolist() == pairs, (key, source, bound)
+        assert len(stamps) == len(keys) and (len(stamps) == 0 or stamps.min() > 0)
+    rng = random.Random(bound)
+    for nt in g.nonterminals:
+        entries = [(s, d) for (k, s), row in want.items() if k == ("sym", nt) for d in row]
+        for s, d in rng.sample(entries, min(witnesses, len(entries))):
+            x, y = cone.grid.decode(s), cone.grid.decode(d)
+            tree = cone.witness(x, nt, y)
+            assert validate_tree(g, tree) is None
+            assert (tree.label.src, tree.label.symbol, tree.label.dst) == (x, nt, y)
+    return cone
+
+
+def test_cone_matches_reference(pow2, exchange):
+    for src in [(0,), (3,), (7,)]:
+        assert_same_cone(pow2, src, 12)
+    for src in [(0, 0), (2, 1), (6, 3)]:
+        assert_same_cone(exchange, src, 6)
+    for src, bound in [((0,), 40), ((15,), 60)]:
+        assert_same_cone(CHAIN, src, bound)
+    f1 = parse_gvas((Path(__file__).parent / "data" / "computer_f1.gvas").read_text())
+    for n in range(5):
+        assert_same_cone(f1, (n, 0, 0), 12)
+
+
+def test_cone_matches_reference_on_criterion_11_predicates(graph_pow2):
+    preds = [
+        intersect(linear_set((0,), [(2,)]), linear_set((0,), [(3,)])),
+        periodic_hull(union(linear_set((2,), []), linear_set((3,), []))),
+        make_resetting(graph_pow2),
+        wc_to_definable(definable_to_wc(graph_pow2, lambda n: 2**n)),
+    ]
+    for p in preds:
+        for bound in (4, 8, 12):
+            assert_same_cone(p.gvas, (0,) * p.gvas.dim, bound)
+
+
+def test_cone_matches_reference_on_random_grammars():
+    rng = random.Random(7)
+    for _ in range(40):
+        g = random_gvas(rng)
+        bound = rng.randint(2, 5)
+        for _ in range(2):
+            assert_same_cone(g, tuple(rng.randint(0, bound) for _ in range(g.dim)), bound)
+
+
 def test_cone_agrees_with_table(pow2):
     table = bounded_reach(pow2, 12)
     for src in [(0,), (2,), (3,), (7,)]:
@@ -486,6 +613,19 @@ def test_cone_witnesses_do_not_depend_on_hash_seed():
         outs.append(done.stdout)
     assert outs[0].count("\n") > 10
     assert outs[0] == outs[1]
+
+
+def test_cone_keys_of_large_grids():
+    # 17^7 = 410,338,673 cells: keys s * n + d need int64, and no state is per cell
+    g7 = Gvas.from_rules(7, [("S", [(0, 0, 0, 0, 0, 0, 1), "S"]), ("S", [])], "S")
+    cone = reach_from(g7, (0,) * 7, 16)
+    assert cone._relations[("sym", "S")][0].dtype == np.int64
+    assert cone.successors("S", (0,) * 7) == [(0,) * 6 + (v,) for v in range(17)]
+    assert validate_tree(g7, cone.witness((0,) * 7, "S", (0,) * 6 + (16,))) is None
+    # 21^8 cells: n(n+1) overflows int64, so the cone refuses before any work
+    g8 = Gvas.from_rules(8, [("S", [(1,) + (0,) * 7, "S"]), ("S", [])], "S")
+    with pytest.raises(ResourceLimitError, match="overflow int64"):
+        reach_from(g8, (0,) * 8, 20)
 
 
 def test_cone_out_of_grid(pow2):
