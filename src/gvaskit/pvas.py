@@ -91,26 +91,27 @@ def gvas_to_pvas(g: Gvas) -> Pvas:
 
     The stack alphabet is the nonterminals (start first) plus one fresh
     symbol per action; rules become push actions with zero effect, actions
-    become popping actions carrying their vector.
+    become popping actions carrying their vector.  A nonterminal named
+    ``_``, which would read as the empty word, gets a fresh symbol too.
     """
     nts = [g.start] + [n for n in g.nonterminals if n != g.start]
     taken = set(nts)
-    act_name: dict[Action, str] = {}
-    for i, a in enumerate(g.actions):
-        name = f"a{i}"
+
+    def fresh(name: str) -> str:
         while name in taken:
             name = "_" + name
         taken.add(name)
-        act_name[a] = name
-    alphabet = tuple(nts) + tuple(act_name[a] for a in g.actions)
+        return name
+
+    symbol: dict[str | Action, str] = {nt: nt for nt in nts}
+    if "_" in symbol:
+        symbol["_"] = fresh("n")
+    for i, a in enumerate(g.actions):
+        symbol[a] = fresh(f"a{i}")
     zero = (0,) * g.dim
-    actions: list[tuple[tuple[str, ...], tuple[str, ...], Action]] = []
-    for lhs, rhs in g.rules:
-        push = tuple(s if isinstance(s, str) else act_name[s] for s in rhs)
-        actions.append(((lhs,), push, zero))
-    for a in g.actions:
-        actions.append(((act_name[a],), (), a))
-    return Pvas(g.dim, alphabet, tuple(actions))
+    actions = [((symbol[lhs],), tuple(symbol[s] for s in rhs), zero) for lhs, rhs in g.rules]
+    actions += [((symbol[a],), (), a) for a in g.actions]
+    return Pvas.make(g.dim, [symbol[s] for s in nts + list(g.actions)], actions)
 
 
 def pvas_to_gvas(p: Pvas, start: str | None = None, max_rules: int = 10_000) -> Gvas:

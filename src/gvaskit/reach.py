@@ -13,11 +13,14 @@ merge.  A round's candidates are deduplicated and looked up by binary
 search in every block, so its membership test and insert cost
 O(|delta| log |relation|) rather than O(|relation|).
 
-:func:`bounded_reach` computes every pair, multiplying deltas by CSR
-matrices its blocks also hold.  :class:`ReachCone` computes a relation
-only on the source rows that rule applications from one source demand,
-joining deltas by gathers from the sorted keys themselves.  Both answer
-a query about a source cell from the slice of keys its row occupies.
+Both engines join a delta with an action by shifting its keys
+(:func:`_shifted`), checked on the digits the action moves.
+:func:`bounded_reach` computes every pair and multiplies deltas by CSR
+matrices only in joins of two relations, whose factors' blocks build
+them on first use.  :class:`ReachCone` computes a relation only on the
+source rows that rule applications from one source demand, joining
+deltas by gathers from the sorted keys themselves.  Both answer a query
+about a source cell from the slice of keys its row occupies.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand by searching, per table entry, for
@@ -102,16 +105,27 @@ def _moved(grid: Grid, a: tuple[int, ...], cells: np.ndarray) -> tuple[np.ndarra
     return ok, cells + _action_offset(grid, a)
 
 
+def _shifted(grid: Grid, keys: np.ndarray, a: tuple[int, ...], at_source: bool = False) -> np.ndarray:
+    """Linear keys of the pairs (s, d + a) for the pairs (s, d) of ``keys``
+    whose d action a keeps inside the grid, or with ``at_source`` of the
+    pairs (s - a, d) whose s - a is in it: the join of the pairs with a,
+    or of a with them.  A shift is injective and keeps key order, so
+    sorted keys give sorted, distinct keys."""
+    n, off = grid.size, _action_offset(grid, a)
+    if at_source:
+        return keys[_moved(grid, tuple(-v for v in a), keys // n)[0]] - off * n
+    return keys[_moved(grid, a, keys % n)[0]] + off
+
+
 def _key_dtype(n: int) -> type:
     """The integer type of the linear keys ``s * n + d`` of an n-cell grid."""
     return np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
 
 
 def _action_keys(grid: Grid, a: tuple[int, ...]) -> np.ndarray:
-    """Sorted linear keys of action a's in-grid applications."""
-    cells = np.arange(grid.size, dtype=_key_dtype(grid.size))
-    ok, dst = _moved(grid, a, cells)
-    return cells[ok] * grid.size + dst[ok]
+    """Sorted linear keys of action a's in-grid applications: the pairs
+    (s, s) of every cell, shifted by a."""
+    return _shifted(grid, np.arange(grid.size, dtype=_key_dtype(grid.size)) * (grid.size + 1), a)
 
 
 def _symbol_ref(s) -> tuple:
@@ -121,6 +135,24 @@ def _symbol_ref(s) -> tuple:
 def _known_ref(g: Gvas, symbol) -> tuple:
     """The relation key of a symbol of g; UnknownSymbolError for any other."""
     return _symbol_ref(_check_word(g, (symbol,))[0])
+
+
+def _source_ref(g: Gvas, grid: Grid, symbol, x: Sequence[int]) -> tuple:
+    """The relation key of a query about symbol from x: UnknownSymbolError
+    for a symbol not of g, then OutOfGridError for x outside the grid."""
+    key = _known_ref(g, symbol)
+    if not grid.contains(x):
+        raise OutOfGridError(f"{tuple(x)} outside grid bound {grid.bound}")
+    return key
+
+
+def _pair_ref(g: Gvas, grid: Grid, x: Sequence[int], symbol, y: Sequence[int]) -> tuple:
+    """The relation key of a query about symbol from x to y: UnknownSymbolError
+    for a symbol not of g, then NotInTableError for x or y outside the grid."""
+    key = _known_ref(g, symbol)
+    if not grid.contains(x) or not grid.contains(y):
+        raise NotInTableError(f"{tuple(x)} or {tuple(y)} outside grid")
+    return key
 
 
 def _check_valid(g: Gvas) -> None:
@@ -242,10 +274,8 @@ def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
     """:meth:`ReachTable.witness` and :meth:`ReachCone.witness`: the
     symbol and endpoint checks, then :func:`_build_witness` on the
     engine's own stamps."""
-    kind, symbol = _known_ref(engine.gvas, symbol)
     grid = engine.grid
-    if not grid.contains(x) or not grid.contains(y):
-        raise NotInTableError(f"{tuple(x)} or {tuple(y)} outside grid")
+    kind, symbol = _pair_ref(engine.gvas, grid, x, symbol, y)
     if kind == "act":
         if tuple(map(sum, zip(x, symbol))) != tuple(y):
             raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
@@ -306,9 +336,7 @@ class ReachTable(_Relations):
         return self._stamp_of(key, self.grid.encode(x), self.grid.encode(y)) > 0
 
     def successors(self, symbol, x: Sequence[int]) -> list[Config]:
-        key = _known_ref(self.gvas, symbol)
-        if not self.grid.contains(x):
-            raise OutOfGridError(f"{tuple(x)} outside grid bound {self.bound}")
+        key = _source_ref(self.gvas, self.grid, symbol, x)
         return self._decoded(self._row(key, self.grid.encode(x))[0])
 
     def pairs(self, symbol) -> Iterator[tuple[Config, Config]]:
@@ -386,19 +414,31 @@ class _Block:
     """One batch of a relation's pairs, disjoint from its other batches.
 
     ``keys`` holds the linear keys ``s * n + d`` in ascending order and
-    ``stamps`` their discovery rounds.  ``rows`` is the batch as a boolean
-    CSR matrix and ``cols`` its transpose, each built only if a join
-    multiplies by it: a join's product with a delta then reads only the
-    rows of the other factor that the delta hits.
+    ``stamps`` their discovery rounds.  :meth:`rows` is the batch as a
+    boolean CSR matrix and :meth:`cols` its transpose, each built on the
+    first product that reads it and kept: a join of two relations
+    multiplies a left delta's rows by the right factor's blocks as rows
+    and a right delta's transpose by the left factor's blocks as
+    transposes, so a product reads only the rows of the other factor that
+    the delta hits, and a block nothing multiplies holds no matrix.
     """
 
-    __slots__ = ("keys", "stamps", "rows", "cols")
+    __slots__ = ("keys", "stamps", "_rows", "_cols")
 
-    def __init__(self, keys: np.ndarray, stamps, n: int, rows: bool, cols: bool):
+    def __init__(self, keys: np.ndarray, stamps):
         self.keys, self.stamps = keys, stamps
-        m = _rows_matrix(keys, n) if rows or cols else None
-        self.rows = m if rows else None
-        self.cols = m.T.tocsr() if cols else None
+        self._rows = self._cols = None
+
+    def rows(self, n: int) -> sparse.csr_matrix:
+        if self._rows is None:
+            self._rows = _rows_matrix(self.keys, n)
+        return self._rows
+
+    def cols(self, n: int) -> sparse.csr_matrix:
+        if self._cols is None:
+            m = self._rows if self._rows is not None else _rows_matrix(self.keys, n)
+            self._cols = m.T.tocsr()
+        return self._cols
 
 
 def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -435,19 +475,17 @@ def _collapse(stack: list[_Block], key_dtype, stamp_dtype) -> tuple[np.ndarray, 
 
 
 def _rounds(
-    defs: dict[tuple, list[tuple]], act_keys: dict[tuple, np.ndarray], n: int, max_pairs: int,
+    defs: dict[tuple, list[tuple]], acts: dict[tuple, _Block], grid: Grid, max_pairs: int,
 ) -> tuple[dict[tuple, list[_Block]], int]:
-    """The semi-naive rounds of :func:`bounded_reach`: each defined
-    relation's blocks at the fixpoint, and the last round that found a pair."""
-    joins = [op for ops in defs.values() for op in ops if op[0] == "join"]
-    # joins multiply by the blocks of right factors as rows, of left factors as transposes
-    lefts = {op[1] for op in joins}
-    rights = {op[2] for op in joins}
-
-    blocks: dict[tuple, list[_Block]] = {
-        ref: [_Block(keys, None, n, True, True)] for ref, keys in act_keys.items()}
-    deltas = {ref: stack[0] for ref, stack in blocks.items()}  # every action is new in round 1
-    blocks.update((k, []) for k in defs)
+    """The semi-naive rounds of :func:`bounded_reach` from the actions'
+    blocks: each defined relation's blocks at the fixpoint, and the last
+    round that found a pair."""
+    n = grid.size
+    # the relations defined by one join with an action alone
+    shifts = {k for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join"
+              and "act" in (ops[0][1][0], ops[0][2][0])}
+    blocks: dict[tuple, list[_Block]] = {k: [] for k in defs}
+    deltas = dict(acts)  # every action is new in round 1, and only then
 
     round_no = 1
     while True:
@@ -462,34 +500,45 @@ def _rounds(
                     if op[1] in deltas:
                         acc.append(deltas[op[1]].keys)
                 else:
+                    # an action has a delta in round 1 only, when every defined relation
+                    # is empty: the other factor's delta, shifted, is the join's whole delta
                     _, left, right = op
-                    if left in deltas:
-                        acc.extend(_row_keys(deltas[left].rows @ b.rows) for b in blocks[right])
-                    if right in deltas:
-                        acc.extend(_col_keys(deltas[right].cols @ b.cols) for b in blocks[left])
+                    if right[0] == "act":
+                        if left in deltas:
+                            acc.append(_shifted(grid, deltas[left].keys, right[1]))
+                    elif left[0] == "act":
+                        if right in deltas:
+                            acc.append(_shifted(grid, deltas[right].keys, left[1], at_source=True))
+                    else:
+                        if left in deltas:
+                            acc.extend(_row_keys(deltas[left].rows(n) @ b.rows(n)) for b in blocks[right])
+                        if right in deltas:
+                            acc.extend(_col_keys(deltas[right].cols(n) @ b.cols(n)) for b in blocks[left])
         fresh: dict[tuple, np.ndarray] = {}
         for key, parts in contribs.items():
-            cand = _fresh(parts, blocks[key]) if parts else parts
+            if not parts:
+                continue
+            # such a relation holds the shift of its factor's older pairs; a shift
+            # is injective and the factor's delta is disjoint from those, so all
+            # its candidates are new
+            cand = parts[0] if key in shifts else _fresh(parts, blocks[key])
             if len(cand):
                 fresh[key] = cand
         if not fresh:
             break
-        # every product of the round has read the relations: only now may they grow
+        # every candidate of the round is taken: only now may the relations grow
         deltas = {}
         for key, keys in fresh.items():
             stamps = np.full(len(keys), round_no, dtype=np.min_scalar_type(round_no))
-            factor = key in lefts or key in rights
-            deltas[key] = block = _Block(keys, stamps, n, factor, factor)
+            deltas[key] = block = _Block(keys, stamps)
             keys, stamps = _absorb(blocks[key], keys, stamps)
-            if len(keys) > len(block.keys):
-                block = _Block(keys, stamps, n, key in rights, key in lefts)
-            blocks[key].append(block)
+            blocks[key].append(block if len(keys) == len(block.keys) else _Block(keys, stamps))
         total = sum(len(b.keys) for k in defs for b in blocks[k])
         if total > max_pairs:
             raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
         round_no += 1
 
-    return {k: blocks[k] for k in defs}, round_no - 1
+    return blocks, round_no - 1
 
 
 def bounded_reach(
@@ -504,20 +553,25 @@ def bounded_reach(
     Deterministic: the output (including witness stamps) depends only on
     the grammar value and the bound.
 
-    Round r multiplies each join's factor deltas from round r - 1 by the
-    blocks of the other factor: the left delta by the right factor's
-    blocks as rows, the right delta's transpose by the transposes of the
-    left factor's blocks, so both products touch only the rows the delta
-    reaches.  The candidates of each relation are sorted, deduplicated
-    and searched for in its blocks; those found in none are the
-    relation's fresh pairs, stamped r.  No block changes until every
-    product of the round is taken, so stamps are exactly round numbers.
-    A fresh batch becomes the newest block after absorbing each newest
-    block that holds at most four times its pairs: a relation of N pairs
-    has O(log N) blocks, and each pair is copied O(log N) times.  Memory
-    is O(pairs) plus one index row of O(cells) per block matrix; no state
-    is cells by cells.  At the end, each relation's blocks are merged and
-    released one by one into its keys and stamps, which the table keeps.
+    Round r joins each join's factor deltas from round r - 1 with the
+    other factor.  A join with an action shifts the other factor's delta:
+    its destinations for ``X ; a`` (and ``a ; b``), its sources for ``a ;
+    X``; no matrix is involved.  A join of two relations multiplies the
+    left delta by the right factor's blocks as rows and the right delta's
+    transpose by the transposes of the left factor's blocks, so both
+    products touch only the rows the delta reaches.  The candidates of
+    each relation are sorted, deduplicated and searched for in its
+    blocks; those found in none are the relation's fresh pairs, stamped
+    r.  A relation whose one definition is a join with an action skips
+    that search: its shifted delta is new by construction.  No block
+    changes until every candidate of the round is taken, so stamps are
+    exactly round numbers.  A fresh batch becomes the newest block after
+    absorbing each newest block that holds at most four times its pairs:
+    a relation of N pairs has O(log N) blocks, and each pair is copied
+    O(log N) times.  Memory is O(pairs) plus one index row of O(cells)
+    per block matrix; no state is cells by cells.  At the end, each
+    relation's blocks are merged and released one by one into its keys
+    and stamps, which the table keeps.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -525,15 +579,14 @@ def bounded_reach(
     grid = Grid(g.dim, bound)
     if grid.size > max_cells:
         raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
-    n = grid.size
 
     defs, suffix_refs = _binarize(g)
-    act_keys = {("act", a): _action_keys(grid, a) for a in g.actions}
-    blocks, last_round = _rounds(defs, act_keys, n, max_pairs)
+    acts = {("act", a): _Block(_action_keys(grid, a), None) for a in g.actions}
+    blocks, last_round = _rounds(defs, acts, grid, max_pairs)
     stamp_dtype = np.min_scalar_type(last_round)
-    relations = {ref: (keys, np.ones(len(keys), dtype=bool)) for ref, keys in act_keys.items()}
+    relations = {ref: (b.keys, np.ones(len(b.keys), dtype=bool)) for ref, b in acts.items()}
     for key in defs:
-        relations[key] = _collapse(blocks.pop(key), _key_dtype(n), stamp_dtype)
+        relations[key] = _collapse(blocks.pop(key), _key_dtype(grid.size), stamp_dtype)
     return ReachTable(g, bound, grid, relations, suffix_refs)
 
 
@@ -574,8 +627,7 @@ def _cone(grid: Grid, defs: dict[tuple, list[tuple]], root: tuple[tuple, int], m
     def visible(key, x, rows) -> np.ndarray:
         """Keys of x's pairs newly visible to key: its fresh pairs on key's rows, all of it on key's new rows."""
         if x[0] == "act":  # only on new rows: an action has no fresh pairs
-            ok, m = _moved(grid, x[1], rows)
-            return rows[ok] * n + m[ok]
+            return _shifted(grid, rows * (n + 1), x[1])
         parts = [_gather(blocks[x], rows, n)[1]] if len(rows) else []
         if x in fresh:
             parts.append(fresh[x][_isin(dem[key], fresh[x] // n)])
@@ -615,9 +667,7 @@ def _cone(grid: Grid, defs: dict[tuple, list[tuple]], root: tuple[tuple, int], m
                     if op[0] == "copy":
                         add(key, vis)
                     elif len(vis) and r[0] == "act":
-                        s, m = np.divmod(vis, n)
-                        ok, d = _moved(grid, r[1], m)
-                        add(key, s[ok] * n + d[ok])
+                        add(key, _shifted(grid, vis, r[1]))
                     elif len(vis):  # demand r at m and read it there, m ascending for the searches
                         m, s = np.divmod(np.sort(vis % n * n + vis // n), n)
                         if x[0] != "act":
@@ -625,14 +675,15 @@ def _cone(grid: Grid, defs: dict[tuple, list[tuple]], root: tuple[tuple, int], m
                         at, got = _gather(blocks[r], m, n)
                         add(key, s[at] * n + got % n)
                 if op[0] == "join" and r in fresh:  # x's pairs on key's rows into r's fresh pairs
-                    m, d = np.divmod(fresh[r], n)
                     if x[0] == "act":
-                        ok, s = _moved(grid, tuple(-v for v in x[1]), m)
+                        got = _shifted(grid, fresh[r], x[1], at_source=True)
+                        add(key, got[_isin(dem[key], got // n)])
                     else:
+                        m, d = np.divmod(fresh[r], n)
                         at, got = _gather(flipped[x], m, n)
-                        s, d, ok = got % n, d[at], True
-                    ok &= _isin(dem[key], s)
-                    add(key, s[ok] * n + d[ok])
+                        s, d = got % n, d[at]
+                        ok = _isin(dem[key], s)
+                        add(key, s[ok] * n + d[ok])
         # every candidate of the round is taken: only now may the relations grow
         fresh = {}
         for key, parts in cands.items():
@@ -641,10 +692,10 @@ def _cone(grid: Grid, defs: dict[tuple, list[tuple]], root: tuple[tuple, int], m
                 fresh[key] = cand
                 entries += len(cand)
                 stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
-                blocks[key].append(_Block(*_absorb(blocks[key], cand, stamps), n, False, False))
+                blocks[key].append(_Block(*_absorb(blocks[key], cand, stamps)))
                 if key in flipped:
                     t = np.sort(cand % n * n + cand // n)
-                    flipped[key].append(_Block(*_absorb(flipped[key], t, stamps), n, False, False))
+                    flipped[key].append(_Block(*_absorb(flipped[key], t, stamps)))
         if entries > max_entries:
             raise ResourceLimitError(f"reachability cone exceeded {max_entries} entries")
     return {k: _collapse(blocks.pop(k), key_dtype, np.min_scalar_type(round_no)) for k in defs}, dem
@@ -684,9 +735,7 @@ class ReachCone(_Relations):
     def successors(self, symbol, x: Sequence[int]) -> list[Config]:
         """Destinations from a demanded source (the cone's own source is
         always demanded for the start symbol)."""
-        key = _known_ref(self.gvas, symbol)
-        if not self.grid.contains(x):
-            raise OutOfGridError(f"{tuple(x)} outside grid bound {self.bound}")
+        key = _source_ref(self.gvas, self.grid, symbol, x)
         s = self.grid.encode(x)
         if key[0] == "act":
             d = _action_target(self.grid, key[1], s)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import gvaskit.reach
 from gvaskit import flowtree as ft
 from gvaskit.cli import main
 from gvaskit.flowtree import parse_tree
@@ -126,6 +127,51 @@ def test_reach_rejects_an_unknown_nonterminal(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and captured.err == "error: unknown nonterminal 'Q'\n"
+
+
+POW2 = str(DATA / "pow2.gvas")
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["reach", "--from", "(x)", "--symbol", "Q", "--bound", "400"], 2,
+     "parse error: 1:1: bad vector '(x)' (expected (v1,...,vd))"),
+    (["reach", "--from", "(9)", "--symbol", "(1,", "--bound", "4"], 2,
+     "parse error: 1:1: bad vector '(1,' (expected (v1,...,vd))"),
+    (["reach", "--from", "(9)", "--symbol", "Q", "--bound", "4"], 1, "error: unknown nonterminal 'Q'"),
+    (["reach", "--from", "(9)", "--symbol", "(3)", "--bound", "4"], 1, "error: unknown action (3,)"),
+    (["reach", "--from", "(9)", "--symbol", "S", "--bound", "4"], 1, "error: (9,) outside grid bound 4"),
+    (["reach", "--from", "(1,1)", "--symbol", "S", "--bound", "4"], 1, "error: (1, 1) outside grid bound 4"),
+    (["witness-tree", "--from", "(x)", "--symbol", "Q", "--to", "(y)", "--bound", "4"], 2,
+     "parse error: 1:1: bad vector '(x)' (expected (v1,...,vd))"),
+    (["witness-tree", "--from", "(1)", "--symbol", "Q", "--to", "(y)", "--bound", "4"], 2,
+     "parse error: 1:1: bad vector '(y)' (expected (v1,...,vd))"),
+    (["witness-tree", "--from", "(1)", "--symbol", "(1,", "--to", "(9)", "--bound", "4"], 2,
+     "parse error: 1:1: bad vector '(1,' (expected (v1,...,vd))"),
+    (["witness-tree", "--from", "(9)", "--symbol", "Q", "--to", "(1)", "--bound", "4"], 1,
+     "error: unknown nonterminal 'Q'"),
+    (["witness-tree", "--from", "(1)", "--symbol", "S", "--to", "(9)", "--bound", "4"], 1,
+     "error: (1,) or (9,) outside grid"),
+    (["witness-tree", "--from", "(9)", "--symbol", "(1)", "--to", "(10)", "--bound", "4"], 1,
+     "error: (9,) or (10,) outside grid"),
+], ids=["reach-from", "reach-symbol-vector", "reach-nonterminal", "reach-action", "reach-grid",
+        "reach-dim", "witness-from", "witness-to", "witness-symbol-vector", "witness-nonterminal",
+        "witness-grid", "witness-action-grid"])
+def test_bad_query_arguments_fail_before_the_fixpoint(monkeypatch, capsys, argv, code, err):
+    # parse errors come first, then the symbol, then the grid, as the table's own checks order them
+    def no_table(*args, **kwargs):
+        raise AssertionError("bounded_reach called")
+
+    monkeypatch.setattr(gvaskit.reach, "bounded_reach", no_table)
+    assert main(argv[:1] + ["--gvas", POW2] + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err + "\n"
+
+
+def test_negative_bound_is_still_refused_by_the_fixpoint(capsys):
+    for argv in (["reach", "--gvas", POW2, "--from", "(9)", "--symbol", "S", "--bound", "-1"],
+                 ["witness-tree", "--gvas", POW2, "--from", "(1)", "--symbol", "S", "--to", "(1)", "--bound", "-2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: bound must be non-negative\n"
 
 
 @pytest.mark.parametrize("text", [

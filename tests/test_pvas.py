@@ -1,6 +1,6 @@
 import pytest
 
-from gvaskit.gvas import Gvas
+from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit.errors import NotEnabledError, ParseError, ResourceLimitError, UnsupportedModelError
 from gvaskit.pvas import (
     Pvas,
@@ -120,6 +120,17 @@ def test_pvas_to_gvas_round_trip(exchange):
     tb = bounded_reach(back, 8)
     for x in [(2, 2), (0, 1), (3, 0)]:
         assert ta.successors("S", x) == tb.successors(back.start, x)
+
+
+def test_nonterminal_underscore_gets_a_fresh_stack_symbol():
+    # "_" is a nonterminal name to parse_gvas but the empty word to parse_pvas
+    g = parse_gvas("dim 1\nstart _\n_ -> (1) _ | eps\n")
+    text = format_pvas(gvas_to_pvas(g))
+    assert text == "dim 1\nstack n a0\naction n / a0 n / (0)\naction n / _ / (0)\naction a0 / _ / (1)\n"
+    back = pvas_to_gvas(parse_pvas(text))
+    ta, tb = bounded_reach(g, 6), bounded_reach(back, 6)
+    for x in range(7):
+        assert tb.successors(back.start, (x,)) == ta.successors("_", (x,)) == [(v,) for v in range(x, 7)]
 
 
 def test_pvas_to_gvas_single_pop():

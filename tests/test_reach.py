@@ -14,7 +14,10 @@ from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError, 
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
-from gvaskit.reach import Grid, _action_target, _binarize, bounded_reach, reach_from, reachable_from
+from gvaskit.reach import (
+    Grid, _action_keys, _action_target, _binarize, _Block, _rounds, _shifted, bounded_reach, reach_from,
+    reachable_from,
+)
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
 from test_crosscheck import random_gvas
@@ -240,17 +243,76 @@ def assert_same_stamps(g, bound, samples=12):
                 assert table.contains(symbol, x, grid.decode(d)) == (d in dests), (key, bound, x, d)
 
 
+# every shape of join with an action: ``a ; X``, ``X ; a`` and ``a ; b``; T, its
+# two aux relations and W are defined by one join with an action alone (a chain
+# of them, a left and a right factor of a join of two relations, read by a copy);
+# E is defined by a shift of itself, so stays empty
+SHIFTS = parse_gvas("""dim 2
+start S
+S -> T U | U W | (1,0) (0,1) | S (0,-1) | V | E
+T -> (1,1) (0,-1) (-1,0) U
+U -> (1,0) U | eps
+W -> U (0,1)
+V -> T
+E -> (0,1) E
+""")
+# the same shapes in one dimension, where every action moves the only digit
+SHIFTS_1D = parse_gvas("""dim 1
+start S
+S -> A B | B (-1) | (2) (-1) | A
+A -> (1) (-2) (1) B
+B -> (1) B | (-1) B (2) | eps
+""")
+
+
 def test_fixpoint_matches_reference(pow2, exchange, order_demo):
     f1 = parse_gvas((Path(__file__).parent / "data" / "computer_f1.gvas").read_text())
     for g, bound in [
         (pow2, 16), (exchange, 6), (order_demo, 12), (f1, 8),
         (build_core(1), 8), (build_core(2), 4), (CHAIN, 50),
+        (SHIFTS, 5), (SHIFTS, 0), (SHIFTS_1D, 9),
         (WIDE, 50_000),  # 50001 cells: linear keys past 2**31 take the int64 path
     ]:
         assert_same_stamps(g, bound)
     rng = random.Random(5)
     for _ in range(40):
         assert_same_stamps(random_gvas(rng), rng.randint(2, 6))
+
+
+def test_shifts_keep_key_order_and_drop_what_leaves_the_grid():
+    grid = Grid(2, 4)
+    n = grid.size
+    rng = np.random.default_rng(3)
+    keys = np.unique(rng.integers(0, n * n, 300)).astype(np.int32)
+    for a in [(1, 0), (0, -2), (-1, 3), (0, 0)]:
+        want_dst, want_src = [], []
+        for s, d in zip(*np.divmod(keys.tolist(), n)):
+            t = _action_target(grid, a, d)
+            want_dst += [s * n + t] if t is not None else []
+            u = _action_target(grid, tuple(-v for v in a), s)
+            want_src += [u * n + d] if u is not None else []
+        got_dst, got_src = _shifted(grid, keys, a), _shifted(grid, keys, a, at_source=True)
+        assert got_dst.dtype == got_src.dtype == np.int32
+        assert got_dst.tolist() == want_dst and got_src.tolist() == sorted(want_src)
+
+
+def test_only_joins_of_two_relations_hold_matrices():
+    g = build_core(1)
+    grid = Grid(g.dim, 8)
+    defs, _ = _binarize(g)
+    acts = {("act", a): _Block(_action_keys(grid, a), None) for a in g.actions}
+    blocks, _ = _rounds(defs, acts, grid, 60_000_000)
+    joins = [op for ops in defs.values() for op in ops if op[0] == "join"]
+    pairs = [op for op in joins if "act" not in (op[1][0], op[2][0])]
+    assert pairs and len(pairs) < len(joins)
+    lefts, rights = {op[1] for op in pairs}, {op[2] for op in pairs}
+    assert all(b._rows is None and b._cols is None for b in acts.values())
+    for key, stack in blocks.items():
+        for b in stack:
+            assert key in lefts | rights or b._rows is None and b._cols is None, key
+    # a right factor is multiplied by as rows, a left factor as a transpose
+    assert any(b._rows is not None for k in rights for b in blocks[k])
+    assert any(b._cols is not None for k in lefts for b in blocks[k])
 
 
 @pytest.mark.parametrize("limit", [3, 1000, 50000])
