@@ -213,8 +213,8 @@ def _cmd_falpha_eval(args) -> int:
 
 def _cmd_safety(args) -> int:
     g = fastgrowing.build_core(args.d)
+    symbols = [fastgrowing._check_core_symbol(g, args.symbol)] if args.symbol else list(g.nonterminals)
     table = reach.bounded_reach(g, args.bound)
-    symbols = [args.symbol] if args.symbol else list(g.nonterminals)
     scans = [fastgrowing.safety_check(args.d, s, args.bound, table) for s in symbols]
     if args.format == "json":
         _emit(json.dumps(

@@ -320,6 +320,13 @@ def hierarchy_rows(levels: Sequence[Ordinal], cap: int) -> np.ndarray:
     return rows
 
 
+def _check_core_symbol(g: Gvas, symbol: str) -> str:
+    """The symbol, if it is a nonterminal of the core g; ValueError otherwise."""
+    if symbol not in g.nonterminals:
+        raise ValueError(f"unknown core symbol {symbol!r}")
+    return symbol
+
+
 def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = None) -> SafetyScan:
     """Check every table entry of one core nonterminal against its
     value-bound clause.
@@ -345,8 +352,7 @@ def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = 
     in key order are reported.
     """
     g = build_core(d)
-    if symbol not in g.nonterminals:
-        raise ValueError(f"unknown core symbol {symbol!r}")
+    _check_core_symbol(g, symbol)
     if table is None:
         table = cached_reach(g, bound)
     rows, cols = table.pairs_arrays(symbol)

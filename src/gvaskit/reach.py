@@ -13,14 +13,15 @@ merge.  A round's candidates are deduplicated and looked up by binary
 search in every block, so its membership test and insert cost
 O(|delta| log |relation|) rather than O(|relation|).
 
-Both engines join a delta with an action by shifting its keys
-(:func:`_shifted`), checked on the digits the action moves.
-:func:`bounded_reach` computes every pair and multiplies deltas by CSR
-matrices only in joins of two relations, whose factors' blocks build
-them on first use.  :class:`ReachCone` computes a relation only on the
-source rows that rule applications from one source demand, joining
-deltas by gathers from the sorted keys themselves.  Both answer a query
-about a source cell from the slice of keys its row occupies.
+Both engines run one loop, :func:`_rounds`, which computes a relation
+only on the source rows demanded of it.  :class:`ReachCone` demands the
+rows that rule applications from one source reach; :func:`bounded_reach`
+demands every row of every relation in round 1, so each of its reads is
+a delta.  A join with an action shifts keys (:func:`_shifted`), checked
+on the digits the action moves.  The engines differ only in the kernel
+of a join of two relations: the table multiplies CSR block matrices,
+the cone gathers rows from the sorted keys themselves.  Both answer a
+query about a source cell from the slice of keys its row occupies.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand by searching, per table entry, for
@@ -120,12 +121,6 @@ def _shifted(grid: Grid, keys: np.ndarray, a: tuple[int, ...], at_source: bool =
 def _key_dtype(n: int) -> type:
     """The integer type of the linear keys ``s * n + d`` of an n-cell grid."""
     return np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
-
-
-def _action_keys(grid: Grid, a: tuple[int, ...]) -> np.ndarray:
-    """Sorted linear keys of action a's in-grid applications: the pairs
-    (s, s) of every cell, shifted by a."""
-    return _shifted(grid, np.arange(grid.size, dtype=_key_dtype(grid.size)) * (grid.size + 1), a)
 
 
 def _symbol_ref(s) -> tuple:
@@ -474,128 +469,6 @@ def _collapse(stack: list[_Block], key_dtype, stamp_dtype) -> tuple[np.ndarray, 
     return pairs[0], pairs[1].astype(stamp_dtype, copy=False)
 
 
-def _rounds(
-    defs: dict[tuple, list[tuple]], acts: dict[tuple, _Block], grid: Grid, max_pairs: int,
-) -> tuple[dict[tuple, list[_Block]], int]:
-    """The semi-naive rounds of :func:`bounded_reach` from the actions'
-    blocks: each defined relation's blocks at the fixpoint, and the last
-    round that found a pair."""
-    n = grid.size
-    # the relations defined by one join with an action alone
-    shifts = {k for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join"
-              and "act" in (ops[0][1][0], ops[0][2][0])}
-    blocks: dict[tuple, list[_Block]] = {k: [] for k in defs}
-    deltas = dict(acts)  # every action is new in round 1, and only then
-
-    round_no = 1
-    while True:
-        contribs: dict[tuple, list[np.ndarray]] = {}
-        for target, ops in defs.items():
-            acc = contribs[target] = []
-            for op in ops:
-                if op[0] == "eps":
-                    if round_no == 1:
-                        acc.append(np.arange(n, dtype=_key_dtype(n)) * (n + 1))
-                elif op[0] == "copy":
-                    if op[1] in deltas:
-                        acc.append(deltas[op[1]].keys)
-                else:
-                    # an action has a delta in round 1 only, when every defined relation
-                    # is empty: the other factor's delta, shifted, is the join's whole delta
-                    _, left, right = op
-                    if right[0] == "act":
-                        if left in deltas:
-                            acc.append(_shifted(grid, deltas[left].keys, right[1]))
-                    elif left[0] == "act":
-                        if right in deltas:
-                            acc.append(_shifted(grid, deltas[right].keys, left[1], at_source=True))
-                    else:
-                        if left in deltas:
-                            acc.extend(_row_keys(deltas[left].rows(n) @ b.rows(n)) for b in blocks[right])
-                        if right in deltas:
-                            acc.extend(_col_keys(deltas[right].cols(n) @ b.cols(n)) for b in blocks[left])
-        fresh: dict[tuple, np.ndarray] = {}
-        for key, parts in contribs.items():
-            if not parts:
-                continue
-            # such a relation holds the shift of its factor's older pairs; a shift
-            # is injective and the factor's delta is disjoint from those, so all
-            # its candidates are new
-            cand = parts[0] if key in shifts else _fresh(parts, blocks[key])
-            if len(cand):
-                fresh[key] = cand
-        if not fresh:
-            break
-        # every candidate of the round is taken: only now may the relations grow
-        deltas = {}
-        for key, keys in fresh.items():
-            stamps = np.full(len(keys), round_no, dtype=np.min_scalar_type(round_no))
-            deltas[key] = block = _Block(keys, stamps)
-            keys, stamps = _absorb(blocks[key], keys, stamps)
-            blocks[key].append(block if len(keys) == len(block.keys) else _Block(keys, stamps))
-        total = sum(len(b.keys) for k in defs for b in blocks[k])
-        if total > max_pairs:
-            raise ResourceLimitError(f"relation store reached {total} pairs, limit {max_pairs}")
-        round_no += 1
-
-    return blocks, round_no - 1
-
-
-def bounded_reach(
-    g: Gvas,
-    bound: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-) -> ReachTable:
-    """Least fixpoint of the grid-bounded reachability relations.
-
-    Deterministic: the output (including witness stamps) depends only on
-    the grammar value and the bound.
-
-    Round r joins each join's factor deltas from round r - 1 with the
-    other factor.  A join with an action shifts the other factor's delta:
-    its destinations for ``X ; a`` (and ``a ; b``), its sources for ``a ;
-    X``; no matrix is involved.  A join of two relations multiplies the
-    left delta by the right factor's blocks as rows and the right delta's
-    transpose by the transposes of the left factor's blocks, so both
-    products touch only the rows the delta reaches.  The candidates of
-    each relation are sorted, deduplicated and searched for in its
-    blocks; those found in none are the relation's fresh pairs, stamped
-    r.  A relation whose one definition is a join with an action skips
-    that search: its shifted delta is new by construction.  No block
-    changes until every candidate of the round is taken, so stamps are
-    exactly round numbers.  A fresh batch becomes the newest block after
-    absorbing each newest block that holds at most four times its pairs:
-    a relation of N pairs has O(log N) blocks, and each pair is copied
-    O(log N) times.  Memory is O(pairs) plus one index row of O(cells)
-    per block matrix; no state is cells by cells.  At the end, each
-    relation's blocks are merged and released one by one into its keys
-    and stamps, which the table keeps.
-    """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    _check_valid(g)
-    grid = Grid(g.dim, bound)
-    if grid.size > max_cells:
-        raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
-
-    defs, suffix_refs = _binarize(g)
-    acts = {("act", a): _Block(_action_keys(grid, a), None) for a in g.actions}
-    blocks, last_round = _rounds(defs, acts, grid, max_pairs)
-    stamp_dtype = np.min_scalar_type(last_round)
-    relations = {ref: (b.keys, np.ones(len(b.keys), dtype=bool)) for ref, b in acts.items()}
-    for key in defs:
-        relations[key] = _collapse(blocks.pop(key), _key_dtype(grid.size), stamp_dtype)
-    return ReachTable(g, bound, grid, relations, suffix_refs)
-
-
-@functools.lru_cache(maxsize=4)
-def cached_reach(g: Gvas, bound: int) -> ReachTable:
-    """Small table cache for membership-style repeated queries."""
-    return bounded_reach(g, bound)
-
-
 def _gather(blocks: list[_Block], rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The keys of the blocks' pairs on the given rows, each with the index in ``rows`` of its row."""
     at, got = [], []
@@ -610,27 +483,71 @@ def _gather(blocks: list[_Block], rows: np.ndarray, n: int) -> tuple[np.ndarray,
     return (np.concatenate(at), np.concatenate(got)) if got else (rows[:0].astype(np.intp), rows[:0])
 
 
-def _cone(grid: Grid, defs: dict[tuple, list[tuple]], root: tuple[tuple, int], max_entries: int):
-    """The rounds of :class:`ReachCone`: each relation's pairs on its demanded rows, and those rows."""
+def _rounds(
+    grid: Grid, defs: dict[tuple, list[tuple]], limit: int, root: tuple[tuple, int] | None = None,
+) -> tuple[dict[tuple, list[_Block]], dict[tuple, np.ndarray], int]:
+    """The semi-naive rounds of both engines: each defined relation's
+    blocks on its demanded rows, those rows, and the number of rounds run.
+
+    Round 1 demands the row ``root = (key, cell)``, or without a root
+    every row of every relation.  A target's rows demand its copies and
+    left factors there, a right factor past a left action there moved by
+    the action, and any other right factor wherever the left one leads.
+    Round r reads, for each copy or left factor x of a target, the pairs
+    of x newly visible to it: all of x on the target's new rows and x's
+    fresh pairs of round r - 1 on its older rows.  A copy takes them, a
+    join with an action shifts them (:func:`_shifted`), and a join of two
+    relations joins them with the right factor, and the right factor's
+    fresh pairs with the left factor on the older rows.  Without a root
+    only round 1 has new rows, so every later read is a delta.
+
+    The kernel of a join of two relations follows ``root``.  The table
+    multiplies CSR block matrices: a left delta's rows by the right
+    factor's blocks, a right delta's transpose by the left factor's.  The
+    cone gathers rows from sorted keys, the left factor's through a copy of
+    its blocks in transposed keys ``d * n + s``.  A product lists a pair
+    once per row, a gather once per path to it: with every row demanded,
+    gathers made the table of core(1)@20 take 2.8 times the time and 3
+    times the memory, and that of exchange@40 7.7 times the time.
+
+    Candidates are deduplicated and searched for in the target's blocks;
+    those in none are its fresh pairs, stamped r.  A relation defined by
+    one join with an action alone skips the search: it holds its factor's
+    shift as the factor stood a round earlier, and a shift is injective,
+    so its candidates are new.  Nothing grows before the round ends, so
+    stamps are exactly round numbers.  A fresh batch becomes the newest
+    block after absorbing each newest block of at most four times its
+    pairs: N pairs take O(log N) blocks, each copied O(log N) times.
+    ResourceLimitError once the relations hold more than ``limit`` pairs.
+    """
     n, key_dtype = grid.size, _key_dtype(grid.size)
-    dem, blocks = {k: np.zeros(0, dtype=key_dtype) for k in defs}, {k: [] for k in defs}
-    # left factors of joins with a relation, as blocks of keys d * n + s
-    joins = [op for ops in defs.values() for op in ops if op[0] == "join"]
-    flipped = {op[1]: [] for op in joins if "act" not in (op[1][0], op[2][0])}
+    dem = {k: np.zeros(0, dtype=key_dtype) for k in defs}
+    blocks: dict[tuple, list[_Block]] = {k: [] for k in defs}
+    # the relations defined by one join with an action alone
+    shifts = {k for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join"
+              and "act" in (ops[0][1][0], ops[0][2][0])}
+    # the cone's left factors of joins of two relations, as blocks of keys d * n + s
+    flipped = {op[1]: [] for ops in defs.values() for op in ops
+               if root and op[0] == "join" and "act" not in (op[1][0], op[2][0])}
     # demand that needs no pair: a copy or left factor on its target's rows, a right factor past a left action
     static = {k: [(op[1], None) if op[1][0] != "act" else (op[2], op[1][1])
                   for op in ops if op[0] != "eps" and not op[1][0] == op[-1][0] == "act"] for k, ops in defs.items()}
-    wants = {root[0]: [np.array([root[1]], dtype=key_dtype)]}
-    fresh: dict[tuple, np.ndarray] = {}
+    wants = ({k: [np.arange(n, dtype=key_dtype)] for k in defs} if root is None
+             else {root[0]: [np.array([root[1]], dtype=key_dtype)]})
+    fresh: dict[tuple, _Block] = {}
     round_no = entries = 0
 
+    def older(key, keys: np.ndarray) -> np.ndarray:
+        """The pairs of ``keys`` on the rows key demanded before this round."""
+        return keys if len(dem[key]) == n else keys[_isin(dem[key], keys // n)]
+
     def visible(key, x, rows) -> np.ndarray:
-        """Keys of x's pairs newly visible to key: its fresh pairs on key's rows, all of it on key's new rows."""
+        """Keys of x's pairs newly visible to key: all of x on key's new rows, its fresh pairs on the older ones."""
         if x[0] == "act":  # only on new rows: an action has no fresh pairs
             return _shifted(grid, rows * (n + 1), x[1])
         parts = [_gather(blocks[x], rows, n)[1]] if len(rows) else []
         if x in fresh:
-            parts.append(fresh[x][_isin(dem[key], fresh[x] // n)])
+            parts.append(older(key, fresh[x].keys))
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def add(key, cand: np.ndarray) -> None:
@@ -649,15 +566,13 @@ def _cone(grid: Grid, defs: dict[tuple, list[tuple]], root: tuple[tuple, int], m
                 for x, a in static[key]:
                     ok, m = _moved(grid, a, want) if a else (slice(None), want)
                     wants.setdefault(x, []).append(m[ok])
-        for key, rows in new_rows.items():
-            dem[key] = np.sort(np.concatenate((dem[key], rows)), kind="stable")
         if not new_rows and not fresh:
             break
         round_no += 1
         cands, wants = {}, {}
         for key, ops in defs.items():
             rows = new_rows.get(key, dem[key][:0])
-            for op in ops if len(dem[key]) else ():
+            for op in ops if len(rows) or len(dem[key]) else ():
                 if op[0] == "eps":
                     add(key, rows * (n + 1))
                     continue
@@ -666,54 +581,95 @@ def _cone(grid: Grid, defs: dict[tuple, list[tuple]], root: tuple[tuple, int], m
                     vis = visible(key, x, rows)
                     if op[0] == "copy":
                         add(key, vis)
-                    elif len(vis) and r[0] == "act":
+                    elif r[0] == "act":
                         add(key, _shifted(grid, vis, r[1]))
+                    elif root is None:  # vis is x's delta from round 2 on, and r is empty in round 1
+                        for b in blocks[r] if x in fresh else ():
+                            add(key, _row_keys(fresh[x].rows(n) @ b.rows(n)))
                     elif len(vis):  # demand r at m and read it there, m ascending for the searches
                         m, s = np.divmod(np.sort(vis % n * n + vis // n), n)
                         if x[0] != "act":
                             wants.setdefault(r, []).append(_first_of_runs(m))
                         at, got = _gather(blocks[r], m, n)
                         add(key, s[at] * n + got % n)
-                if op[0] == "join" and r in fresh:  # x's pairs on key's rows into r's fresh pairs
+                if op[0] == "join" and r in fresh:  # x's pairs into r's fresh pairs, on key's older rows
                     if x[0] == "act":
-                        got = _shifted(grid, fresh[r], x[1], at_source=True)
-                        add(key, got[_isin(dem[key], got // n)])
+                        got = [_shifted(grid, fresh[r].keys, x[1], at_source=True)]
+                    elif root is None:
+                        got = [_col_keys(fresh[r].cols(n) @ b.cols(n)) for b in blocks[x]]
                     else:
-                        m, d = np.divmod(fresh[r], n)
-                        at, got = _gather(flipped[x], m, n)
-                        s, d = got % n, d[at]
-                        ok = _isin(dem[key], s)
-                        add(key, s[ok] * n + d[ok])
+                        m, d = np.divmod(fresh[r].keys, n)
+                        at, s = _gather(flipped[x], m, n)
+                        got = [s % n * n + d[at]]
+                    for keys in got:
+                        add(key, older(key, keys))
+        for key, rows in new_rows.items():
+            dem[key] = np.sort(np.concatenate((dem[key], rows)), kind="stable")
         # every candidate of the round is taken: only now may the relations grow
         fresh = {}
         for key, parts in cands.items():
-            cand = _fresh(parts, blocks[key])
+            # new and distinct by construction; a stable sort merges the sorted runs of the cone's parts
+            cand = np.sort(np.concatenate(parts), kind="stable") if key in shifts else _fresh(parts, blocks[key])
             if len(cand):
-                fresh[key] = cand
                 entries += len(cand)
                 stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
-                blocks[key].append(_Block(*_absorb(blocks[key], cand, stamps)))
+                fresh[key] = block = _Block(cand, stamps)
                 if key in flipped:
                     t = np.sort(cand % n * n + cand // n)
                     flipped[key].append(_Block(*_absorb(flipped[key], t, stamps)))
-        if entries > max_entries:
-            raise ResourceLimitError(f"reachability cone exceeded {max_entries} entries")
-    return {k: _collapse(blocks.pop(k), key_dtype, np.min_scalar_type(round_no)) for k in defs}, dem
+                keys, stamps = _absorb(blocks[key], cand, stamps)
+                blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
+        if entries > limit:
+            raise ResourceLimitError(f"relation store reached {entries} pairs, limit {limit}" if root is None
+                                     else f"reachability cone exceeded {limit} entries")
+    return blocks, dem, round_no
+
+
+def bounded_reach(
+    g: Gvas,
+    bound: int,
+    *,
+    max_cells: int = DEFAULT_MAX_CELLS,
+    max_pairs: int = DEFAULT_MAX_PAIRS,
+) -> ReachTable:
+    """Least fixpoint of the grid-bounded reachability relations.
+
+    Deterministic: the output (including witness stamps) depends only on
+    the grammar value and the bound.  :func:`_rounds` with every row
+    demanded: memory is O(pairs) plus one index row of O(cells) per block
+    matrix, and no state is cells by cells.  Each relation's blocks are
+    then merged, and released one by one, into the keys and stamps kept.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    _check_valid(g)
+    grid = Grid(g.dim, bound)
+    if grid.size > max_cells:
+        raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
+
+    defs, suffix_refs = _binarize(g)
+    blocks, _, rounds = _rounds(grid, defs, max_pairs)
+    stamp_dtype = np.min_scalar_type(rounds - 1)  # the last round run found no pair
+    loops = np.arange(grid.size, dtype=_key_dtype(grid.size)) * (grid.size + 1)  # the pairs (s, s)
+    acts = {("act", a): _shifted(grid, loops, a) for a in g.actions}
+    relations = {ref: (keys, np.ones(len(keys), dtype=bool)) for ref, keys in acts.items()}
+    for key in defs:
+        relations[key] = _collapse(blocks.pop(key), _key_dtype(grid.size), stamp_dtype)
+    return ReachTable(g, bound, grid, relations, suffix_refs)
+
+
+@functools.lru_cache(maxsize=4)
+def cached_reach(g: Gvas, bound: int) -> ReachTable:
+    """Small table cache for membership-style repeated queries."""
+    return bounded_reach(g, bound)
 
 
 class ReachCone(_Relations):
     """Single-source slice of the bounded reachability relation.
 
-    Demand-driven evaluation keeps high-dimensional membership queries far
-    below the all-pairs table: a relation is computed only on the source
-    rows that rule applications from the cone's source demand.  Round r
-    reads each copy and join left factor on its target's new rows (where
-    it is demanded in the same round) and its fresh pairs on all of them;
-    a join demands its right factor at their destinations and gathers
-    its rows there, and joins its fresh pairs with the left factor's
-    through their transposed keys.  Actions are checked on the digits
-    they move.  Fresh pairs are stamped r and nothing grows before the
-    round ends, so witnesses are rebuilt as for the table.
+    :func:`_rounds` from the cone's source computes a relation only on the
+    source rows that rule applications from it demand, which keeps
+    high-dimensional membership queries far below the all-pairs table.
     """
 
     def __init__(self, g: Gvas, source, bound: int, max_entries: int = 5_000_000):
@@ -729,8 +685,9 @@ class ReachCone(_Relations):
         self.source: Config = tuple(source)
         defs, self._suffix_refs = _binarize(g)
         root = (("sym", g.start), self.grid.encode(self.source))
-        # key -> (sorted keys s * n + d on demanded rows, stamps); key -> demanded rows
-        self._relations, self._dem = _cone(self.grid, defs, root, max_entries)
+        blocks, self._dem, rounds = _rounds(self.grid, defs, max_entries, root)  # key -> demanded rows
+        # key -> (sorted keys s * n + d on demanded rows, stamps)
+        self._relations = {k: _collapse(blocks.pop(k), _key_dtype(n), np.min_scalar_type(rounds)) for k in defs}
 
     def successors(self, symbol, x: Sequence[int]) -> list[Config]:
         """Destinations from a demanded source (the cone's own source is
@@ -763,11 +720,12 @@ def reachable_from(table: ReachTable, x: Sequence[int], word: Sequence) -> list[
     """Configurations reachable from x through a word of symbols.
 
     Relational composition of the per-symbol tables; the empty word gives
-    back ``{x}``.  Sorted lexicographically.
+    back ``{x}``.  Sorted lexicographically.  UnknownSymbolError for a
+    symbol not of the table's GVAS, then OutOfGridError for x outside its grid.
     """
+    keys = [_known_ref(table.gvas, s) for s in word]
     if not table.grid.contains(x):
         raise OutOfGridError(f"{tuple(x)} outside grid bound {table.bound}")
-    keys = [_known_ref(table.gvas, s) for s in word]
     front = {table.grid.encode(x)}
     for key in keys:
         front = {d for s in front for d in table._row(key, s)[0].tolist()}

@@ -167,6 +167,17 @@ def test_bad_query_arguments_fail_before_the_fixpoint(monkeypatch, capsys, argv,
     assert captured.out == "" and captured.err == err + "\n"
 
 
+def test_unknown_safety_symbol_fails_before_the_fixpoint(monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("bounded_reach called")
+
+    monkeypatch.setattr(gvaskit.reach, "bounded_reach", no_table)
+    for fmt in ("text", "json"):
+        assert main(["safety", "--d", "1", "--bound", "20", "--symbol", "Q", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: unknown core symbol 'Q'\n"
+
+
 def test_negative_bound_is_still_refused_by_the_fixpoint(capsys):
     for argv in (["reach", "--gvas", POW2, "--from", "(9)", "--symbol", "S", "--bound", "-1"],
                  ["witness-tree", "--gvas", POW2, "--from", "(1)", "--symbol", "S", "--to", "(1)", "--bound", "-2"]):

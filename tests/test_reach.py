@@ -15,8 +15,7 @@ from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit.reach import (
-    Grid, _action_keys, _action_target, _binarize, _Block, _rounds, _shifted, bounded_reach, reach_from,
-    reachable_from,
+    Grid, _action_target, _binarize, _rounds, _shifted, bounded_reach, reach_from, reachable_from,
 )
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
@@ -300,19 +299,30 @@ def test_only_joins_of_two_relations_hold_matrices():
     g = build_core(1)
     grid = Grid(g.dim, 8)
     defs, _ = _binarize(g)
-    acts = {("act", a): _Block(_action_keys(grid, a), None) for a in g.actions}
-    blocks, _ = _rounds(defs, acts, grid, 60_000_000)
+    blocks, _, _ = _rounds(grid, defs, 60_000_000)
     joins = [op for ops in defs.values() for op in ops if op[0] == "join"]
     pairs = [op for op in joins if "act" not in (op[1][0], op[2][0])]
     assert pairs and len(pairs) < len(joins)
     lefts, rights = {op[1] for op in pairs}, {op[2] for op in pairs}
-    assert all(b._rows is None and b._cols is None for b in acts.values())
     for key, stack in blocks.items():
         for b in stack:
             assert key in lefts | rights or b._rows is None and b._cols is None, key
     # a right factor is multiplied by as rows, a left factor as a transpose
     assert any(b._rows is not None for k in rights for b in blocks[k])
     assert any(b._cols is not None for k in lefts for b in blocks[k])
+
+
+def test_cone_blocks_hold_no_matrix():
+    # the same loop from one root joins two relations by gathers from sorted keys
+    g = build_core(1)
+    grid = Grid(g.dim, 8)
+    defs, _ = _binarize(g)
+    blocks, dem, _ = _rounds(grid, defs, 5_000_000, (("sym", "Fn"), grid.encode((3, 0, 1))))
+    assert 0 < sum(map(len, dem.values())) < len(defs) * grid.size
+    # some join of two relations has pairs in both factors
+    assert any(op[0] == "join" and "act" not in (op[1][0], op[2][0]) and blocks[op[1]] and blocks[op[2]]
+               for ops in defs.values() for op in ops)
+    assert all(b._rows is None and b._cols is None for stack in blocks.values() for b in stack)
 
 
 @pytest.mark.parametrize("limit", [3, 1000, 50000])
@@ -423,6 +433,7 @@ def test_unknown_symbols_are_rejected(pow2, engine, symbol):
             lambda: eng.count(symbol),
             lambda: eng.pairs_arrays(symbol),
             lambda: reachable_from(eng, (1,), ("S", symbol)),
+            lambda: reachable_from(eng, (9,), ("S", symbol)),  # the symbol before the grid
         ]
     for query in queries:
         with pytest.raises(UnknownSymbolError):
@@ -597,6 +608,11 @@ def test_cone_matches_reference(pow2, exchange):
     f1 = parse_gvas((Path(__file__).parent / "data" / "computer_f1.gvas").read_text())
     for n in range(5):
         assert_same_cone(f1, (n, 0, 0), 12)
+    # relations defined by one join with an action take their candidates unsearched
+    for src, bound in [((0, 0), 5), ((2, 3), 5), ((5, 1), 5), ((0, 0), 0)]:
+        assert_same_cone(SHIFTS, src, bound)
+    for src in [(0,), (4,), (9,)]:
+        assert_same_cone(SHIFTS_1D, src, 9)
 
 
 def test_cone_matches_reference_on_criterion_11_predicates(graph_pow2):
