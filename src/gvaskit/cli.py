@@ -68,8 +68,7 @@ def _cmd_reach(args) -> int:
     g = _load_gvas(args.gvas)
     start = parse_config(getattr(args, "from"))
     symbol = _symbol(args.symbol)
-    if args.bound >= 0:  # the query's own checks, before the fixpoint; a negative bound is the fixpoint's to refuse
-        reach._source_ref(g, reach.Grid(g.dim, args.bound), symbol, start)
+    reach._source_ref(g, reach.Grid(g.dim, args.bound), symbol, start)  # the query's own checks, before the fixpoint
     table = reach.bounded_reach(g, args.bound)
     for c in table.successors(symbol, start):
         _emit(format_config(c))
@@ -93,8 +92,7 @@ def _cmd_witness_tree(args) -> int:
     x = parse_config(getattr(args, "from"))
     y = parse_config(args.to)
     symbol = _symbol(args.symbol)
-    if args.bound >= 0:  # as in _cmd_reach
-        reach._pair_ref(g, reach.Grid(g.dim, args.bound), x, symbol, y)
+    reach._pair_ref(g, reach.Grid(g.dim, args.bound), x, symbol, y)  # as in _cmd_reach
     tree = reach.bounded_reach(g, args.bound).witness(x, symbol, y)
     _emit(flowtree.format_tree(tree))
     return EXIT_OK

@@ -11,7 +11,10 @@ While the rounds run, each relation is a short list of disjoint blocks
 whose sizes shrink geometrically, newest last, as in a log-structured
 merge.  A round's candidates are deduplicated and looked up by binary
 search in every block, so its membership test and insert cost
-O(|delta| log |relation|) rather than O(|relation|).
+O(|delta| log |relation|) rather than O(|relation|).  A relation dense
+enough, holding an eighth of the grid's n * n pairs, also keeps a bitmap
+over all n * n keys, at most one byte per stored pair: its candidates are
+checked by one bit lookup each, and only the new ones sorted.
 
 Both engines run one loop, :func:`_rounds`, which computes a relation
 only on the source rows demanded of it.  :class:`ReachCone` demands the
@@ -50,10 +53,17 @@ DEFAULT_MAX_PAIRS = 60_000_000
 
 @dataclass(frozen=True)
 class Grid:
-    """Mixed-radix bijection between {0..bound}^dim and 0..size-1."""
+    """Mixed-radix bijection between {0..bound}^dim and 0..size-1.
+
+    The one check of a bound for both engines: ValueError if it is negative.
+    """
 
     dim: int
     bound: int
+
+    def __post_init__(self):
+        if self.bound < 0:
+            raise ValueError("bound must be non-negative")
 
     @property
     def size(self) -> int:
@@ -443,14 +453,50 @@ def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return keys.take(keys.searchsorted(cand), mode="clip") == cand
 
 
-def _fresh(parts: list[np.ndarray], stack: list[_Block]) -> np.ndarray:
-    """The distinct candidates of ``parts`` (emptied to release them) that no block of ``stack`` holds."""
+_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # the mask of bit i of a byte
+
+
+def _dense(pairs: int, n: int) -> bool:
+    """Whether a relation of ``pairs`` pairs on an n-cell grid keeps a
+    bitmap: from n * n / 8 pairs on, its n * n bits cost at most one byte
+    per pair."""
+    return 8 * pairs >= n * n
+
+
+def _set_bits(bits: np.ndarray, keys: np.ndarray) -> None:
+    """Set the bits of sorted, distinct keys, one write per byte they touch."""
+    byte = keys >> 3
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(byte[1:], byte[:-1], out=first[1:])
+    at = np.flatnonzero(first)
+    bits[byte[at]] |= np.bitwise_or.reduceat(_BIT.take(keys & 7), at)
+
+
+def _bitmap(stack: list[_Block], n: int) -> np.ndarray:
+    """The bitmap over an n-cell grid's n * n linear keys of the blocks'
+    pairs: bit k of byte i for key 8i + k.  Built through one byte per key,
+    at most eight per pair of a relation :func:`_dense` calls dense."""
+    marks = np.zeros(n * n, dtype=bool)
+    for block in stack:
+        marks[block.keys] = True
+    return np.packbits(marks, bitorder="little")
+
+
+def _fresh(parts: list[np.ndarray], stack: list[_Block], bits: np.ndarray | None) -> np.ndarray:
+    """The distinct candidates of ``parts`` (emptied to release them) that
+    the relation lacks: whose bit in ``bits`` is clear, or without a
+    bitmap that no block of ``stack`` holds.  A bitmap drops the pairs
+    held before sorting, so only the rest are sorted and deduplicated."""
+    if bits is not None:
+        for i, c in enumerate(parts):
+            parts[i] = c[bits.take(c >> 3) & _BIT.take(c & 7) == 0]
     cand = np.concatenate(parts)
     parts.clear()
     cand.sort()
     cand = _first_of_runs(cand)
-    for block in stack:
-        cand = cand[~_isin(block.keys, cand)]
+    if bits is None:
+        for block in stack:
+            cand = cand[~_isin(block.keys, cand)]
     return cand
 
 
@@ -514,10 +560,16 @@ def _rounds(
     those in none are its fresh pairs, stamped r.  A relation defined by
     one join with an action alone skips the search: it holds its factor's
     shift as the factor stood a round earlier, and a shift is injective,
-    so its candidates are new.  Nothing grows before the round ends, so
-    stamps are exactly round numbers.  A fresh batch becomes the newest
-    block after absorbing each newest block of at most four times its
-    pairs: N pairs take O(log N) blocks, each copied O(log N) times.
+    so its candidates are new.  Any other relation that ends a round with
+    n * n / 8 pairs or more (:func:`_dense`) takes a bitmap over the
+    n * n keys, built once from its blocks and updated from each fresh
+    batch, so it costs at most one byte per stored pair.  Its candidates
+    are then checked by one bit lookup each before the sort, and its
+    blocks are no longer searched; the fresh pairs are the same.  Nothing
+    grows before the round ends, so stamps are exactly round numbers.  A
+    fresh batch becomes the newest block after absorbing each newest block
+    of at most four times its pairs: N pairs take O(log N) blocks, each
+    copied O(log N) times.
     ResourceLimitError once the relations hold more than ``limit`` pairs.
     """
     n, key_dtype = grid.size, _key_dtype(grid.size)
@@ -535,6 +587,7 @@ def _rounds(
     wants = ({k: [np.arange(n, dtype=key_dtype)] for k in defs} if root is None
              else {root[0]: [np.array([root[1]], dtype=key_dtype)]})
     fresh: dict[tuple, _Block] = {}
+    bits: dict[tuple, np.ndarray] = {}  # the searched relations dense enough for a bitmap
     round_no = entries = 0
 
     def older(key, keys: np.ndarray) -> np.ndarray:
@@ -609,7 +662,8 @@ def _rounds(
         fresh = {}
         for key, parts in cands.items():
             # new and distinct by construction; a stable sort merges the sorted runs of the cone's parts
-            cand = np.sort(np.concatenate(parts), kind="stable") if key in shifts else _fresh(parts, blocks[key])
+            cand = (np.sort(np.concatenate(parts), kind="stable") if key in shifts
+                    else _fresh(parts, blocks[key], bits.get(key)))
             if len(cand):
                 entries += len(cand)
                 stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
@@ -619,6 +673,10 @@ def _rounds(
                     flipped[key].append(_Block(*_absorb(flipped[key], t, stamps)))
                 keys, stamps = _absorb(blocks[key], cand, stamps)
                 blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
+                if key in bits:
+                    _set_bits(bits[key], cand)
+                elif key not in shifts and _dense(sum(len(b.keys) for b in blocks[key]), n):
+                    bits[key] = _bitmap(blocks[key], n)
         if entries > limit:
             raise ResourceLimitError(f"relation store reached {entries} pairs, limit {limit}" if root is None
                                      else f"reachability cone exceeded {limit} entries")
@@ -637,13 +695,12 @@ def bounded_reach(
     Deterministic: the output (including witness stamps) depends only on
     the grammar value and the bound.  :func:`_rounds` with every row
     demanded: memory is O(pairs) plus one index row of O(cells) per block
-    matrix, and no state is cells by cells.  Each relation's blocks are
+    matrix and at most one byte per pair of a dense relation's bitmap, and
+    no state is cells by cells.  Each relation's blocks are
     then merged, and released one by one, into the keys and stamps kept.
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    _check_valid(g)
     grid = Grid(g.dim, bound)
+    _check_valid(g)
     if grid.size > max_cells:
         raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
 
@@ -673,10 +730,10 @@ class ReachCone(_Relations):
     """
 
     def __init__(self, g: Gvas, source, bound: int, max_entries: int = 5_000_000):
+        self.grid = Grid(g.dim, bound)
         _check_valid(g)
         self.gvas = g
         self.bound = bound
-        self.grid = Grid(g.dim, bound)
         n = self.grid.size
         if n * (n + 1) > np.iinfo(np.int64).max:
             raise ResourceLimitError(f"grid has {n} cells: a cone's keys s * n + d overflow int64")

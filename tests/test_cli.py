@@ -185,6 +185,15 @@ def test_negative_bound_is_still_refused_by_the_fixpoint(capsys):
         assert capsys.readouterr().err == "error: bound must be non-negative\n"
 
 
+def test_negative_bound_is_a_usage_error_in_check_weak(capsys):
+    # the cone refuses a negative bound with the table's error, not as a domain outcome
+    code = main(["check-weak", "--gvas", str(DATA / "computer_f1.gvas"), "--oracle", "falpha:1",
+                 "--n-max", "1", "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == "error: bound must be non-negative\n"
+
+
 @pytest.mark.parametrize("text", [
     "dim x\nstack S\naction S / _ / (1)\n",
     "dim -1\nstack S\n",

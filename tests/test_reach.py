@@ -15,7 +15,8 @@ from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit.reach import (
-    Grid, _action_target, _binarize, _rounds, _shifted, bounded_reach, reach_from, reachable_from,
+    Grid, _action_target, _binarize, _bitmap, _Block, _dense, _fresh, _rounds, _set_bits, _shifted,
+    bounded_reach, reach_from, reachable_from,
 )
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
@@ -709,3 +710,70 @@ def test_cone_keys_of_large_grids():
 def test_cone_out_of_grid(pow2):
     with pytest.raises(OutOfGridError):
         reach_from(pow2, (9,), 4)
+
+
+# --- bitmaps for dense relations -----------------------------------------------
+
+
+def switches(monkeypatch, g, bound, root=None):
+    """Each relation key that the rounds switch to a bitmap, with the round
+    it switched in and the number of blocks its bitmap was built from;
+    with a root config, for the cone from it."""
+    grid = Grid(g.dim, bound)
+    defs, _ = _binarize(g)
+    built = []
+
+    def spy(stack, n):
+        built.append((stack, max(int(b.stamps.max()) for b in stack), len(stack)))
+        return _bitmap(stack, n)
+
+    monkeypatch.setattr(gvaskit.reach, "_bitmap", spy)
+    blocks, _, _ = _rounds(grid, defs, 60_000_000, None if root is None else (("sym", g.start), grid.encode(root)))
+    return {key: (r, k) for stack, r, k in built for key, s in blocks.items() if s is stack}
+
+
+def test_dense_relations_switch_to_bitmaps(monkeypatch, pow2):
+    # pow2@16 (17 cells): S, T and aux(1, 1) reach 17 * 17 / 8 pairs; aux(3, 1),
+    # defined by a shift alone, is never searched, so never switches
+    assert switches(monkeypatch, pow2, 16) == {("aux", 1, 1): (4, 1), ("sym", "S"): (5, 1), ("sym", "T"): (5, 1)}
+    # the chain's S switches in round 7, its bitmap built from two blocks
+    assert switches(monkeypatch, CHAIN, 50) == {("sym", "S"): (7, 2)}
+    # on 5 cells the identity of round 1 is dense already
+    assert switches(monkeypatch, pow2, 4) == {("sym", "S"): (1, 1), ("sym", "T"): (1, 1), ("aux", 1, 1): (2, 1)}
+    for g, bound in [(pow2, 16), (CHAIN, 50), (pow2, 4)]:
+        assert_same_stamps(g, bound)
+
+
+def test_sparse_core_relations_keep_their_searches(monkeypatch):
+    # every relation of the core grammars stays below an eighth of the grid's pairs
+    assert switches(monkeypatch, build_core(1), 8) == {}
+    assert switches(monkeypatch, build_core(2), 4) == {}
+
+
+def test_dense_cone_matches_reference(monkeypatch):
+    assert switches(monkeypatch, CHAIN, 40, root=(0,)) == {("sym", "S"): (6, 1)}
+    assert_same_cone(CHAIN, (0,), 40)
+
+
+def test_bitmap_membership():
+    n = 37
+    rng = np.random.default_rng(4)
+    batches = [np.unique(rng.integers(0, n * n, size)).astype(np.int32) for size in (300, 7, 1, 120)]
+    held = np.unique(np.concatenate(batches))
+    bits = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+    for keys in batches:
+        _set_bits(bits, keys)
+    # bit k of byte i is key 8i + k, whether set batch by batch or built at once
+    assert np.array_equal(bits, _bitmap([_Block(b, None) for b in batches], n))
+    assert np.flatnonzero(np.unpackbits(bits, bitorder="little")).tolist() == held.tolist()
+    cand = rng.integers(0, n * n, 2000).astype(np.int32)
+    parts = [cand[:500], cand[500:]]
+    assert _fresh(parts, [], bits).tolist() == np.setdiff1d(cand, held).tolist() and parts == []
+    assert _dense(n * n // 8 + 1, n) and not _dense(n * n // 8, n)
+
+
+@pytest.mark.parametrize("make", [lambda g: bounded_reach(g, -1), lambda g: reach_from(g, (0,), -1),
+                                  lambda g: Grid(g.dim, -3)], ids=["table", "cone", "grid"])
+def test_negative_bounds_are_refused_alike(pow2, make):
+    with pytest.raises(ValueError, match="^bound must be non-negative$"):
+        make(pow2)
