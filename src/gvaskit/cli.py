@@ -80,7 +80,7 @@ def _cmd_enumerate(args) -> int:
 
     g = _load_gvas(args.gvas)
     sources = [parse_config(getattr(args, "from"))] if getattr(args, "from") else None
-    symbols = [args.symbol] if args.symbol else None
+    symbols = [_symbol(args.symbol)] if args.symbol else None
     trees = flowtree.enumerate_trees(g, args.max_nodes, args.bound, symbols, sources)
     for t in itertools.islice(trees, args.limit):
         _emit(flowtree.format_tree(t))

@@ -12,6 +12,7 @@ witnesses and produces a common extension realizing both liftings.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .gvas import Config, Gvas, Transition, format_config
+from .gvas import Config, Gvas, Transition, _check_word, format_config
 
 Position = tuple[int, ...]
 
@@ -511,19 +512,18 @@ def enumerate_trees(
 ) -> Iterator[FlowTree]:
     """All valid flow trees with at most ``max_nodes`` nodes whose
     configurations stay within ``{0..bound}^dim``, in a deterministic
-    order.  Intended for exhaustive desk-scale property checks."""
-    grid_cfgs: list[Config] = []
+    order.  Intended for exhaustive desk-scale property checks.
 
-    def all_cfgs(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == g.dim:
-            grid_cfgs.append(prefix)
-            return
-        for v in range(bound + 1):
-            all_cfgs(prefix + (v,))
-
-    all_cfgs(())
-    syms = list(symbols) if symbols is not None else list(g.nonterminals) + list(g.actions)
-    srcs = list(sources) if sources is not None else grid_cfgs
+    The arguments are checked on the call, before any tree is made:
+    UnknownSymbolError for a symbol not of g, DimensionMismatchError for
+    a source whose length is not g's dimension.
+    """
+    syms = list(_check_word(g, symbols)) if symbols is not None else list(g.nonterminals) + list(g.actions)
+    grid = itertools.product(range(bound + 1), repeat=g.dim)
+    srcs = [tuple(c) for c in (sources if sources is not None else grid)]
+    for src in srcs:
+        if len(src) != g.dim:
+            raise DimensionMismatchError(f"source {src} has length {len(src)}, expected {g.dim}")
 
     def trees(symbol, src: Config, budget: int) -> Iterator[FlowTree]:
         if budget < 1:
@@ -552,9 +552,7 @@ def enumerate_trees(
             for tail in child_seqs(rest, first.label.dst, budget - used):
                 yield (first,) + tail
 
-    for symbol in syms:
-        for src in srcs:
-            yield from trees(symbol, src, max_nodes)
+    return (t for symbol in syms for src in srcs for t in trees(symbol, src, max_nodes))
 
 
 # ---------------------------------------------------------------------------

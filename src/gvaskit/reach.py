@@ -27,18 +27,19 @@ the cone gathers rows from the sorted keys themselves.  Both answer a
 query about a source cell from the slice of keys its row occupies.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
-flow trees are reconstructed on demand by searching, per table entry, for
-the first justification (rule declaration order, then lexicographically
-smallest intermediate configurations) whose children all carry strictly
-smaller stamps; strict descent makes the reconstruction well-founded and
-deterministic without storing a derivation per pair.
+flow trees are reconstructed on demand from the engine's own stamps and
+rows, searching per pair for the first justification (rule declaration
+order, then lexicographically smallest intermediate configurations)
+whose children all carry strictly smaller stamps; strict descent makes
+the reconstruction well-founded and deterministic without storing a
+derivation per pair.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -167,100 +168,94 @@ def _check_valid(g: Gvas) -> None:
         raise ValueError("invalid GVAS: " + "; ".join(str(d) for d in bad))
 
 
-def _binarize(g: Gvas) -> tuple[dict[tuple, list[tuple]], dict[tuple[int, int], tuple]]:
+def _suffix_ref(rhs, r: int, i: int) -> tuple:
+    """The relation key of the suffix from child i >= 1 of rule r, whose
+    right-hand side is ``rhs``: a suffix of length one is its symbol."""
+    return _symbol_ref(rhs[-1]) if i == len(rhs) - 1 else ("aux", r, i)
+
+
+def _binarize(g: Gvas) -> dict[tuple, list[tuple]]:
     """Rules as chains of two-factor joins over auxiliary suffix relations.
 
     Returns each relation key's definitions in rule order, where a
     definition is ``("eps",)``, ``("copy", ref)`` or ``("join", left,
-    right)`` and every nonterminal has a (possibly empty) entry, and the
-    key of the suffix of each rule starting at child i (i >= 1); suffixes
-    of length one alias the symbol.
+    right)`` and every nonterminal has a (possibly empty) entry; the right
+    factor of a join is the key :func:`_suffix_ref` gives.
     """
     defs: dict[tuple, list[tuple]] = {("sym", nt): [] for nt in g.nonterminals}
-    suffix_refs: dict[tuple[int, int], tuple] = {}
     for r, (lhs, rhs) in enumerate(g.rules):
-        k = len(rhs)
-        for i in range(1, k):
-            suffix_refs[(r, i)] = _symbol_ref(rhs[k - 1]) if i == k - 1 else ("aux", r, i)
         ops = defs[("sym", lhs)]
-        if k == 0:
+        if not rhs:
             ops.append(("eps",))
-        elif k == 1:
+        elif len(rhs) == 1:
             ops.append(("copy", _symbol_ref(rhs[0])))
         else:
-            ops.append(("join", _symbol_ref(rhs[0]), suffix_refs[(r, 1)]))
-            for i in range(1, k - 1):
-                defs[("aux", r, i)] = [("join", _symbol_ref(rhs[i]), suffix_refs[(r, i + 1)])]
-    return defs, suffix_refs
+            ops.append(("join", _symbol_ref(rhs[0]), _suffix_ref(rhs, r, 1)))
+            for i in range(1, len(rhs) - 1):
+                defs[("aux", r, i)] = [("join", _symbol_ref(rhs[i]), _suffix_ref(rhs, r, i + 1))]
+    return defs
 
 
-#: ``stamp(key, s, d)``: discovery stamp of pair (s, d) in relation ``key``, 0 if absent.
-StampLookup = Callable[[tuple, int, int], int]
-#: ``row(key, s)``: every (d, stamp) of relation ``key`` from cell s.
-RowLookup = Callable[[tuple, int], Iterable[tuple[int, int]]]
+def _justify(engine, r: int, rhs, s: int, d: int, below: int) -> list[int] | None:
+    """Intermediate cells for one application of rule r, or None.
 
-
-def _justify(
-    grid: Grid, suffix_refs, rule_idx: int, rhs, s: int, d: int, below: int,
-    stamp: StampLookup, row: RowLookup,
-) -> list[int] | None:
-    """Intermediate cells for one rule application, or None.
-
-    Children must all have stamps strictly below ``below``; picks the
-    lexicographically smallest configuration at each position subject
-    to the suffix staying feasible.
+    Children must all have stamps in ``engine`` strictly below ``below``;
+    picks the lexicographically smallest configuration at each position
+    subject to the suffix staying feasible.
     """
+    grid = engine.grid
 
     def feasible(ref, a: int) -> bool:
         if ref[0] == "act":
             return _action_target(grid, ref[1], a) == d
-        return 0 < stamp(ref, a, d) < below
+        return 0 < engine._stamp_of(ref, a, d) < below
 
     if not rhs:
         return [] if s == d else None
     if len(rhs) == 1:
         return [] if feasible(_symbol_ref(rhs[0]), s) else None
-    mids: list[int] = []
-    cur = s
+    cells = [s]
     for i, head in enumerate(rhs[:-1]):
-        suffix = suffix_refs[(rule_idx, i + 1)]
+        suffix = _suffix_ref(rhs, r, i + 1)
         if isinstance(head, tuple):
-            nxt = _action_target(grid, head, cur)
+            nxt = _action_target(grid, head, cells[-1])
             cands = [] if nxt is None else [nxt]
         else:
-            cands = sorted((c for c, v in row(("sym", head), cur) if 0 < v < below), key=grid.decode)
+            row = engine._stamped_row(("sym", head), cells[-1])
+            cands = sorted((c for c, v in row if 0 < v < below), key=grid.decode)
         nxt = next((c for c in cands if feasible(suffix, c)), None)
         if nxt is None:
             return None
-        mids.append(nxt)
-        cur = nxt
-    return mids
+        cells.append(nxt)
+    return cells[1:]
 
 
-def _build_witness(
-    g: Gvas, grid: Grid, suffix_refs, symbol: str, s: int, d: int,
-    stamp: StampLookup, row: RowLookup,
-) -> FlowTree:
-    """Deterministic flow tree for the stamped pair ``s ->symbol d``.
+def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
+    """:meth:`ReachTable.witness` and :meth:`ReachCone.witness`: the
+    deterministic flow tree for the pair ``x ->symbol y`` of ``engine``.
 
     Each node takes the first rule, in declaration order, that
     :func:`_justify` accepts under the node's own stamp.  Nodes are
     expanded from an explicit stack in pre-order and assembled bottom-up
     afterwards, so chain-shaped witnesses of any depth are fine.
     """
+    g, grid = engine.gvas, engine.grid
+    kind, symbol = _pair_ref(g, grid, x, symbol, y)
+    if kind == "act" and tuple(map(sum, zip(x, symbol))) != tuple(y):
+        raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
     expanded: list[tuple[Transition, int]] = []  # (label, arity), pre-order
-    todo = [(symbol, s, d)]
+    todo = [(symbol, grid.encode(x), grid.encode(y))]
     while todo:
         sym, a, b = todo.pop()
         label = Transition(grid.decode(a), sym, grid.decode(b))
         if isinstance(sym, tuple):
             expanded.append((label, 0))
             continue
-        below = stamp(("sym", sym), a, b)
+        below = engine._stamp_of(("sym", sym), a, b)
         if below <= 0:
             raise NotInTableError(f"{label.src} ->{sym} {label.dst} not in table")
-        for rule_idx, rhs in g.rules_for(sym):
-            mids = _justify(grid, suffix_refs, rule_idx, rhs, a, b, below, stamp, row)
+        for r, rhs in g.rules_for(sym):
+            mids = _justify(engine, r, rhs, a, b, below)
             if mids is not None:
                 break
         else:
@@ -275,25 +270,13 @@ def _build_witness(
     return built[0]
 
 
-def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
-    """:meth:`ReachTable.witness` and :meth:`ReachCone.witness`: the
-    symbol and endpoint checks, then :func:`_build_witness` on the
-    engine's own stamps."""
-    grid = engine.grid
-    kind, symbol = _pair_ref(engine.gvas, grid, x, symbol, y)
-    if kind == "act":
-        if tuple(map(sum, zip(x, symbol))) != tuple(y):
-            raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
-        return FlowTree(Transition(tuple(x), symbol, tuple(y)))
-    return _build_witness(
-        engine.gvas, grid, engine._suffix_refs, symbol,
-        grid.encode(x), grid.encode(y), engine._stamp_of, engine._stamped_row,
-    )
-
-
 class _Relations:
     """The queries both engines answer from ``self._relations``: relation
     key -> (sorted linear keys ``s * n + d``, their stamps)."""
+
+    @property
+    def bound(self) -> int:
+        return self.grid.bound
 
     def _row(self, key, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Destination cells and stamps of relation ``key``'s pairs from cell s."""
@@ -304,12 +287,14 @@ class _Relations:
         return keys[lo:hi] - keys.dtype.type(first), stamps[lo:hi]
 
     def _stamp_of(self, key, s: int, d: int) -> int:
+        """Discovery stamp of pair (s, d) in relation ``key``, 0 if absent."""
         keys, stamps = self._relations[key]
         k = s * self.grid.size + d
         pos = keys.searchsorted(keys.dtype.type(k))
         return int(stamps[pos]) if pos < len(keys) and keys[pos] == k else 0
 
     def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
+        """Every (d, stamp) of relation ``key`` from cell s."""
         cols, stamps = self._row(key, s)
         return zip(cols.tolist(), stamps.tolist())
 
@@ -324,15 +309,13 @@ class ReachTable(_Relations):
     Immutable once built; safe to share.
     """
 
-    def __init__(self, g, bound, grid, relations, suffix_refs):
+    def __init__(self, g, grid, relations):
         self.gvas: Gvas = g
-        self.bound: int = bound
         self.grid: Grid = grid
         # key -> (sorted linear keys s * n + d, their stamps): True for
-        # ("act", a), discovery rounds for ("sym", nt) and ("aux", rule, i) in
-        # the smallest unsigned type that holds the last round
+        # ("act", a), discovery rounds for ("sym", nt) and ("aux", rule, i)
+        # as :func:`_collapse` types them
         self._relations = relations
-        self._suffix_refs = suffix_refs  # (rule, i) -> key of the suffix starting at child i
 
     def contains(self, symbol, x: Sequence[int], y: Sequence[int]) -> bool:
         key = _known_ref(self.gvas, symbol)
@@ -507,9 +490,13 @@ def _absorb(stack: list[_Block], keys: np.ndarray, stamps: np.ndarray):
     return keys, stamps
 
 
-def _collapse(stack: list[_Block], key_dtype, stamp_dtype) -> tuple[np.ndarray, np.ndarray]:
-    """A relation's keys and stamps, merged from its blocks, each released once merged."""
-    pairs = (np.zeros(0, dtype=key_dtype), np.zeros(0, dtype=stamp_dtype))
+def _collapse(stack: list[_Block], n: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """A relation's keys and stamps after ``rounds`` rounds on an n-cell
+    grid, merged from its blocks, each released once merged.  The stamps
+    take the smallest unsigned type of the last stamped round, rounds - 1:
+    the rounds stop after one that found no pair."""
+    stamp_dtype = np.min_scalar_type(rounds - 1)
+    pairs = (np.zeros(0, dtype=_key_dtype(n)), np.zeros(0, dtype=stamp_dtype))
     while stack:  # newest first
         pairs = _merge((stack[-1].keys, stack.pop().stamps), pairs)
     return pairs[0], pairs[1].astype(stamp_dtype, copy=False)
@@ -704,15 +691,14 @@ def bounded_reach(
     if grid.size > max_cells:
         raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
 
-    defs, suffix_refs = _binarize(g)
+    defs = _binarize(g)
     blocks, _, rounds = _rounds(grid, defs, max_pairs)
-    stamp_dtype = np.min_scalar_type(rounds - 1)  # the last round run found no pair
     loops = np.arange(grid.size, dtype=_key_dtype(grid.size)) * (grid.size + 1)  # the pairs (s, s)
     acts = {("act", a): _shifted(grid, loops, a) for a in g.actions}
     relations = {ref: (keys, np.ones(len(keys), dtype=bool)) for ref, keys in acts.items()}
     for key in defs:
-        relations[key] = _collapse(blocks.pop(key), _key_dtype(grid.size), stamp_dtype)
-    return ReachTable(g, bound, grid, relations, suffix_refs)
+        relations[key] = _collapse(blocks.pop(key), grid.size, rounds)
+    return ReachTable(g, grid, relations)
 
 
 @functools.lru_cache(maxsize=4)
@@ -730,21 +716,19 @@ class ReachCone(_Relations):
     """
 
     def __init__(self, g: Gvas, source, bound: int, max_entries: int = 5_000_000):
-        self.grid = Grid(g.dim, bound)
+        self.gvas, self.grid = g, Grid(g.dim, bound)
         _check_valid(g)
-        self.gvas = g
-        self.bound = bound
         n = self.grid.size
         if n * (n + 1) > np.iinfo(np.int64).max:
             raise ResourceLimitError(f"grid has {n} cells: a cone's keys s * n + d overflow int64")
         if not self.grid.contains(source):
             raise OutOfGridError(f"{tuple(source)} outside grid bound {bound}")
         self.source: Config = tuple(source)
-        defs, self._suffix_refs = _binarize(g)
+        defs = _binarize(g)
         root = (("sym", g.start), self.grid.encode(self.source))
         blocks, self._dem, rounds = _rounds(self.grid, defs, max_entries, root)  # key -> demanded rows
         # key -> (sorted keys s * n + d on demanded rows, stamps)
-        self._relations = {k: _collapse(blocks.pop(k), _key_dtype(n), np.min_scalar_type(rounds)) for k in defs}
+        self._relations = {k: _collapse(blocks.pop(k), n, rounds) for k in defs}
 
     def successors(self, symbol, x: Sequence[int]) -> list[Config]:
         """Destinations from a demanded source (the cone's own source is

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -252,6 +253,25 @@ def test_enumerate_lists_trees(capsys):
     assert lines and all(parse_tree(line) for line in lines)
 
 
+def test_enumerate_names_actions(capsys):
+    code, out = run(capsys, "enumerate", "--gvas", DATA / "pow2.gvas",
+                    "--symbol", "(-1)", "--from", "(1)", "--max-nodes", "2", "--bound", "3")
+    assert code == 0
+    assert out == "((1 (-1) 0))\n"
+
+
+@pytest.mark.parametrize("option,value,err", [
+    ("--symbol", "Q", "error: unknown nonterminal 'Q'\n"),
+    ("--symbol", "(3)", "error: unknown action (3,)\n"),
+    ("--from", "(1,2)", "error: source (1, 2) has length 2, expected 1\n"),
+])
+def test_enumerate_rejects_bad_queries(capsys, option, value, err):
+    code = main(["enumerate", "--gvas", str(DATA / "pow2.gvas"), option, value, "--limit", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err == err
+
+
 def test_dot_output(capsys):
     code, out = run(capsys, "dot", "--tree", DATA / "tree_tall.tree")
     assert code == 0
@@ -342,3 +362,20 @@ def test_safety_text_reports_checked_and_vacuous_on_stderr(capsys):
         f"{s['symbol']} {s['entries'] - s['cap_hits']} {s['cap_hits']}" for s in scans
     ]
     assert scans[0]["symbol"] == "Fn" and scans[0]["cap_hits"] > scans[0]["entries"] // 2
+
+
+def test_benchmark_tracer_finds_every_boundary(capsys):
+    # perfbench/tracer.py rebinds these attributes by name; moving one breaks the traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer("boundaries")
+    with tracer.traced_boundaries(tr):
+        assert main(["witness-tree", "--gvas", POW2, "--from", "(3)", "--symbol", "S", "--to", "(2)", "--bound", "16"]) == 0
+        assert main(["check-weak", "--gvas", str(DATA / "computer_f1.gvas"), "--oracle", "falpha:1",
+                     "--n-max", "2", "--bound", "12"]) == 0
+    capsys.readouterr()
+    names = {s["name"] for s in tr.spans}
+    assert {"gvas.parse_gvas", "reach.bounded_reach", "reach.witness", "reach.cone_witness", "reach.cached_cone"} <= names
+    assert not hasattr(gvaskit.reach.ReachTable.witness, "__wrapped__")
+    assert not hasattr(gvaskit.reach.ReachCone.witness, "__wrapped__")

@@ -6,9 +6,11 @@ from gvaskit import fastgrowing
 from gvaskit import flowtree as ft
 from gvaskit.errors import (
     ChainUndefinedError,
+    DimensionMismatchError,
     InvalidPositionError,
     InvalidWitnessError,
     PreconditionError,
+    UnknownSymbolError,
 )
 from gvaskit.gvas import Transition
 from gvaskit.ordinal import Ordinal
@@ -555,6 +557,22 @@ def test_enumerate_trees_deterministic(pow2):
     a = list(itertools.islice(ft.enumerate_trees(pow2, 5, 3), 50))
     b = list(itertools.islice(ft.enumerate_trees(pow2, 5, 3), 50))
     assert a == b
+
+
+def test_enumerate_trees_runs_sources_in_lexicographic_order(exchange):
+    cells = [(x, y) for x in range(4) for y in range(4)]
+    assert list(ft.enumerate_trees(exchange, 4, 3)) == list(ft.enumerate_trees(exchange, 4, 3, sources=cells))
+
+
+def test_enumerate_trees_checks_its_arguments_on_the_call(pow2):
+    with pytest.raises(UnknownSymbolError):
+        ft.enumerate_trees(pow2, 4, 3, symbols=["Q"])
+    with pytest.raises(UnknownSymbolError):
+        ft.enumerate_trees(pow2, 4, 3, symbols=[(3,)])
+    with pytest.raises(DimensionMismatchError):
+        ft.enumerate_trees(pow2, 4, 3, sources=[(1, 2)])
+    (leaf,) = ft.enumerate_trees(pow2, 1, 3, symbols=[[-1]], sources=[[1]])
+    assert leaf == ft.FlowTree(Transition((1,), (-1,), (0,)))
 
 
 def test_enumeration_matches_table(pow2):

@@ -152,7 +152,7 @@ def reference_bounded_reach(g, bound, max_pairs=60_000_000):
     """
     grid = Grid(g.dim, bound)
     n = grid.size
-    defs, _ = _binarize(g)
+    defs = _binarize(g)
     act_mats = {("act", a): reference_action(grid, a) for a in g.actions}
     defined_keys = list(defs)
     empty = sparse.csr_matrix((n, n), dtype=bool)
@@ -299,7 +299,7 @@ def test_shifts_keep_key_order_and_drop_what_leaves_the_grid():
 def test_only_joins_of_two_relations_hold_matrices():
     g = build_core(1)
     grid = Grid(g.dim, 8)
-    defs, _ = _binarize(g)
+    defs = _binarize(g)
     blocks, _, _ = _rounds(grid, defs, 60_000_000)
     joins = [op for ops in defs.values() for op in ops if op[0] == "join"]
     pairs = [op for op in joins if "act" not in (op[1][0], op[2][0])]
@@ -317,7 +317,7 @@ def test_cone_blocks_hold_no_matrix():
     # the same loop from one root joins two relations by gathers from sorted keys
     g = build_core(1)
     grid = Grid(g.dim, 8)
-    defs, _ = _binarize(g)
+    defs = _binarize(g)
     blocks, dem, _ = _rounds(grid, defs, 5_000_000, (("sym", "Fn"), grid.encode((3, 0, 1))))
     assert 0 < sum(map(len, dem.values())) < len(defs) * grid.size
     # some join of two relations has pairs in both factors
@@ -505,6 +505,13 @@ def test_stamps_take_the_smallest_type_of_the_last_round(bound, dtype):
     assert all(type(v) is int for _, v in table._stamped_row(("sym", "S"), 0))
 
 
+def test_cone_stamps_take_the_type_of_the_table():
+    # both engines stop after a round that found nothing: 0 -> 254 is stamped in round 255 of 256
+    for engine in (bounded_reach(CHAIN, 254), reach_from(CHAIN, (0,), 254)):
+        _, stamps = engine._relations[("sym", "S")]
+        assert stamps.dtype == np.uint8 and int(stamps.max()) == 255
+
+
 # --- single-source cone --------------------------------------------------------
 
 
@@ -520,7 +527,7 @@ def reference_cone(g, source, bound):
     entries when it registers.  Stamps count insertions.
     """
     grid = Grid(g.dim, bound)
-    defs, _ = _binarize(g)
+    defs = _binarize(g)
     tables, readers, work = {}, {}, deque()
     stamp = 0
 
@@ -579,7 +586,7 @@ def assert_same_cone(g, source, bound, witnesses=6):
     cone = reach_from(g, source, bound)
     want = reference_cone(g, source, bound)
     n = cone.grid.size
-    defs, _ = _binarize(g)
+    defs = _binarize(g)
     assert set(cone._relations) == set(cone._dem) == set(defs)
     assert {key for key, _ in want} <= set(defs)
     for key, (keys, stamps) in cone._relations.items():
@@ -720,7 +727,7 @@ def switches(monkeypatch, g, bound, root=None):
     it switched in and the number of blocks its bitmap was built from;
     with a root config, for the cone from it."""
     grid = Grid(g.dim, bound)
-    defs, _ = _binarize(g)
+    defs = _binarize(g)
     built = []
 
     def spy(stack, n):
