@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidPositionError,
     InvalidWitnessError,
+    OutOfGridError,
     ParseError,
     PreconditionError,
 )
@@ -514,16 +515,22 @@ def enumerate_trees(
     configurations stay within ``{0..bound}^dim``, in a deterministic
     order.  Intended for exhaustive desk-scale property checks.
 
-    The arguments are checked on the call, before any tree is made:
-    UnknownSymbolError for a symbol not of g, DimensionMismatchError for
-    a source whose length is not g's dimension.
+    The arguments are checked on the call, before any tree is made, as
+    the reachability engines check theirs: ValueError for a negative
+    bound, UnknownSymbolError for a symbol not of g, DimensionMismatchError
+    for a source whose length is not g's dimension, OutOfGridError for a
+    source outside the grid.
     """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
     syms = list(_check_word(g, symbols)) if symbols is not None else list(g.nonterminals) + list(g.actions)
     grid = itertools.product(range(bound + 1), repeat=g.dim)
     srcs = [tuple(c) for c in (sources if sources is not None else grid)]
     for src in srcs:
         if len(src) != g.dim:
             raise DimensionMismatchError(f"source {src} has length {len(src)}, expected {g.dim}")
+        if not all(0 <= v <= bound for v in src):
+            raise OutOfGridError(f"{src} outside grid bound {bound}")
 
     def trees(symbol, src: Config, budget: int) -> Iterator[FlowTree]:
         if budget < 1:

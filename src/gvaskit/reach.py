@@ -22,9 +22,11 @@ rows that rule applications from one source reach; :func:`bounded_reach`
 demands every row of every relation in round 1, so each of its reads is
 a delta.  A join with an action shifts keys (:func:`_shifted`), checked
 on the digits the action moves.  The engines differ only in the kernel
-of a join of two relations: the table multiplies CSR block matrices,
-the cone gathers rows from the sorted keys themselves.  Both answer a
-query about a source cell from the slice of keys its row occupies.
+of a join of two relations: the table multiplies its blocks' CSR arrays
+with compiled sparse routines (:func:`_products`, the one function that
+loads them, on the table's first product), the cone gathers rows from the
+sorted keys themselves and never loads them.  Both answer a query about
+a source cell from the slice of keys its row occupies.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand from the engine's own stamps and
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import NotInTableError, OutOfGridError, ResourceLimitError
 from .flowtree import FlowTree
@@ -351,28 +352,39 @@ class ReachTable(_Relations):
         return _witness(self, x, symbol, y)
 
 
-def _rows_matrix(keys: np.ndarray, n: int) -> sparse.csr_matrix:
-    """The boolean CSR matrix of sorted linear keys."""
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
-    indices = np.empty(len(keys), dtype=np.int32)
+_INT32_TOP = int(np.iinfo(np.int32).max)
+
+
+def _index_dtype(top: int) -> type:
+    """The type of CSR index arrays whose counts and cells reach at most ``top``."""
+    return np.int32 if top <= _INT32_TOP else np.int64
+
+
+def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays ``(indptr, indices)`` of sorted linear keys on an
+    n-cell grid, both of the type :func:`_index_dtype` gives the keys'
+    count and n: canonical, with each row's indices sorted and distinct."""
+    idx = _index_dtype(max(len(keys), n))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n).astype(idx)
+    indices = np.empty(len(keys), dtype=idx)
     np.remainder(keys, n, out=indices, casting="unsafe")
-    return sparse.csr_matrix((np.ones(len(keys), dtype=bool), indices, indptr), shape=(n, n))
+    return indptr, indices
 
 
-def _row_keys(m: sparse.csr_matrix) -> np.ndarray:
-    """Linear keys ``s * n + d`` of the pairs of a CSR matrix."""
-    n = m.shape[0]
-    keys = np.repeat(np.arange(n, dtype=_key_dtype(n)) * n, np.diff(m.indptr))
-    keys += m.indices
+def _row_keys(csr: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Linear keys ``s * n + d`` of the pairs of an n-by-n CSR matrix."""
+    indptr, indices = csr
+    keys = np.repeat(np.arange(n, dtype=_key_dtype(n)) * n, np.diff(indptr))
+    keys += indices
     return keys
 
 
-def _col_keys(mt: sparse.csr_matrix) -> np.ndarray:
-    """Linear keys ``s * n + d`` of the pairs of the transpose of a CSR matrix."""
-    n = mt.shape[0]
-    keys = mt.indices.astype(_key_dtype(n))
+def _col_keys(csr: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Linear keys ``s * n + d`` of the pairs of the transpose of an n-by-n CSR matrix."""
+    indptr, indices = csr
+    keys = indices.astype(_key_dtype(n))
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=keys.dtype), np.diff(mt.indptr))
+    keys += np.repeat(np.arange(n, dtype=keys.dtype), np.diff(indptr))
     return keys
 
 
@@ -402,13 +414,14 @@ class _Block:
     """One batch of a relation's pairs, disjoint from its other batches.
 
     ``keys`` holds the linear keys ``s * n + d`` in ascending order and
-    ``stamps`` their discovery rounds.  :meth:`rows` is the batch as a
-    boolean CSR matrix and :meth:`cols` its transpose, each built on the
-    first product that reads it and kept: a join of two relations
-    multiplies a left delta's rows by the right factor's blocks as rows
-    and a right delta's transpose by the left factor's blocks as
-    transposes, so a product reads only the rows of the other factor that
-    the delta hits, and a block nothing multiplies holds no matrix.
+    ``stamps`` their discovery rounds.  :meth:`rows` is the batch as the
+    plain CSR arrays ``(indptr, indices)`` of a boolean matrix (:func:`_csr`)
+    and :meth:`cols` those of its transpose, each made on the first product
+    that reads it and kept: a join of two relations multiplies a left
+    delta's rows by the right factor's blocks as rows and a right delta's
+    transpose by the left factor's blocks as transposes (:func:`_products`),
+    so a product reads only the rows of the other factor that the delta
+    hits, and a block nothing multiplies holds no arrays.
     """
 
     __slots__ = ("keys", "stamps", "_rows", "_cols")
@@ -417,16 +430,53 @@ class _Block:
         self.keys, self.stamps = keys, stamps
         self._rows = self._cols = None
 
-    def rows(self, n: int) -> sparse.csr_matrix:
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self._rows is None:
-            self._rows = _rows_matrix(self.keys, n)
+            self._rows = _csr(self.keys, n)
         return self._rows
 
-    def cols(self, n: int) -> sparse.csr_matrix:
+    def cols(self, n: int, tocsc) -> tuple[np.ndarray, np.ndarray]:
+        """The transpose's CSR arrays, in the type of the rows', made by
+        ``tocsc``, the compiled transpose :func:`_products` hands in."""
         if self._cols is None:
-            m = self._rows if self._rows is not None else _rows_matrix(self.keys, n)
-            self._cols = m.T.tocsr()
+            indptr, indices = self._rows if self._rows is not None else _csr(self.keys, n)
+            self._cols = (np.empty(n + 1, dtype=indptr.dtype), np.empty(len(indices), dtype=indptr.dtype))
+            ones = np.ones(len(indices), dtype=bool)
+            tocsc(n, n, indptr, indices, ones, *self._cols, np.empty_like(ones))
         return self._cols
+
+
+def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = False) -> list[np.ndarray]:
+    """Linear keys ``s * n + d`` of the boolean products of a delta with
+    each block of a factor, as the table joins two relations: the delta's
+    rows by each block's rows, or ``transposed`` the delta's transpose by
+    each block's transpose, keyed back untransposed.  Each product lists a
+    pair once, in no particular order.
+
+    scipy's compiled ``csr_matmat_maxnnz`` and ``csr_matmat`` run on the
+    blocks' own CSR arrays, so no sparse matrix is built or validated per
+    product.  They are imported here, the one use of scipy: it loads on
+    the table's first product, and never for the cone or anything else.
+    A product's index arrays widen to ``int64`` when its pairs or n pass
+    ``int32``.
+    """
+    from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_tocsc
+
+    if transposed:
+        a, bs, keys_of = delta.cols(n, csr_tocsc), [b.cols(n, csr_tocsc) for b in factor], _col_keys
+    else:
+        a, bs, keys_of = delta.rows(n), [b.rows(n) for b in factor], _row_keys
+    ones = np.ones(max([len(a[1])] + [len(b[1]) for b in bs]), dtype=bool)  # every entry's value
+    out = []
+    for b in bs:
+        idx = np.result_type(a[0], b[0])  # each block's type already holds n
+        nnz = csr_matmat_maxnnz(n, n, *(x.astype(idx, copy=False) for x in (*a, *b)))
+        idx = np.result_type(idx, _index_dtype(nnz))
+        ap, aj, bp, bj = (x.astype(idx, copy=False) for x in (*a, *b))
+        indptr, indices = np.empty(n + 1, dtype=idx), np.empty(nnz, dtype=idx)
+        csr_matmat(n, n, ap, aj, ones, bp, bj, ones, indptr, indices, np.empty(nnz, dtype=bool))
+        out.append(keys_of((indptr, indices), n))
+    return out
 
 
 def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -535,13 +585,14 @@ def _rounds(
     only round 1 has new rows, so every later read is a delta.
 
     The kernel of a join of two relations follows ``root``.  The table
-    multiplies CSR block matrices: a left delta's rows by the right
-    factor's blocks, a right delta's transpose by the left factor's.  The
-    cone gathers rows from sorted keys, the left factor's through a copy of
-    its blocks in transposed keys ``d * n + s``.  A product lists a pair
-    once per row, a gather once per path to it: with every row demanded,
-    gathers made the table of core(1)@20 take 2.8 times the time and 3
-    times the memory, and that of exchange@40 7.7 times the time.
+    multiplies its blocks' CSR arrays (:func:`_products`): a left delta's
+    rows by the right factor's blocks, a right delta's transpose by the
+    left factor's.  The cone gathers rows from sorted keys, the left
+    factor's through a copy of its blocks in transposed keys ``d * n + s``.
+    A product lists a pair once per row, a gather once per path to it:
+    with every row demanded, gathers made the table of core(1)@20 take 2.8
+    times the time and 3 times the memory, and that of exchange@40 7.7
+    times the time.
 
     Candidates are deduplicated and searched for in the target's blocks;
     those in none are its fresh pairs, stamped r.  A relation defined by
@@ -624,8 +675,8 @@ def _rounds(
                     elif r[0] == "act":
                         add(key, _shifted(grid, vis, r[1]))
                     elif root is None:  # vis is x's delta from round 2 on, and r is empty in round 1
-                        for b in blocks[r] if x in fresh else ():
-                            add(key, _row_keys(fresh[x].rows(n) @ b.rows(n)))
+                        for keys in _products(fresh[x], blocks[r], n) if x in fresh else ():
+                            add(key, keys)
                     elif len(vis):  # demand r at m and read it there, m ascending for the searches
                         m, s = np.divmod(np.sort(vis % n * n + vis // n), n)
                         if x[0] != "act":
@@ -636,7 +687,7 @@ def _rounds(
                     if x[0] == "act":
                         got = [_shifted(grid, fresh[r].keys, x[1], at_source=True)]
                     elif root is None:
-                        got = [_col_keys(fresh[r].cols(n) @ b.cols(n)) for b in blocks[x]]
+                        got = _products(fresh[r], blocks[x], n, transposed=True)
                     else:
                         m, d = np.divmod(fresh[r].keys, n)
                         at, s = _gather(flipped[x], m, n)
@@ -681,9 +732,9 @@ def bounded_reach(
 
     Deterministic: the output (including witness stamps) depends only on
     the grammar value and the bound.  :func:`_rounds` with every row
-    demanded: memory is O(pairs) plus one index row of O(cells) per block
-    matrix and at most one byte per pair of a dense relation's bitmap, and
-    no state is cells by cells.  Each relation's blocks are
+    demanded: memory is O(pairs) plus one index row of O(cells) per block's
+    CSR arrays and at most one byte per pair of a dense relation's bitmap,
+    and no state is cells by cells.  Each relation's blocks are
     then merged, and released one by one, into the keys and stamps kept.
     """
     grid = Grid(g.dim, bound)
@@ -756,20 +807,3 @@ def reach_from(g: Gvas, x, bound: int, max_entries: int = 5_000_000) -> ReachCon
 def cached_cone(g: Gvas, x: tuple, bound: int) -> ReachCone:
     return ReachCone(g, x, bound)
 
-
-def reachable_from(table: ReachTable, x: Sequence[int], word: Sequence) -> list[Config]:
-    """Configurations reachable from x through a word of symbols.
-
-    Relational composition of the per-symbol tables; the empty word gives
-    back ``{x}``.  Sorted lexicographically.  UnknownSymbolError for a
-    symbol not of the table's GVAS, then OutOfGridError for x outside its grid.
-    """
-    keys = [_known_ref(table.gvas, s) for s in word]
-    if not table.grid.contains(x):
-        raise OutOfGridError(f"{tuple(x)} outside grid bound {table.bound}")
-    front = {table.grid.encode(x)}
-    for key in keys:
-        front = {d for s in front for d in table._row(key, s)[0].tolist()}
-        if not front:
-            break
-    return sorted(table.grid.decode(i) for i in front)

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,36 @@ def test_golden_outputs(capsys, golden, args):
     code, out = run(capsys, *args)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+LAZY_SCIPY = """
+import contextlib, io, json, sys
+from gvaskit import cli
+ran = []
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        ran.append(cli.main(argv))
+for argv in json.loads(sys.argv[1]):
+    run(argv)
+before = "scipy" in sys.modules
+run(json.loads(sys.argv[2]))
+print(json.dumps([ran, before, "scipy" in sys.modules]))
+"""
+
+
+def test_scipy_loads_on_the_first_table_product():
+    # a fresh interpreter: this one has scipy already
+    no_table = [["check-weak", "--gvas", str(DATA / "computer_f1.gvas"), "--oracle", "falpha:1",
+                 "--n-max", "2", "--bound", "8"]]
+    # every golden command that builds no table: leq, amalgamate, falpha-eval, setop, gen-falpha, to-pvas, witness
+    no_table += [[str(a) for a in args] for _, args in GOLDEN_CASES if args[0] not in ("reach", "witness-tree", "safety")]
+    table = [str(a) for a in GOLDEN_CASES[0][1]]
+    assert table[0] == "reach" and len(no_table) == 9
+    src = str(Path(gvaskit.reach.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", LAZY_SCIPY, json.dumps(no_table), json.dumps(table)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0] * 10, False, True]
 
 
 def test_validate_ok(capsys):
@@ -270,6 +303,18 @@ def test_enumerate_rejects_bad_queries(capsys, option, value, err):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and captured.err == err
+
+
+def test_enumerate_refuses_a_source_outside_the_grid(capsys, tmp_path):
+    chain = tmp_path / "chain.gvas"
+    chain.write_text("dim 1\nstart S\nS -> (1) S | eps\n")
+    code = main(["enumerate", "--gvas", str(chain), "--symbol", "S", "--from", "(9)",
+                 "--bound", "4", "--max-nodes", "3"])
+    captured = capsys.readouterr()
+    assert code == 1  # as reach refuses it
+    assert captured.out == "" and captured.err == "error: (9,) outside grid bound 4\n"
+    assert main(["reach", "--gvas", str(chain), "--symbol", "S", "--from", "(9)", "--bound", "4"]) == code
+    assert capsys.readouterr().err == captured.err
 
 
 def test_dot_output(capsys):

@@ -9,10 +9,11 @@ from gvaskit.errors import (
     DimensionMismatchError,
     InvalidPositionError,
     InvalidWitnessError,
+    OutOfGridError,
     PreconditionError,
     UnknownSymbolError,
 )
-from gvaskit.gvas import Transition
+from gvaskit.gvas import Gvas, Transition
 from gvaskit.ordinal import Ordinal
 from gvaskit.reach import bounded_reach
 
@@ -573,6 +574,16 @@ def test_enumerate_trees_checks_its_arguments_on_the_call(pow2):
         ft.enumerate_trees(pow2, 4, 3, sources=[(1, 2)])
     (leaf,) = ft.enumerate_trees(pow2, 1, 3, symbols=[[-1]], sources=[[1]])
     assert leaf == ft.FlowTree(Transition((1,), (-1,), (0,)))
+
+
+def test_enumerate_trees_refuses_sources_outside_the_grid():
+    chain = Gvas.from_rules(1, [("S", [(1,), "S"]), ("S", [])], "S")
+    for source in [(9,), (-1,), (4,)]:
+        with pytest.raises(OutOfGridError, match=r"outside grid bound 3"):
+            ft.enumerate_trees(chain, 3, 3, sources=[(0,), source])  # on the call, before any tree
+    with pytest.raises(ValueError, match="bound must be non-negative"):
+        ft.enumerate_trees(chain, 3, -1)
+    assert [t.label.src for t in ft.enumerate_trees(chain, 3, 3, symbols=["S"], sources=[(3,)])] == [(3,)]
 
 
 def test_enumeration_matches_table(pow2):

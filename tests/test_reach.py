@@ -14,9 +14,10 @@ from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError, 
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
+from gvaskit import reach
 from gvaskit.reach import (
     Grid, _action_target, _binarize, _bitmap, _Block, _dense, _fresh, _rounds, _set_bits, _shifted,
-    bounded_reach, reach_from, reachable_from,
+    _products, bounded_reach, reach_from,
 )
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
@@ -326,6 +327,81 @@ def test_cone_blocks_hold_no_matrix():
     assert all(b._rows is None and b._cols is None for stack in blocks.values() for b in stack)
 
 
+def scipy_product_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The sorted linear keys of the product of two sets of pairs, by public scipy."""
+    def mat(keys):
+        return sparse.csr_matrix((np.ones(len(keys), dtype=bool), (keys // n, keys % n)), shape=(n, n))
+
+    coo = (mat(a) @ mat(b)).tocoo()
+    return np.sort(coo.row.astype(np.int64) * n + coo.col)
+
+
+def random_block(rng, n, density):
+    keys = np.flatnonzero(rng.random(n * n) < density).astype(reach._key_dtype(n))
+    return _Block(keys, np.ones(len(keys), dtype=np.uint8))
+
+
+def assert_products_match_scipy(delta, factor, n):
+    """Both orientations of :func:`_products` against public scipy, block by block."""
+    rows = _products(delta, factor, n)
+    cols = _products(delta, factor, n, transposed=True)
+    assert len(rows) == len(cols) == len(factor)
+    for b, got_rows, got_cols in zip(factor, rows, cols):
+        for got, want in ((got_rows, scipy_product_keys(delta.keys, b.keys, n)),
+                          (got_cols, scipy_product_keys(b.keys, delta.keys, n))):
+            assert got.dtype == reach._key_dtype(n)
+            assert np.array_equal(np.sort(got), want)  # each pair once
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_products_match_public_scipy(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    delta = random_block(rng, n, 0.05)
+    factor = [random_block(rng, n, d) for d in (0.02, 0.1, 0.3)]
+    assert_products_match_scipy(delta, factor, n)
+    b = factor[0]
+    assert b._rows[0].dtype == b._rows[1].dtype == b._cols[0].dtype == b._cols[1].dtype == np.int32
+
+
+def test_products_of_empty_and_one_cell_blocks():
+    rng = np.random.default_rng(7)
+    n = 12
+    empty = _Block(np.zeros(0, dtype=reach._key_dtype(n)), np.zeros(0, dtype=np.uint8))
+    full = random_block(rng, n, 0.2)
+    assert_products_match_scipy(empty, [full, full], n)  # an empty delta
+    assert_products_match_scipy(full, [empty], n)  # an empty block of the factor
+    assert _products(full, [], n) == _products(full, [], n, transposed=True) == []  # an empty factor
+    one = _Block(np.zeros(1, dtype=reach._key_dtype(1)), np.ones(1, dtype=np.uint8))
+    assert_products_match_scipy(one, [one], 1)  # the one-cell grid's loop
+    assert _products(one, [one], 1)[0].tolist() == [0]
+
+
+def test_products_widen_their_index_arrays_to_int64(monkeypatch, pow2):
+    # with int32 capped at 40, a block of more pairs is int64 from the start, and a
+    # product of two int32 blocks of more pairs widens both before it multiplies
+    monkeypatch.setattr(reach, "_INT32_TOP", 40)
+    n = 30
+    star = np.unique([i * n for i in range(20)] + list(range(20))).astype(np.int32)  # (i, 0) and (0, j)
+    small, big = _Block(star, np.ones(len(star), dtype=np.uint8)), random_block(np.random.default_rng(3), n, 0.3)
+    assert len(small.keys) < 40 < len(big.keys)
+    assert small.rows(n)[0].dtype == np.int32 and big.rows(n)[0].dtype == big.rows(n)[1].dtype == np.int64
+    assert len(scipy_product_keys(small.keys, small.keys, n)) > 40
+    assert_products_match_scipy(small, [small, big], n)
+    assert_products_match_scipy(big, [small], n)
+    # the table built on int64 arrays is the table
+    grid = Grid(1, 60)
+    blocks, _, _ = _rounds(grid, _binarize(pow2), 60_000_000)
+    assert any(b._rows is not None and b._rows[0].dtype == np.int64 for stack in blocks.values() for b in stack)
+    got = bounded_reach(pow2, 60)._relations
+    monkeypatch.undo()
+    want = bounded_reach(pow2, 60)._relations
+    assert set(got) == set(want)
+    for key, (keys, stamps) in want.items():
+        assert np.array_equal(got[key][0], keys) and np.array_equal(got[key][1], stamps)
+        assert got[key][0].dtype == keys.dtype and got[key][1].dtype == stamps.dtype
+
+
 @pytest.mark.parametrize("limit", [3, 1000, 50000])
 def test_pair_limit_matches_reference(limit):
     core = build_core(1)
@@ -405,16 +481,6 @@ def test_resource_limits(pow2):
 # --- composition and witnesses ------------------------------------------------
 
 
-def test_reachable_from(pow2):
-    table = bounded_reach(pow2, 16)
-    assert reachable_from(table, (3,), ("S",)) == [(v,) for v in range(1, 9)]
-    assert reachable_from(table, (5,), ()) == [(5,)]
-    # two transfer phases compose: {k..2k} twice from 2
-    assert reachable_from(table, (2,), ("T", "T")) == [(v,) for v in range(2, 9)]
-    with pytest.raises(OutOfGridError):
-        reachable_from(table, (99,), ("S",))
-
-
 ENGINES = {"table": lambda g: bounded_reach(g, 4), "cone": lambda g: reach_from(g, (1,), 4)}
 
 
@@ -433,8 +499,6 @@ def test_unknown_symbols_are_rejected(pow2, engine, symbol):
             lambda: eng.pairs(symbol),
             lambda: eng.count(symbol),
             lambda: eng.pairs_arrays(symbol),
-            lambda: reachable_from(eng, (1,), ("S", symbol)),
-            lambda: reachable_from(eng, (9,), ("S", symbol)),  # the symbol before the grid
         ]
     for query in queries:
         with pytest.raises(UnknownSymbolError):
