@@ -155,11 +155,27 @@ def _load_predicate(path: str):
     return setops.parse_predicate(_read(path))
 
 
+def _coordinates(option: str, text: str, top: int) -> list[int]:
+    """The 0-based indices of the comma-separated 1-based coordinates given
+    to ``option``; ParseError naming, as typed, a value not in 1..top."""
+    out, column = [], 1
+    for v in text.split(","):
+        try:
+            i = int(v)
+        except ValueError:
+            i = 0
+        if not 1 <= i <= top:
+            raise ParseError(f"{option} {v!r} is not a coordinate in 1..{top}", 1, column)
+        out.append(i - 1)
+        column += len(v) + 1
+    return out
+
+
 def _cmd_setop(args) -> int:
     op = args.operation
     if op == "budget-zero":
         g = _load_gvas(args.a)
-        zeroed = [int(v) - 1 for v in args.zero.split(",")] if args.zero else []
+        zeroed = _coordinates("--zero", args.zero, g.dim) if args.zero else []
         _emit(format_gvas(setops.force_zero(g, zeroed)))
         return EXIT_OK
     p = _load_predicate(args.a)
@@ -176,8 +192,7 @@ def _cmd_setop(args) -> int:
     elif op == "project":
         if not args.keep:
             raise ParseError("setop project needs --keep", 1, 1, ("--keep 1,2",))
-        keep = [int(v) - 1 for v in args.keep.split(",")]
-        out = setops.project(p, keep)
+        out = setops.project(p, _coordinates("--keep", args.keep, p.arity))
     elif op == "hull":
         out = setops.periodic_hull(p)
     elif op == "resetting":
@@ -246,6 +261,8 @@ def _cmd_safety(args) -> int:
 
 
 def _cmd_check_weak(args) -> int:
+    if args.n_max < 0:
+        raise ValueError("--n-max must be non-negative")
     g = _load_gvas(args.gvas)
     oracle = weakcomp.oracle_by_name(args.oracle)
     w = weakcomp.WeakComputer(g, aux=g.dim - 2, oracle=oracle)

@@ -16,9 +16,7 @@ every instance the value cap admits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import CapExceededError, OrdinalRangeError
 from .flowtree import FlowTree
@@ -26,6 +24,9 @@ from .gvas import Config, Gvas, Transition
 from .ordinal import DEFAULT_CAP, Ordinal, fast_growing
 from .reach import ReachTable, cached_reach
 from .weakcomp import WeakComputer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VAL, BUF = 0, 1  # counter roles; digit i lives at coordinate 2 + i
 
@@ -309,6 +310,8 @@ def hierarchy_rows(levels: Sequence[Ordinal], cap: int) -> np.ndarray:
     a row used as an index map sends an overflow to an overflow, which is
     what makes composed rows agree with :func:`fast_growing_iter`.
     """
+    import numpy as np
+
     sentinel = cap + 1
     rows = np.full((len(levels), cap + 2), sentinel, dtype=np.int64)
     for j, level in enumerate(levels):
@@ -351,6 +354,8 @@ def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = 
     indices of :meth:`ReachTable.pairs_arrays`; the first 32 bad entries
     in key order are reported.
     """
+    import numpy as np
+
     g = build_core(d)
     _check_core_symbol(g, symbol)
     if table is None:

@@ -517,10 +517,12 @@ def enumerate_trees(
 
     The arguments are checked on the call, before any tree is made, as
     the reachability engines check theirs: ValueError for a negative
-    bound, UnknownSymbolError for a symbol not of g, DimensionMismatchError
-    for a source whose length is not g's dimension, OutOfGridError for a
-    source outside the grid.
+    node count or bound, UnknownSymbolError for a symbol not of g,
+    DimensionMismatchError for a source whose length is not g's dimension,
+    OutOfGridError for a source outside the grid.
     """
+    if max_nodes < 0:
+        raise ValueError("max_nodes must be non-negative")
     if bound < 0:
         raise ValueError("bound must be non-negative")
     syms = list(_check_word(g, symbols)) if symbols is not None else list(g.nonterminals) + list(g.actions)

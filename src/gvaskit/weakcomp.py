@@ -10,7 +10,7 @@ inferred from the system under test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import ArityMismatchError, CapExceededError
 from .flowtree import FlowTree
@@ -84,25 +84,6 @@ def check_safe(w: WeakComputer, n: int, bound: int) -> SafetyReport:
         violations=violations,
         outputs_seen=len(succ),
     )
-
-
-def monotonicity_probe(
-    w: WeakComputer, samples: Sequence[tuple[int, int]], bound: int
-) -> list[tuple[int, int, Optional[int], Optional[int], bool]]:
-    """Compare best outputs for paired inputs n <= m.
-
-    The larger input gets grid slack m - n, mirroring how a run for n
-    shifts up to a run for m.  Rows: (n, m, best_n, best_m, ok).
-    """
-    rows = []
-    for n, m in samples:
-        if n > m:
-            raise ValueError(f"sample ({n}, {m}) is not ordered")
-        best_n = check_safe(w, n, bound).max_output
-        best_m = check_safe(w, m, bound + (m - n)).max_output
-        ok = best_n is None or (best_m is not None and best_n <= best_m)
-        rows.append((n, m, best_n, best_m, ok))
-    return rows
 
 
 def _single_star(action: tuple[int, ...]) -> Gvas:

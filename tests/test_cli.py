@@ -46,34 +46,37 @@ def test_golden_outputs(capsys, golden, args):
     assert out == (GOLDEN / golden).read_text()
 
 
-LAZY_SCIPY = """
+LAZY_IMPORTS = """
 import contextlib, io, json, sys
 from gvaskit import cli
-ran = []
-def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        ran.append(cli.main(argv))
-for argv in json.loads(sys.argv[1]):
-    run(argv)
-before = "scipy" in sys.modules
-run(json.loads(sys.argv[2]))
-print(json.dumps([ran, before, "scipy" in sys.modules]))
+ran, loaded = [], []
+for group in json.loads(sys.argv[1]):
+    for argv in group:
+        with contextlib.redirect_stdout(io.StringIO()):
+            ran.append(cli.main(argv))
+    loaded.append([name in sys.modules for name in ("numpy", "scipy")])
+print(json.dumps([ran, loaded]))
 """
 
 
 def test_scipy_loads_on_the_first_table_product():
-    # a fresh interpreter: this one has scipy already
-    no_table = [["check-weak", "--gvas", str(DATA / "computer_f1.gvas"), "--oracle", "falpha:1",
-                 "--n-max", "2", "--bound", "8"]]
-    # every golden command that builds no table: leq, amalgamate, falpha-eval, setop, gen-falpha, to-pvas, witness
-    no_table += [[str(a) for a in args] for _, args in GOLDEN_CASES if args[0] not in ("reach", "witness-tree", "safety")]
+    # a fresh interpreter: this one has numpy and scipy already
+    # every golden command that builds no engine: leq, amalgamate, falpha-eval, setop, gen-falpha, to-pvas, witness
+    no_engine = [[str(a) for a in args] for _, args in GOLDEN_CASES
+                 if args[0] not in ("reach", "witness-tree", "safety")]
+    no_engine += [["validate", str(DATA / "exchange.gvas")],
+                  ["enumerate", "--gvas", POW2, "--max-nodes", "3", "--bound", "2"]]
+    assert len({argv[0] for argv in no_engine}) == 9
+    cone = ["check-weak", "--gvas", str(DATA / "computer_f1.gvas"), "--oracle", "falpha:1",
+            "--n-max", "2", "--bound", "8"]
     table = [str(a) for a in GOLDEN_CASES[0][1]]
-    assert table[0] == "reach" and len(no_table) == 9
+    assert table[0] == "reach"
     src = str(Path(gvaskit.reach.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-c", LAZY_SCIPY, json.dumps(no_table), json.dumps(table)],
+    done = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, json.dumps([no_engine, [cone], [table]])],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[0] * 10, False, True]
+    # numpy loads with the first engine, the cone of check-weak, and scipy on the table's first product
+    assert json.loads(done.stdout) == [[0] * 12, [[False, False], [True, False], [True, True]]]
 
 
 def test_validate_ok(capsys):
@@ -228,6 +231,19 @@ def test_negative_bound_is_a_usage_error_in_check_weak(capsys):
     assert captured.out == "" and captured.err == "error: bound must be non-negative\n"
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["check-weak", "--gvas", DATA / "computer_f1.gvas", "--oracle", "falpha:1", "--n-max", "-1", "--bound", "5"],
+     "--n-max must be non-negative"),
+    (["enumerate", "--gvas", POW2, "--max-nodes", "-1"], "max_nodes must be non-negative"),
+], ids=["check-weak", "enumerate"])
+def test_negative_counts_are_usage_errors(capsys, argv, err):
+    # no vacuous pass: no rows checked, no trees listed
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("text", [
     "dim x\nstack S\naction S / _ / (1)\n",
     "dim -1\nstack S\n",
@@ -343,6 +359,19 @@ def test_setop_compose(capsys, tmp_path):
     code, out = run(capsys, "setop", "compose", succ, succ)
     assert code == 0
     assert parse_predicate(out).arity == 2
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["project", DATA / "evens.pred", "--keep", "0"], "1:1: --keep '0' is not a coordinate in 1..1"),
+    (["project", DATA / "evens.pred", "--keep", "1,2"], "1:3: --keep '2' is not a coordinate in 1..1"),
+    (["budget-zero", POW2, "--zero", "0"], "1:1: --zero '0' is not a coordinate in 1..1"),
+    (["budget-zero", POW2, "--zero", "1,x"], "1:3: --zero 'x' is not a coordinate in 1..1"),
+], ids=["keep-0", "keep-past-arity", "zero-0", "zero-not-a-number"])
+def test_setop_coordinates_are_refused_as_typed(capsys, argv, err):
+    code = main(["setop", *map(str, argv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == f"parse error: {err}\n"
 
 
 def test_setop_missing_operand(capsys):

@@ -317,12 +317,3 @@ def test_weak_computer_monotone_outputs():
     w = as_weak_computer(Ordinal((1,)), 1)
     best = [check_safe(w, n, 12).max_output for n in range(4)]
     assert best == [1, 3, 5, 7]
-
-
-def test_weak_computer_monotonicity_probe():
-    from gvaskit.weakcomp import monotonicity_probe
-
-    w = as_weak_computer(Ordinal((1,)), 1)
-    rows = monotonicity_probe(w, [(0, 1), (1, 2)], 8)
-    assert [(r[2], r[3]) for r in rows] == [(1, 3), (3, 5)]
-    assert all(r[-1] for r in rows)

@@ -583,6 +583,8 @@ def test_enumerate_trees_refuses_sources_outside_the_grid():
             ft.enumerate_trees(chain, 3, 3, sources=[(0,), source])  # on the call, before any tree
     with pytest.raises(ValueError, match="bound must be non-negative"):
         ft.enumerate_trees(chain, 3, -1)
+    with pytest.raises(ValueError, match="max_nodes must be non-negative"):
+        ft.enumerate_trees(chain, -1, 3)
     assert [t.label.src for t in ft.enumerate_trees(chain, 3, 3, symbols=["S"], sources=[(3,)])] == [(3,)]
 
 

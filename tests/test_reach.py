@@ -14,11 +14,9 @@ from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError, 
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
-from gvaskit import reach
-from gvaskit.reach import (
-    Grid, _action_target, _binarize, _bitmap, _Block, _dense, _fresh, _rounds, _set_bits, _shifted,
-    _products, bounded_reach, reach_from,
-)
+from gvaskit import _kernel
+from gvaskit._kernel import _bitmap, _Block, _dense, _fresh, _key_dtype, _products, _rounds, _set_bits, _shifted
+from gvaskit.reach import Grid, _action_target, _binarize, bounded_reach, reach_from
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
 from test_crosscheck import random_gvas
@@ -337,7 +335,7 @@ def scipy_product_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 
 def random_block(rng, n, density):
-    keys = np.flatnonzero(rng.random(n * n) < density).astype(reach._key_dtype(n))
+    keys = np.flatnonzero(rng.random(n * n) < density).astype(_key_dtype(n))
     return _Block(keys, np.ones(len(keys), dtype=np.uint8))
 
 
@@ -349,7 +347,7 @@ def assert_products_match_scipy(delta, factor, n):
     for b, got_rows, got_cols in zip(factor, rows, cols):
         for got, want in ((got_rows, scipy_product_keys(delta.keys, b.keys, n)),
                           (got_cols, scipy_product_keys(b.keys, delta.keys, n))):
-            assert got.dtype == reach._key_dtype(n)
+            assert got.dtype == _key_dtype(n)
             assert np.array_equal(np.sort(got), want)  # each pair once
 
 
@@ -367,12 +365,12 @@ def test_products_match_public_scipy(seed):
 def test_products_of_empty_and_one_cell_blocks():
     rng = np.random.default_rng(7)
     n = 12
-    empty = _Block(np.zeros(0, dtype=reach._key_dtype(n)), np.zeros(0, dtype=np.uint8))
+    empty = _Block(np.zeros(0, dtype=_key_dtype(n)), np.zeros(0, dtype=np.uint8))
     full = random_block(rng, n, 0.2)
     assert_products_match_scipy(empty, [full, full], n)  # an empty delta
     assert_products_match_scipy(full, [empty], n)  # an empty block of the factor
     assert _products(full, [], n) == _products(full, [], n, transposed=True) == []  # an empty factor
-    one = _Block(np.zeros(1, dtype=reach._key_dtype(1)), np.ones(1, dtype=np.uint8))
+    one = _Block(np.zeros(1, dtype=_key_dtype(1)), np.ones(1, dtype=np.uint8))
     assert_products_match_scipy(one, [one], 1)  # the one-cell grid's loop
     assert _products(one, [one], 1)[0].tolist() == [0]
 
@@ -380,7 +378,7 @@ def test_products_of_empty_and_one_cell_blocks():
 def test_products_widen_their_index_arrays_to_int64(monkeypatch, pow2):
     # with int32 capped at 40, a block of more pairs is int64 from the start, and a
     # product of two int32 blocks of more pairs widens both before it multiplies
-    monkeypatch.setattr(reach, "_INT32_TOP", 40)
+    monkeypatch.setattr(_kernel, "_INT32_TOP", 40)
     n = 30
     star = np.unique([i * n for i in range(20)] + list(range(20))).astype(np.int32)  # (i, 0) and (0, j)
     small, big = _Block(star, np.ones(len(star), dtype=np.uint8)), random_block(np.random.default_rng(3), n, 0.3)
@@ -798,7 +796,7 @@ def switches(monkeypatch, g, bound, root=None):
         built.append((stack, max(int(b.stamps.max()) for b in stack), len(stack)))
         return _bitmap(stack, n)
 
-    monkeypatch.setattr(gvaskit.reach, "_bitmap", spy)
+    monkeypatch.setattr(_kernel, "_bitmap", spy)
     blocks, _, _ = _rounds(grid, defs, 60_000_000, None if root is None else (("sym", g.start), grid.encode(root)))
     return {key: (r, k) for stack, r, k in built for key, s in blocks.items() if s is stack}
 

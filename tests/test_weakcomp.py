@@ -9,7 +9,6 @@ from gvaskit.weakcomp import (
     check_complete,
     check_safe,
     definable_to_wc,
-    monotonicity_probe,
     oracle_by_name,
     wc_to_definable,
 )
@@ -67,19 +66,6 @@ def test_identity_computer(identity_computer):
         assert check_complete(identity_computer, n, 8) is not None
         report = check_safe(identity_computer, n, 8)
         assert report.max_output == n and not report.violations
-
-
-def test_monotonicity_probe(pow2_computer):
-    rows = monotonicity_probe(pow2_computer, [(1, 2), (2, 3), (3, 3)], 16)
-    assert all(ok for *_, ok in rows)
-    assert rows[0][2] == 2 and rows[0][3] == 4
-    assert rows[1][2] == 4 and rows[1][3] == 8
-    assert rows[2][2] == rows[2][3] == 8
-
-
-def test_monotonicity_probe_rejects_disorder(pow2_computer):
-    with pytest.raises(ValueError):
-        monotonicity_probe(pow2_computer, [(3, 1)], 16)
 
 
 def test_max_output_monotone_in_bound(pow2_computer):
