@@ -8,11 +8,11 @@ and a stamp each.  Both engines binarize rules into chains of two-factor
 joins and evaluate the least fixpoint semi-naively in one loop,
 :func:`_rounds`: a round joins only the pairs the previous round found
 (the deltas) with the relations as they stood when the round began, and
-computes a relation only on the source rows demanded of it.
+computes a relation only on the source rows demanded of it.  Both keep
+what :func:`_collapsed` returns, the relations and those rows:
 :class:`~gvaskit.reach.ReachCone` demands the rows that rule applications
-from one source reach (:func:`_cone`); :func:`~gvaskit.reach.bounded_reach`
-demands every row of every relation in round 1 (:func:`_table`), so each
-of its reads is a delta.
+from one source reach; :func:`~gvaskit.reach.bounded_reach` demands every
+row of every relation in round 1, so each of its reads is a delta.
 
 While the rounds run, each relation is a short list of disjoint blocks
 (:class:`_Block`) whose sizes shrink geometrically, newest last, as in a
@@ -23,13 +23,13 @@ dense enough, holding an eighth of the grid's n * n pairs, also keeps a
 bitmap over all n * n keys, at most one byte per stored pair: its
 candidates are checked by one bit lookup each, and only the new ones
 sorted.  A join with an action shifts keys (:func:`_shifted`), checked on
-the digits the action moves.  The engines differ only in the kernel of a
-join of two relations: the table multiplies its blocks' CSR arrays with
-compiled sparse routines (:func:`_products`, the one function that loads
-scipy, on the table's first product), the cone gathers rows from the
-sorted keys themselves and never loads them.  When the rounds stop, each
-relation's blocks are merged into the keys and stamps the engine keeps
-(:func:`_collapse`).
+the digits the action moves; no action's pairs are stored.  The engines
+differ only in the kernel of a join of two relations: the table
+multiplies its blocks' CSR arrays with compiled sparse routines
+(:func:`_products`, the one function that loads scipy, on the table's
+first product), the cone gathers rows from the sorted keys themselves
+and never loads them.  When the rounds stop, each relation's blocks are
+merged into the keys and stamps the engine keeps (:func:`_collapsed`).
 """
 
 from __future__ import annotations
@@ -130,39 +130,46 @@ def _first_of_runs(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _transpose(keys: np.ndarray, n: int) -> np.ndarray:
+    """The sorted linear keys ``d * n + s`` of the pairs (s, d) of linear
+    keys on an n-cell grid, of the keys' type."""
+    t = keys % n
+    t *= n
+    t += keys // n
+    t.sort()
+    return t
+
+
 class _Block:
     """One batch of a relation's pairs, disjoint from its other batches.
 
     ``keys`` holds the linear keys ``s * n + d`` in ascending order and
-    ``stamps`` their discovery rounds.  :meth:`rows` is the batch as the
-    plain CSR arrays ``(indptr, indices)`` of a boolean matrix (:func:`_csr`)
-    and :meth:`cols` those of its transpose, each made on the first product
-    that reads it and kept: a join of two relations multiplies a left
-    delta's rows by the right factor's blocks as rows and a right delta's
-    transpose by the left factor's blocks as transposes (:func:`_products`),
-    so a product reads only the rows of the other factor that the delta
-    hits, and a block nothing multiplies holds no arrays.
+    ``stamps`` their discovery rounds.  Each other form is made on its
+    first read and kept: the cone gathers a left factor's pairs from its
+    blocks' :meth:`transposed` keys ``d * n + s``, and the table multiplies
+    (:func:`_products`) the CSR arrays of :meth:`rows` or, made from
+    transposed keys it does not keep, of the transpose's :meth:`cols`.
     """
 
-    __slots__ = ("keys", "stamps", "_rows", "_cols")
+    __slots__ = ("keys", "stamps", "_transposed", "_rows", "_cols")
 
     def __init__(self, keys: np.ndarray, stamps):
         self.keys, self.stamps = keys, stamps
-        self._rows = self._cols = None
+        self._transposed = self._rows = self._cols = None
+
+    def transposed(self, n: int) -> np.ndarray:
+        if self._transposed is None:
+            self._transposed = _transpose(self.keys, n)
+        return self._transposed
 
     def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self._rows is None:
             self._rows = _csr(self.keys, n)
         return self._rows
 
-    def cols(self, n: int, tocsc) -> tuple[np.ndarray, np.ndarray]:
-        """The transpose's CSR arrays, in the type of the rows', made by
-        ``tocsc``, the compiled transpose :func:`_products` hands in."""
+    def cols(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self._cols is None:
-            indptr, indices = self._rows if self._rows is not None else _csr(self.keys, n)
-            self._cols = (np.empty(n + 1, dtype=indptr.dtype), np.empty(len(indices), dtype=indptr.dtype))
-            ones = np.ones(len(indices), dtype=bool)
-            tocsc(n, n, indptr, indices, ones, *self._cols, np.empty_like(ones))
+            self._cols = _csr(_transpose(self.keys, n), n)
         return self._cols
 
 
@@ -180,10 +187,10 @@ def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = Fa
     A product's index arrays widen to ``int64`` when its pairs or n pass
     ``int32``.
     """
-    from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_tocsc
+    from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
 
     if transposed:
-        a, bs, keys_of = delta.cols(n, csr_tocsc), [b.cols(n, csr_tocsc) for b in factor], _col_keys
+        a, bs, keys_of = delta.cols(n), [b.cols(n) for b in factor], _col_keys
     else:
         a, bs, keys_of = delta.rows(n), [b.rows(n) for b in factor], _row_keys
     ones = np.ones(max([len(a[1])] + [len(b[1]) for b in bs]), dtype=bool)  # every entry's value
@@ -260,29 +267,19 @@ def _absorb(stack: list[_Block], keys: np.ndarray, stamps: np.ndarray):
     return keys, stamps
 
 
-def _collapse(stack: list[_Block], n: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """A relation's keys and stamps after ``rounds`` rounds on an n-cell
-    grid, merged from its blocks, each released once merged.  The stamps
-    take the smallest unsigned type of the last stamped round, rounds - 1:
-    the rounds stop after one that found no pair."""
-    stamp_dtype = np.min_scalar_type(rounds - 1)
-    pairs = (np.zeros(0, dtype=_key_dtype(n)), np.zeros(0, dtype=stamp_dtype))
-    while stack:  # newest first
-        pairs = _merge((stack[-1].keys, stack.pop().stamps), pairs)
-    return pairs[0], pairs[1].astype(stamp_dtype, copy=False)
-
-
-def _gather(blocks: list[_Block], rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The keys of the blocks' pairs on the given rows, each with the index in ``rows`` of its row."""
+def _gather(blocks: list[_Block], rows: np.ndarray, n: int, transposed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the blocks' pairs, or ``transposed`` of their transposes'
+    pairs, on the given rows, each with the index in ``rows`` of its row."""
     at, got = [], []
     first = rows * n
     for b in blocks:
-        lo = b.keys.searchsorted(first)
-        cnt = b.keys.searchsorted(first + n) - lo
+        keys = b.transposed(n) if transposed else b.keys
+        lo = keys.searchsorted(first)
+        cnt = keys.searchsorted(first + n) - lo
         total = cnt.sum()
         if total:
             at.append(np.repeat(np.arange(len(rows)), cnt))
-            got.append(b.keys[np.arange(total) + (lo + cnt - cnt.cumsum())[at[-1]]])
+            got.append(keys[np.arange(total) + (lo + cnt - cnt.cumsum())[at[-1]]])
     return (np.concatenate(at), np.concatenate(got)) if got else (rows[:0].astype(np.intp), rows[:0])
 
 
@@ -308,7 +305,7 @@ def _rounds(
     multiplies its blocks' CSR arrays (:func:`_products`): a left delta's
     rows by the right factor's blocks, a right delta's transpose by the
     left factor's.  The cone gathers rows from sorted keys, the left
-    factor's through a copy of its blocks in transposed keys ``d * n + s``.
+    factor's from its blocks' transposes (:meth:`_Block.transposed`).
     A product lists a pair once per row, a gather once per path to it:
     with every row demanded, gathers made the table of core(1)@20 take 2.8
     times the time and 3 times the memory, and that of exchange@40 7.7
@@ -336,9 +333,6 @@ def _rounds(
     # the relations defined by one join with an action alone
     shifts = {k for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join"
               and "act" in (ops[0][1][0], ops[0][2][0])}
-    # the cone's left factors of joins of two relations, as blocks of keys d * n + s
-    flipped = {op[1]: [] for ops in defs.values() for op in ops
-               if root and op[0] == "join" and "act" not in (op[1][0], op[2][0])}
     # demand that needs no pair: a copy or left factor on its target's rows, a right factor past a left action
     static = {k: [(op[1], None) if op[1][0] != "act" else (op[2], op[1][1])
                   for op in ops if op[0] != "eps" and not op[1][0] == op[-1][0] == "act"] for k, ops in defs.items()}
@@ -410,7 +404,7 @@ def _rounds(
                         got = _products(fresh[r], blocks[x], n, transposed=True)
                     else:
                         m, d = np.divmod(fresh[r].keys, n)
-                        at, s = _gather(flipped[x], m, n)
+                        at, s = _gather(blocks[x], m, n, transposed=True)
                         got = [s % n * n + d[at]]
                     for keys in got:
                         add(key, older(key, keys))
@@ -426,9 +420,6 @@ def _rounds(
                 entries += len(cand)
                 stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
                 fresh[key] = block = _Block(cand, stamps)
-                if key in flipped:
-                    t = np.sort(cand % n * n + cand // n)
-                    flipped[key].append(_Block(*_absorb(flipped[key], t, stamps)))
                 keys, stamps = _absorb(blocks[key], cand, stamps)
                 blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
                 if key in bits:
@@ -441,24 +432,26 @@ def _rounds(
     return blocks, dem, round_no
 
 
-def _table(
-    grid: Grid, defs: dict[tuple, list[tuple]], actions, limit: int,
-) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """The all-pairs table's relations: each relation of ``defs`` after
-    :func:`_rounds` with every row demanded, its blocks merged and released
-    one by one, and the pairs of each of the grammar's ``actions``, stamped
-    True."""
-    blocks, _, rounds = _rounds(grid, defs, limit)
-    loops = np.arange(grid.size, dtype=_key_dtype(grid.size)) * (grid.size + 1)  # the pairs (s, s)
-    acts = {("act", a): _shifted(grid, loops, a) for a in actions}
-    relations = {ref: (keys, np.ones(len(keys), dtype=bool)) for ref, keys in acts.items()}
-    for key in defs:
-        relations[key] = _collapse(blocks.pop(key), grid.size, rounds)
-    return relations
-
-
-def _cone(grid: Grid, defs: dict[tuple, list[tuple]], limit: int, root: tuple[tuple, int]):
-    """The cone's relations, each on the rows :func:`_rounds` from ``root``
-    demanded of it, and those rows."""
+def _collapsed(
+    grid: Grid, defs: dict[tuple, list[tuple]], limit: int, root: tuple[tuple, int] | None = None,
+) -> tuple[dict[tuple, tuple[np.ndarray, np.ndarray]], dict[tuple, np.ndarray]]:
+    """The one entry of both engines: each relation of ``defs`` after
+    :func:`_rounds` from ``root`` (every row demanded without one), its
+    keys and stamps merged from its blocks, each released once merged, and
+    the rows demanded of it.  Stamps take the smallest unsigned type of
+    rounds - 1, the last stamped round: a round that finds no pair stops."""
     blocks, dem, rounds = _rounds(grid, defs, limit, root)
-    return {k: _collapse(blocks.pop(k), grid.size, rounds) for k in defs}, dem
+    stamp_dtype = np.min_scalar_type(rounds - 1)
+    relations = {}
+    for key, stack in blocks.items():
+        pairs = (np.zeros(0, dtype=_key_dtype(grid.size)), np.zeros(0, dtype=stamp_dtype))
+        while stack:  # newest first
+            pairs = _merge((stack[-1].keys, stack.pop().stamps), pairs)
+        relations[key] = pairs[0], pairs[1].astype(stamp_dtype, copy=False)
+    return relations, dem
+
+
+def _action_keys(grid: Grid, a: tuple[int, ...]) -> np.ndarray:
+    """The sorted linear keys, of the relations' type, of action a's in-grid pairs (s, s + a)."""
+    n = grid.size
+    return _shifted(grid, np.arange(n, dtype=_key_dtype(n)) * (n + 1), a)

@@ -78,6 +78,8 @@ def _cmd_reach(args) -> int:
 def _cmd_enumerate(args) -> int:
     import itertools
 
+    if args.limit < 0:
+        raise ValueError("--limit must be non-negative")
     g = _load_gvas(args.gvas)
     sources = [parse_config(getattr(args, "from"))] if getattr(args, "from") else None
     symbols = [_symbol(args.symbol)] if args.symbol else None
@@ -157,7 +159,8 @@ def _load_predicate(path: str):
 
 def _coordinates(option: str, text: str, top: int) -> list[int]:
     """The 0-based indices of the comma-separated 1-based coordinates given
-    to ``option``; ParseError naming, as typed, a value not in 1..top."""
+    to ``option``; ParseError naming, as typed, a value not in 1..top or
+    one given twice."""
     out, column = [], 1
     for v in text.split(","):
         try:
@@ -166,6 +169,8 @@ def _coordinates(option: str, text: str, top: int) -> list[int]:
             i = 0
         if not 1 <= i <= top:
             raise ParseError(f"{option} {v!r} is not a coordinate in 1..{top}", 1, column)
+        if i - 1 in out:
+            raise ParseError(f"{option} {v!r} repeats a coordinate", 1, column)
         out.append(i - 1)
         column += len(v) + 1
     return out

@@ -13,9 +13,9 @@ as one that only works on flow trees or grammars, never loads numpy.
 This module keeps the engines' public face: the grid, the checks of a
 query's symbol and cells, the queries, which read a source cell's row
 from the slice of keys it occupies with the arrays' own methods, and
-witness reconstruction.  :class:`ReachCone` computes a relation only on
-the source rows that rule applications from one source demand,
-:func:`bounded_reach` on every row.
+witness reconstruction.  Both engines keep the relations on the rows
+demanded of them, :class:`ReachCone` from one source, :func:`bounded_reach`
+every row, and neither stores an action's pairs.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand from the engine's own stamps and
@@ -236,7 +236,7 @@ def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
 
 class _Relations:
     """The queries both engines answer from ``self._relations``: relation
-    key -> (sorted linear keys ``s * n + d``, their stamps)."""
+    key -> (sorted linear keys ``s * n + d``, stamps) on rows ``self._dem[key]``."""
 
     @property
     def bound(self) -> int:
@@ -263,8 +263,19 @@ class _Relations:
         cols, stamps = self._row(key, s)
         return zip(cols.tolist(), stamps.tolist())
 
-    def _decoded(self, cols: np.ndarray) -> list[Config]:
-        """The configurations of cells, sorted."""
+    def successors(self, symbol, x: Sequence[int]) -> list[Config]:
+        """Destinations from a demanded source: every source of a table, and
+        the cone's own source for the start symbol."""
+        key = _source_ref(self.gvas, self.grid, symbol, x)
+        s = self.grid.encode(x)
+        if key[0] == "act":
+            d = _action_target(self.grid, key[1], s)
+            return [self.grid.decode(d)] if d is not None else []
+        dem = self._dem[key]
+        pos = dem.searchsorted(dem.dtype.type(s))
+        if pos == len(dem) or dem[pos] != s:
+            raise NotInTableError(f"source {tuple(x)} was never demanded for {symbol!r}")
+        cols = self._row(key, s)[0]
         return sorted(map(tuple, self.grid.decode_many(cols).tolist()))
 
 
@@ -274,23 +285,28 @@ class ReachTable(_Relations):
     Immutable once built; safe to share.
     """
 
-    def __init__(self, g, grid, relations):
+    def __init__(self, g, grid, relations, dem):
         self.gvas: Gvas = g
         self.grid: Grid = grid
-        # key -> (sorted linear keys s * n + d, their stamps): True for
-        # ("act", a), discovery rounds for ("sym", nt) and ("aux", rule, i)
-        # as :func:`gvaskit._kernel._collapse` types them
-        self._relations = relations
+        self._relations, self._dem = relations, dem
 
     def contains(self, symbol, x: Sequence[int], y: Sequence[int]) -> bool:
         key = _known_ref(self.gvas, symbol)
         if not self.grid.contains(x) or not self.grid.contains(y):
             return False
-        return self._stamp_of(key, self.grid.encode(x), self.grid.encode(y)) > 0
+        s, d = self.grid.encode(x), self.grid.encode(y)
+        if key[0] == "act":
+            return _action_target(self.grid, key[1], s) == d
+        return self._stamp_of(key, s, d) > 0
 
-    def successors(self, symbol, x: Sequence[int]) -> list[Config]:
-        key = _source_ref(self.gvas, self.grid, symbol, x)
-        return self._decoded(self._row(key, self.grid.encode(x))[0])
+    def _keys(self, symbol) -> np.ndarray:
+        """The sorted linear keys of symbol's pairs, an action's made when asked."""
+        key = _known_ref(self.gvas, symbol)
+        if key[0] == "act":
+            from ._kernel import _action_keys
+
+            return _action_keys(self.grid, key[1])
+        return self._relations[key][0]
 
     def pairs(self, symbol) -> Iterator[tuple[Config, Config]]:
         rows, cols = self.pairs_arrays(symbol)
@@ -298,7 +314,7 @@ class ReachTable(_Relations):
         return ((decode(int(s)), decode(int(d))) for s, d in zip(rows, cols))
 
     def count(self, symbol) -> int:
-        return len(self._relations[_known_ref(self.gvas, symbol)][0])
+        return len(self._keys(symbol))
 
     def pairs_arrays(self, symbol) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination cell indices as parallel arrays, in key
@@ -308,7 +324,7 @@ class ReachTable(_Relations):
         Both arrays have the type of the table's keys: ``int32`` when
         n(n+1) fits it for an n-cell grid, else ``int64``.
         """
-        keys, _ = self._relations[_known_ref(self.gvas, symbol)]
+        keys = self._keys(symbol)
         return divmod(keys, keys.dtype.type(self.grid.size))
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
@@ -327,9 +343,9 @@ def bounded_reach(
 
     Deterministic: the output (including witness stamps) depends only on
     the grammar value and the bound.  The kernel's rounds with every row
-    demanded (:func:`gvaskit._kernel._table`): memory is O(pairs) plus one
-    index row of O(cells) per block's CSR arrays and at most one byte per
-    pair of a dense relation's bitmap, and no state is cells by cells.
+    demanded (:func:`gvaskit._kernel._collapsed`): memory is O(pairs), one
+    row of O(cells) per block's CSR arrays and per relation's demanded rows,
+    and at most one byte per pair of a dense relation's bitmap; no state is cells by cells.
     Each relation's blocks are then merged, and released one by one, into
     the keys and stamps kept.
     """
@@ -338,9 +354,9 @@ def bounded_reach(
     if grid.size > max_cells:
         raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
 
-    from ._kernel import _table
+    from ._kernel import _collapsed
 
-    return ReachTable(g, grid, _table(grid, _binarize(g), g.actions, max_pairs))
+    return ReachTable(g, grid, *_collapsed(grid, _binarize(g), max_pairs))
 
 
 @functools.lru_cache(maxsize=4)
@@ -352,7 +368,7 @@ def cached_reach(g: Gvas, bound: int) -> ReachTable:
 class ReachCone(_Relations):
     """Single-source slice of the bounded reachability relation.
 
-    The kernel's rounds from the cone's source (:func:`gvaskit._kernel._cone`)
+    The kernel's rounds from the cone's source (:func:`gvaskit._kernel._collapsed`)
     compute a relation only on the source rows that rule applications from
     it demand, which keeps high-dimensional membership queries far below
     the all-pairs table.
@@ -367,25 +383,10 @@ class ReachCone(_Relations):
         if not self.grid.contains(source):
             raise OutOfGridError(f"{tuple(source)} outside grid bound {bound}")
         self.source: Config = tuple(source)
-        from ._kernel import _cone
+        from ._kernel import _collapsed
 
         root = (("sym", g.start), self.grid.encode(self.source))
-        # key -> (sorted keys s * n + d on demanded rows, stamps), and key -> demanded rows
-        self._relations, self._dem = _cone(self.grid, _binarize(g), max_entries, root)
-
-    def successors(self, symbol, x: Sequence[int]) -> list[Config]:
-        """Destinations from a demanded source (the cone's own source is
-        always demanded for the start symbol)."""
-        key = _source_ref(self.gvas, self.grid, symbol, x)
-        s = self.grid.encode(x)
-        if key[0] == "act":
-            d = _action_target(self.grid, key[1], s)
-            return [self.grid.decode(d)] if d is not None else []
-        dem = self._dem[key]
-        pos = dem.searchsorted(dem.dtype.type(s))
-        if pos == len(dem) or dem[pos] != s:
-            raise NotInTableError(f"source {tuple(x)} was never demanded for {symbol!r}")
-        return self._decoded(self._row(key, s)[0])
+        self._relations, self._dem = _collapsed(self.grid, _binarize(g), max_entries, root)
 
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         """Deterministic valid flow tree with root ``x ->symbol y``."""

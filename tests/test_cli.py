@@ -235,7 +235,8 @@ def test_negative_bound_is_a_usage_error_in_check_weak(capsys):
     (["check-weak", "--gvas", DATA / "computer_f1.gvas", "--oracle", "falpha:1", "--n-max", "-1", "--bound", "5"],
      "--n-max must be non-negative"),
     (["enumerate", "--gvas", POW2, "--max-nodes", "-1"], "max_nodes must be non-negative"),
-], ids=["check-weak", "enumerate"])
+    (["enumerate", "--gvas", POW2, "--limit", "-1"], "--limit must be non-negative"),
+], ids=["check-weak", "enumerate", "enumerate-limit"])
 def test_negative_counts_are_usage_errors(capsys, argv, err):
     # no vacuous pass: no rows checked, no trees listed
     code = main([str(a) for a in argv])
@@ -366,7 +367,9 @@ def test_setop_compose(capsys, tmp_path):
     (["project", DATA / "evens.pred", "--keep", "1,2"], "1:3: --keep '2' is not a coordinate in 1..1"),
     (["budget-zero", POW2, "--zero", "0"], "1:1: --zero '0' is not a coordinate in 1..1"),
     (["budget-zero", POW2, "--zero", "1,x"], "1:3: --zero 'x' is not a coordinate in 1..1"),
-], ids=["keep-0", "keep-past-arity", "zero-0", "zero-not-a-number"])
+    (["project", DATA / "evens.pred", "--keep", "1,01"], "1:3: --keep '01' repeats a coordinate"),
+    (["budget-zero", POW2, "--zero", "1,1"], "1:3: --zero '1' repeats a coordinate"),
+], ids=["keep-0", "keep-past-arity", "zero-0", "zero-not-a-number", "keep-repeat", "zero-repeat"])
 def test_setop_coordinates_are_refused_as_typed(capsys, argv, err):
     code = main(["setop", *map(str, argv)])
     captured = capsys.readouterr()

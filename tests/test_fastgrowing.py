@@ -239,7 +239,7 @@ def test_safety_scan_reports_injected_violations_like_the_reference():
         merged = np.union1d(keys, extra)
         assert merged.dtype == keys.dtype
         relations[("sym", symbol)] = (merged, np.ones(len(merged), dtype=stamps.dtype))
-    broken = ReachTable(table.gvas, grid, relations)
+    broken = ReachTable(table.gvas, grid, relations, table._dem)
     for symbol in ("Fn", "Iter"):
         clean = safety_check(1, symbol, 8, table)
         scan = safety_check(1, symbol, 8, broken)

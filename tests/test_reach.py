@@ -212,29 +212,34 @@ def reference_bounded_reach(g, bound, max_pairs=60_000_000):
 
 
 def assert_same_stamps(g, bound, samples=12):
-    """The table's relations and its answers to queries both equal the
-    reference's: every key and stamp, and per-cell queries on a sample of
-    source cells (always the first and the last)."""
+    """The table's derived relations and its answers to queries on every
+    symbol both equal the reference's: every key and stamp, and per-cell
+    queries on a sample of source cells (always the first and the last).
+    No action relation is stored; queries on an action compute its pairs."""
     table = bounded_reach(g, bound)
     want = reference_bounded_reach(g, bound)
     grid, n = table.grid, table.grid.size
-    assert set(table._relations) == set(want)
+    assert not any(key[0] == "act" for key in table._relations)
+    assert set(table._relations) == set(table._dem) == {key for key in want if key[0] != "act"}
     rng = random.Random(bound)
     cells = sorted({0, n - 1} | set(rng.sample(range(n), min(samples, n))))
     for key, m in want.items():
         want_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
-        keys, stamps = table._relations[key]
-        assert np.array_equal(keys, want_rows * n + m.indices), (key, bound)
-        assert np.array_equal(stamps, m.data), (key, bound)
-        for s in cells:
-            row = slice(m.indptr[s], m.indptr[s + 1])
-            assert list(table._stamped_row(key, s)) == list(zip(m.indices[row].tolist(), m.data[row].tolist()))
+        if key[0] != "act":
+            keys, stamps = table._relations[key]
+            assert np.array_equal(keys, want_rows * n + m.indices), (key, bound)
+            assert np.array_equal(stamps, m.data), (key, bound)
+            assert np.array_equal(table._dem[key], np.arange(n)), (key, bound)
+            for s in cells:
+                row = slice(m.indptr[s], m.indptr[s + 1])
+                assert list(table._stamped_row(key, s)) == list(zip(m.indices[row].tolist(), m.data[row].tolist()))
         if key[0] == "aux":
             continue
         symbol = key[1]
         assert table.count(symbol) == m.nnz, (key, bound)
         rows, cols = table.pairs_arrays(symbol)
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, m.indices), (key, bound)
+        assert rows.dtype == cols.dtype == _key_dtype(n), (key, bound)
         for s in cells:
             x, dests = grid.decode(s), set(m.indices[m.indptr[s]:m.indptr[s + 1]].tolist())
             assert table.successors(symbol, x) == sorted(map(grid.decode, dests)), (key, bound, x)
@@ -310,6 +315,8 @@ def test_only_joins_of_two_relations_hold_matrices():
     # a right factor is multiplied by as rows, a left factor as a transpose
     assert any(b._rows is not None for k in rights for b in blocks[k])
     assert any(b._cols is not None for k in lefts for b in blocks[k])
+    # the transposed keys a transpose's CSR arrays are made from are not kept
+    assert all(b._transposed is None for stack in blocks.values() for b in stack)
 
 
 def test_cone_blocks_hold_no_matrix():
@@ -323,6 +330,15 @@ def test_cone_blocks_hold_no_matrix():
     assert any(op[0] == "join" and "act" not in (op[1][0], op[2][0]) and blocks[op[1]] and blocks[op[2]]
                for ops in defs.values() for op in ops)
     assert all(b._rows is None and b._cols is None for stack in blocks.values() for b in stack)
+    # a left factor is read through its blocks' own transposes, kept as sorted keys d * n + s
+    n = grid.size
+    lefts = {op[1] for ops in defs.values() for op in ops if op[0] == "join" and "act" not in (op[1][0], op[2][0])}
+    held = [b for k in lefts for b in blocks[k] if b._transposed is not None]
+    assert held
+    for b in held:
+        assert b._transposed.dtype == b.keys.dtype
+        assert np.array_equal(b._transposed, np.sort(b.keys % n * n + b.keys // n))
+    assert all(b._transposed is None for k in set(blocks) - lefts for b in blocks[k])
 
 
 def scipy_product_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -650,6 +666,7 @@ def assert_same_cone(g, source, bound, witnesses=6):
     n = cone.grid.size
     defs = _binarize(g)
     assert set(cone._relations) == set(cone._dem) == set(defs)
+    assert not any(key[0] == "act" for key in cone._relations)
     assert {key for key, _ in want} <= set(defs)
     for key, (keys, stamps) in cone._relations.items():
         rows = sorted(s for k, s in want if k == key)
