@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import CapExceededError, OrdinalRangeError
-from .flowtree import FlowTree
+from .flowtree import FlowTree, _solve
 from .gvas import Config, Gvas, Transition
 from .ordinal import DEFAULT_CAP, Ordinal, fast_growing
 from .reach import ReachTable, cached_reach
@@ -228,40 +228,33 @@ def _derive(g: Gvas, choose, symbol: str, src: Config) -> FlowTree:
     rules in ``g.rules``.
 
     Actions apply left to right and each node closes at the configuration
-    its last child reaches.  Frames live on an explicit stack, so chains
-    as long as the values they transfer need no recursion.
+    its last child reaches.  Built by :func:`flowtree._solve`, so chains as
+    long as the values they transfer need no recursion.
     """
     alts: dict[str, list[tuple]] = {}
     for lhs, rhs in g.rules:
         alts.setdefault(lhs, []).append(rhs)
 
-    def frame(sym: str, c: Config) -> list:
-        # symbol, source, pending right-hand side, current config, children
-        return [sym, c, iter(alts[sym][choose(sym, c)]), c, []]
-
-    stack = [frame(symbol, tuple(src))]
-    while True:
-        top = stack[-1]
-        sym, start, rest, cur, children = top
-        for s in rest:
+    def go(question):
+        sym, start = question
+        cur, kids = start, []
+        for s in alts[sym][choose(sym, start)]:
             if isinstance(s, str):
-                top[3] = cur
-                stack.append(frame(s, cur))
-                break
-            nxt = tuple(v + a for v, a in zip(cur, s))
-            children.append(FlowTree(Transition(cur, s, nxt)))
-            cur = nxt
-        else:
-            done = FlowTree(Transition(start, sym, cur), tuple(children))
-            stack.pop()
-            if not stack:
-                return done
-            stack[-1][3] = cur
-            stack[-1][4].append(done)
+                kid = yield s, cur
+            else:
+                kid = FlowTree(Transition(cur, s, tuple(v + a for v, a in zip(cur, s))))
+            kids.append(kid)
+            cur = kid.label.dst
+        return FlowTree(Transition(start, sym, cur), tuple(kids))
+
+    # no memo: the questions are fresh tuples, whose ids a later one may reuse
+    return _solve(go, (symbol, tuple(src)))
 
 
 def _check_instance(alpha: Ordinal, n: int, d: int, cap: int) -> None:
-    if d < 1 or alpha.degree > d:
+    if d < 1:
+        raise ValueError("depth must be at least 1")  # as build_core
+    if alpha.degree > d:
         raise OrdinalRangeError(f"{alpha} does not fit depth {d}")
     fast_growing(alpha, n, cap)  # cap guard: raises before anything oversized is built
 

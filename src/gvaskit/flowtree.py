@@ -104,20 +104,32 @@ def tree_size(t: FlowTree) -> int:
     return n
 
 
-def _map_labels(t: FlowTree, f) -> FlowTree:
-    """Rebuild a tree with every label passed through f; iterative, so
-    chain-shaped trees of any depth are fine."""
-    rebuilt: dict[int, FlowTree] = {}
-    stack: list[tuple[FlowTree, bool]] = [(t, False)]
+def _solve(go: Callable, question, key: Optional[Callable] = None):
+    """The answer of ``go(question)``, a generator that yields the
+    sub-questions it needs, is resumed with their answers, and returns its
+    own.  The pending questions live on an explicit stack, so deep trees
+    need no recursion.  Answers are memoized on ``key(question)`` if a key
+    is given."""
+    memo: dict = {}
+    stack = [(None if key is None else key(question), go(question))]
+    answer = None
     while stack:
-        nd, expanded = stack.pop()
-        if expanded:
-            rebuilt[id(nd)] = FlowTree(f(nd.label), tuple(rebuilt[id(c)] for c in nd.children))
+        k, gen = stack[-1]
+        try:
+            question = gen.send(answer)
+        except StopIteration as done:
+            stack.pop()
+            answer = done.value
+            if key is not None:
+                memo[k] = answer
             continue
-        stack.append((nd, True))
-        for c in nd.children:
-            stack.append((c, False))
-    return rebuilt[id(t)]
+        k = None if key is None else key(question)
+        if k in memo:
+            answer = memo[k]  # may be None, a real answer of leq
+        else:
+            answer = None  # what a fresh generator is started with
+            stack.append((k, go(question)))
+    return answer
 
 
 @dataclass(frozen=True)
@@ -174,7 +186,14 @@ def shift(t: FlowTree, v: Sequence[int]) -> FlowTree:
     a = tuple(v)
     if len(a) != len(t.label.src):
         raise DimensionMismatchError(f"shift vector {a} does not match dimension {len(t.label.src)}")
-    return _map_labels(t, lambda lab: _lift_label(lab, a, a))
+
+    def go(nd: FlowTree):
+        kids = []
+        for c in nd.children:
+            kids.append((yield c))
+        return FlowTree(_lift_label(nd.label, a, a), tuple(kids))
+
+    return _solve(go, t, id)  # keyed on the node: shared subtrees stay shared
 
 
 def _lift_label(lab: Transition, pre: Sequence[int], post: Sequence[int]) -> Transition:
@@ -265,30 +284,13 @@ def _position(path: Path) -> Position:
     return tuple(reversed(steps))
 
 
-def _solve(go: Callable, s: FlowTree, t: FlowTree):
-    """The answer of ``go(s, t)``, where ``go(a, b)`` is a generator that
-    yields the child pairs it needs, is resumed with their answers, and
-    returns its own.  Answers are memoized on node identity; the pending
-    questions live on an explicit stack, so deep trees need no recursion.
-    """
-    memo: dict[tuple[int, int], object] = {}
-    stack = [((id(s), id(t)), go(s, t))]
-    answer = None
-    while stack:
-        pair, gen = stack[-1]
-        try:
-            a, b = gen.send(answer)
-        except StopIteration as done:
-            stack.pop()
-            answer = memo[pair] = done.value
-            continue
-        pair = (id(a), id(b))
-        if pair in memo:
-            answer = memo[pair]  # may be None, a real answer of leq
-        else:
-            answer = None  # what a fresh generator is started with
-            stack.append((pair, go(a, b)))
-    return answer
+def _pair_ids(pair: tuple[FlowTree, FlowTree]) -> tuple[int, int]:
+    return id(pair[0]), id(pair[1])
+
+
+def _check_dimensions(s: FlowTree, t: FlowTree) -> None:
+    if len(s.label.src) != len(t.label.src):
+        raise DimensionMismatchError(f"trees of dimensions {len(s.label.src)} and {len(t.label.src)} are not comparable")
 
 
 def leq(s: FlowTree, t: FlowTree) -> Optional[tuple[Lifting, EmbeddingWitness]]:
@@ -296,10 +298,13 @@ def leq(s: FlowTree, t: FlowTree) -> Optional[tuple[Lifting, EmbeddingWitness]]:
 
     Deterministic: among matching subtrees the shortest, then
     lexicographically smallest anchor wins, recursively.  Memoizes on
-    node identity to avoid re-searching shared substructure.
+    node identity to avoid re-searching shared substructure.  Trees of
+    different dimensions raise DimensionMismatchError.
     """
+    _check_dimensions(s, t)
 
-    def go(a: FlowTree, b: FlowTree) -> Iterator[tuple[FlowTree, FlowTree]]:
+    def go(pair: tuple[FlowTree, FlowTree]) -> Iterator[tuple[FlowTree, FlowTree]]:
+        a, b = pair
         if transition_leq(a.label, b.label):
             for path, cand in _subtrees(b):
                 if cand.arity != a.arity or not transition_leq(a.label, cand.label):
@@ -314,7 +319,7 @@ def leq(s: FlowTree, t: FlowTree) -> Optional[tuple[Lifting, EmbeddingWitness]]:
                     return EmbeddingWitness(_position(path), tuple(ws))
         return None
 
-    w = _solve(go, s, t)
+    w = _solve(go, (s, t), _pair_ids)
     if w is None:
         return None
     return lifting_between(s.label, t.label), w
@@ -349,15 +354,20 @@ def replay(witness: EmbeddingWitness, s: FlowTree, t: FlowTree) -> Lifting:
 # Homeomorphic embedding and the rule-instance cross-check
 
 
-def _embeds(s: FlowTree, t: FlowTree, key: Callable, le: Callable) -> bool:
+def _embeds(s: FlowTree, t: FlowTree, key: Callable, le: Callable, rooted: bool = False) -> bool:
     """Homeomorphic embedding of flow trees with nodes compared as
-    ``le(key(a), key(b))``.
+    ``le(key(a), key(b))``; ``rooted`` adds the ordering's root clause.
 
     Children embed as a subsequence; greedy leftmost matching is complete
-    because a later match never enables an earlier one.
+    because a later match never enables an earlier one.  Trees of
+    different dimensions raise DimensionMismatchError.
     """
+    _check_dimensions(s, t)
+    if rooted and not transition_leq(s.label, t.label):
+        return False
 
-    def go(a: FlowTree, b: FlowTree) -> Iterator[tuple[FlowTree, FlowTree]]:
+    def go(pair: tuple[FlowTree, FlowTree]) -> Iterator[tuple[FlowTree, FlowTree]]:
+        a, b = pair
         ka = key(a)
         for _, cand in _subtrees(b):
             if a.arity > cand.arity or not le(ka, key(cand)):
@@ -373,7 +383,7 @@ def _embeds(s: FlowTree, t: FlowTree, key: Callable, le: Callable) -> bool:
                 return True
         return False
 
-    return _solve(go, s, t)
+    return _solve(go, (s, t), _pair_ids)
 
 
 def hom_embeds(s: FlowTree, t: FlowTree) -> bool:
@@ -407,7 +417,7 @@ def instance_leq(a: Instance, b: Instance) -> bool:
 def leq_via_adorn(s: FlowTree, t: FlowTree) -> bool:
     """Ordering decided as an embedding over rule-instance labels;
     independent cross-check of :func:`leq` as a boolean."""
-    return transition_leq(s.label, t.label) and _embeds(s, t, _instance, instance_leq)
+    return _embeds(s, t, _instance, instance_leq, rooted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +490,21 @@ def amalgamate(
     """
     replay(w1, s, t1)
     replay(w2, s, t2)
-    # pre-order expansion, then bottom-up assembly: s may share subtree
-    # objects, so results come off a stack rather than a table by node
-    expanded = []
-    todo = [(s, t1, w1, t2, w2)]
-    while todo:
-        a, b1, v1, b2, v2 = frame = todo.pop()
+
+    def go(frame):
+        a, b1, v1, b2, v2 = frame
         sub1 = subtree_at(b1, v1.anchor)
         sub2 = subtree_at(b2, v2.anchor)
-        expanded.append((frame, sub1, sub2))
-        todo.extend(reversed(list(zip(a.children, sub1.children, v1.children, sub2.children, v2.children))))
-    built: list[FlowTree] = []
-    for (a, b1, v1, b2, v2), sub1, sub2 in reversed(expanded):
+        kids = []
+        for child in zip(a.children, sub1.children, v1.children, sub2.children, v2.children):
+            kids.append((yield child))
         d1 = lifting_between(a.label, sub1.label)
-        # the children's merges were finished just before, leftmost on top
-        block = FlowTree(_lift_label(sub2.label, d1.pre, d1.post), tuple(built.pop() for _ in a.children))
+        block = FlowTree(_lift_label(sub2.label, d1.pre, d1.post), tuple(kids))
         widened = _splice(b2, v2.anchor, block, d1)
-        built.append(_splice(b1, v1.anchor, widened, lifting_between(sub1.label, widened.label)))
-    return built[0]
+        return _splice(b1, v1.anchor, widened, lifting_between(sub1.label, widened.label))
+
+    # no memo: one subtree object that s shares may merge differently in two places
+    return _solve(go, (s, t1, w1, t2, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -534,34 +541,70 @@ def enumerate_trees(
         if not all(0 <= v <= bound for v in src):
             raise OutOfGridError(f"{src} outside grid bound {bound}")
 
-    def trees(symbol, src: Config, budget: int) -> Iterator[FlowTree]:
-        if budget < 1:
-            return
-        if isinstance(symbol, tuple):
-            dst = tuple(a + b for a, b in zip(src, symbol))
-            if all(0 <= v <= bound for v in dst):
-                yield FlowTree(Transition(src, symbol, dst))
-            return
-        for _, rhs in g.rules_for(symbol):
-            if not rhs:
-                yield FlowTree(Transition(src, symbol, src))
-                continue
-            for kids in child_seqs(rhs, src, budget - 1):
-                yield FlowTree(Transition(src, symbol, kids[-1].label.dst), kids)
+    alts = {nt: [rhs for _, rhs in g.rules_for(nt)] for nt in g.nonterminals}
 
-    def child_seqs(rhs, src: Config, budget: int) -> Iterator[tuple[FlowTree, ...]]:
-        if len(rhs) > budget:
-            return
-        head, rest = rhs[0], rhs[1:]
-        for first in trees(head, src, budget - len(rest)):
-            if not rest:
-                yield (first,)
-                continue
-            used = tree_size(first)
-            for tail in child_seqs(rest, first.label.dst, budget - used):
-                yield (first,) + tail
+    def trees(symbol, src: Config) -> Iterator[FlowTree]:
+        # depth first over the rule choices in pre-order, so the trees come
+        # lexicographically in those choices.  A node's budget is max_nodes
+        # less the nodes made and one for each symbol still pending; a rule
+        # whose children cannot all get one is skipped.
+        nodes: list = []  # the tree so far in pre-order: leaves, and (symbol, source, arity)
+        points: list[list] = []  # open choices: [symbol, next rule, source, todo, pending, nodes made]
+        todo, cur, pending = (symbol, None), src, 1  # todo: the pending symbols, a linked list
+        while True:
+            while todo is not None:
+                sym, todo = todo
+                pending -= 1
+                if max_nodes - len(nodes) - pending < 1:
+                    break
+                if not isinstance(sym, tuple):
+                    points.append([sym, 0, cur, todo, pending, len(nodes)])
+                    break
+                dst = tuple(a + b for a, b in zip(cur, sym))
+                if not all(0 <= v <= bound for v in dst):
+                    break
+                nodes.append(FlowTree(Transition(cur, sym, dst)))
+                cur = dst
+            else:
+                yield _assemble(nodes)
+            # take the next rule of the innermost open choice, undoing what followed it
+            while points:
+                point = points[-1]
+                sym, i, cur, todo, pending, made = point
+                del nodes[made:]
+                rules = alts[sym]
+                budget = max_nodes - made - pending
+                while i < len(rules) and len(rules[i]) >= budget:
+                    i += 1
+                if i < len(rules):
+                    point[1] = i + 1
+                    nodes.append((sym, cur, len(rules[i])))
+                    for child in reversed(rules[i]):
+                        todo = (child, todo)
+                    pending += len(rules[i])
+                    break
+                points.pop()
+            else:
+                return
 
-    return (t for symbol in syms for src in srcs for t in trees(symbol, src, max_nodes))
+    return (t for symbol in syms for src in srcs for t in trees(symbol, src))
+
+
+def _assemble(nodes: list) -> FlowTree:
+    """The tree whose nodes :func:`enumerate_trees` lists in pre-order."""
+
+    def go(i: int):  # the subtree at nodes[i], and the index after it
+        nd, i = nodes[i], i + 1
+        if isinstance(nd, FlowTree):
+            return nd, i
+        sym, src, arity = nd
+        kids = []
+        for _ in range(arity):
+            kid, i = yield i
+            kids.append(kid)
+        return FlowTree(Transition(src, sym, kids[-1].label.dst if kids else src), tuple(kids)), i
+
+    return _solve(go, 0)[0]
 
 
 # ---------------------------------------------------------------------------

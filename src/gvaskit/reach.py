@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import NotInTableError, OutOfGridError, ResourceLimitError
-from .flowtree import FlowTree
+from .flowtree import FlowTree, _solve
 from .gvas import Config, Gvas, Transition, _check_word, fatal_defects
 
 if TYPE_CHECKING:
@@ -199,22 +199,19 @@ def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
     deterministic flow tree for the pair ``x ->symbol y`` of ``engine``.
 
     Each node takes the first rule, in declaration order, that
-    :func:`_justify` accepts under the node's own stamp.  Nodes are
-    expanded from an explicit stack in pre-order and assembled bottom-up
-    afterwards, so chain-shaped witnesses of any depth are fine.
+    :func:`_justify` accepts under the node's own stamp.  Built by
+    :func:`flowtree._solve`, so chain-shaped witnesses of any depth are fine.
     """
     g, grid = engine.gvas, engine.grid
     kind, symbol = _pair_ref(g, grid, x, symbol, y)
     if kind == "act" and tuple(map(sum, zip(x, symbol))) != tuple(y):
         raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
-    expanded: list[tuple[Transition, int]] = []  # (label, arity), pre-order
-    todo = [(symbol, grid.encode(x), grid.encode(y))]
-    while todo:
-        sym, a, b = todo.pop()
+
+    def go(question):
+        sym, a, b = question
         label = Transition(grid.decode(a), sym, grid.decode(b))
         if isinstance(sym, tuple):
-            expanded.append((label, 0))
-            continue
+            return FlowTree(label)
         below = engine._stamp_of(("sym", sym), a, b)
         if below <= 0:
             raise NotInTableError(f"{label.src} ->{sym} {label.dst} not in table")
@@ -225,13 +222,13 @@ def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         else:
             raise NotInTableError(f"no justification for {label.src} ->{sym} {label.dst}")  # unreachable
         cells = [a] + mids + ([b] if rhs else [])
-        expanded.append((label, len(rhs)))
-        todo.extend((rhs[i], cells[i], cells[i + 1]) for i in reversed(range(len(rhs))))
-    built: list[FlowTree] = []
-    for label, arity in reversed(expanded):
-        # the children's subtrees were finished just before, leftmost on top
-        built.append(FlowTree(label, tuple(built.pop() for _ in range(arity))))
-    return built[0]
+        kids = []
+        for i, child in enumerate(rhs):
+            kids.append((yield child, cells[i], cells[i + 1]))
+        return FlowTree(label, tuple(kids))
+
+    # no memo: the questions are fresh tuples, whose ids a later one may reuse
+    return _solve(go, (symbol, grid.encode(x), grid.encode(y)))
 
 
 class _Relations:

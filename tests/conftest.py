@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -8,6 +10,28 @@ from gvaskit.setops import DefinablePredicate
 # randomized tests must replay identically run to run
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def shallow_stack():
+    """``call(f, *args)``: f(*args) with the recursion limit lowered to the
+    caller's stack depth plus 100, then restored.  An algorithm that recurses
+    once per tree level fails under it on any deep tree, so build the inputs
+    first and hand only the algorithm to the call."""
+
+    def call(f, *args):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            return f(*args)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    return call
 
 
 @pytest.fixture(scope="session")

@@ -265,6 +265,18 @@ def test_from_pvas_reports_parse_errors(capsys, tmp_path, text):
     assert captured.out == "" and captured.err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--alpha", "1", "--n", "3", "--d", "0"],
+    ["gen-falpha", "--alpha", "1", "--d", "0"],
+    ["safety", "--d", "0", "--bound", "3"],
+], ids=["witness", "gen-falpha", "safety"])
+def test_depth_zero_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == "error: depth must be at least 1\n"
+
+
 def test_cap_exceeded_exit_code(capsys):
     code, _ = run(capsys, "falpha-eval", "--alpha", "w", "--n", "2", "--cap", "1000000")
     assert code == 3
@@ -332,6 +344,18 @@ def test_enumerate_refuses_a_source_outside_the_grid(capsys, tmp_path):
     assert captured.out == "" and captured.err == "error: (9,) outside grid bound 4\n"
     assert main(["reach", "--gvas", str(chain), "--symbol", "S", "--from", "(9)", "--bound", "4"]) == code
     assert capsys.readouterr().err == captured.err
+
+
+def test_enumerate_a_chain_of_depth_500(capsys, tmp_path):
+    # the first tree nests S 500 times: deeper than a recursion per level allows
+    chain = tmp_path / "chain.gvas"
+    chain.write_text("dim 1\nstart S\nS -> (1) S | eps\n")
+    code, out = run(capsys, "enumerate", "--gvas", chain, "--symbol", "S", "--from", "(0)",
+                    "--max-nodes", "1000", "--bound", "5000", "--limit", "1")
+    assert code == 0
+    (line,) = out.splitlines()
+    tree = parse_tree(line)
+    assert ft.tree_size(tree) == 999 and tree.label.dst == (499,)
 
 
 def test_dot_output(capsys):

@@ -119,6 +119,20 @@ def test_witness_deep_chains():
     assert parse_tree(format_tree(tree)) == tree
 
 
+def test_witness_does_not_recurse(shallow_stack):
+    tree = shallow_stack(build_witness, Ordinal((1,)), 400, 1)
+    assert tree.label == Transition((400, 0, 1), "Fn", (801, 0, 1))
+    assert validate_tree(build_core(1), tree) is None
+
+
+@pytest.mark.parametrize("build", [build_witness, computer_witness])
+def test_witnesses_refuse_depth_zero_first(build):
+    # as build_core, before the level check and the cap
+    for alpha, n in [(Ordinal((1,)), 3), (Ordinal((0, 1)), 10**6)]:
+        with pytest.raises(ValueError, match="^depth must be at least 1$"):
+            build(alpha, n, 0)
+
+
 def test_computer_witness_assembled():
     tree = computer_witness(Ordinal((2,)), 2, 1)
     assert validate_tree(build_computer(Ordinal((2,)), 1), tree) is None

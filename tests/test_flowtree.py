@@ -149,14 +149,20 @@ def test_replay_accepts_and_rejects(order_trees):
         ft.replay(bogus, base, tall)
 
 
-def test_replay_on_a_chain_of_depth_3000(order_demo):
-    # T -> V T three thousand times, then T -> (-2); the witnesses are
-    # built by hand, anchoring every node at its counterpart
+def chain_of_depth_3001():
+    """T -> V T three thousand times, then T -> (-2), in the order demo."""
     chain = ft.node((6,), "T", (4,), [ft.action_leaf((6,), (-2,))])
+    for _ in range(3000):
+        chain = ft.node((6,), "T", (4,), [ft.node((6,), "V", (6,)), chain])
+    return chain
+
+
+def test_replay_on_a_chain_of_depth_3000(order_demo):
+    # the witnesses are built by hand, anchoring every node at its counterpart
+    chain = chain_of_depth_3001()
     good = ft.EmbeddingWitness((), (ft.EmbeddingWitness(()),))
     bad = ft.EmbeddingWitness((), (ft.EmbeddingWitness((1,)),))  # below a leaf
     for _ in range(3000):
-        chain = ft.node((6,), "T", (4,), [ft.node((6,), "V", (6,)), chain])
         good = ft.EmbeddingWitness((), (ft.EmbeddingWitness(()), good))
         bad = ft.EmbeddingWitness((), (ft.EmbeddingWitness(()), bad))
     assert ft.validate_tree(order_demo, chain) is None
@@ -171,14 +177,82 @@ def test_replay_on_a_chain_of_depth_3000(order_demo):
     assert flat_witness(found) == flat_witness(good)
 
 
+def test_tree_algorithms_do_not_recurse(shallow_stack):
+    chain = chain_of_depth_3001()
+    up, w = ft.shift(chain, (1,)), root_witness(chain)
+    twice = ft.shift(chain, (2,))
+    assert shallow_stack(ft.shift, chain, (1,)) == up
+    delta, found = shallow_stack(ft.leq, chain, up)
+    assert delta == ft.Lifting((1,), (1,)) and flat_witness(found) == flat_witness(w)
+    assert shallow_stack(ft.hom_embeds, chain, up)
+    assert shallow_stack(ft.leq_via_adorn, chain, up)
+    merged = shallow_stack(ft.amalgamate, chain, up, w, twice, w)
+    assert merged == ft.shift(chain, (3,))
+
+
+@pytest.mark.parametrize("order", [ft.leq, ft.hom_embeds, ft.leq_via_adorn], ids=["leq", "hom_embeds", "adorn"])
+def test_orderings_refuse_trees_of_different_dimensions(order):
+    # comparing through zip would relate them on the shorter length
+    one, two = ft.node((1,), "S", (1,)), ft.node((2, 5), "S", (3, 5))
+    for s, t in [(one, two), (two, one), (ft.node((3,), "S", (3,)), two)]:
+        with pytest.raises(DimensionMismatchError, match="dimensions"):
+            order(s, t)
+
+
 def test_adorn_agreement_on_triple(order_trees):
     trees = list(order_trees.values())
     for s, t in itertools.product(trees, repeat=2):
         assert ft.leq_via_adorn(s, t) == (ft.leq(s, t) is not None)
 
 
+def reference_enumerate(g, max_nodes, bound, symbols=None, sources=None):
+    """The enumeration as first written: ``trees`` and ``child_seqs``
+    recurse into each other once per tree level.  Takes the arguments
+    :func:`ft.enumerate_trees` accepts, unchecked."""
+    syms = list(symbols) if symbols is not None else list(g.nonterminals) + list(g.actions)
+    grid = itertools.product(range(bound + 1), repeat=g.dim)
+    srcs = [tuple(c) for c in (sources if sources is not None else grid)]
+
+    def trees(symbol, src, budget):
+        if budget < 1:
+            return
+        if isinstance(symbol, tuple):
+            dst = tuple(a + b for a, b in zip(src, symbol))
+            if all(0 <= v <= bound for v in dst):
+                yield ft.FlowTree(Transition(src, symbol, dst))
+            return
+        for _, rhs in g.rules_for(symbol):
+            if not rhs:
+                yield ft.FlowTree(Transition(src, symbol, src))
+                continue
+            for kids in child_seqs(rhs, src, budget - 1):
+                yield ft.FlowTree(Transition(src, symbol, kids[-1].label.dst), kids)
+
+    def child_seqs(rhs, src, budget):
+        if len(rhs) > budget:
+            return
+        head, rest = rhs[0], rhs[1:]
+        for first in trees(head, src, budget - len(rest)):
+            if not rest:
+                yield (first,)
+                continue
+            used = ft.tree_size(first)
+            for tail in child_seqs(rest, first.label.dst, budget - used):
+                yield (first,) + tail
+
+    return (t for symbol in syms for src in srcs for t in trees(symbol, src, max_nodes))
+
+
+def enumerated(g, max_nodes, bound, limit=None, **where):
+    """The first ``limit`` trees of :func:`ft.enumerate_trees`, which must
+    be those of :func:`reference_enumerate`, in the same order."""
+    got = list(itertools.islice(ft.enumerate_trees(g, max_nodes, bound, **where), limit))
+    assert got == list(itertools.islice(reference_enumerate(g, max_nodes, bound, **where), limit))
+    return got
+
+
 def enumerate_pool(g, max_nodes, bound, limit):
-    pool = list(itertools.islice(ft.enumerate_trees(g, max_nodes, bound), limit))
+    pool = enumerated(g, max_nodes, bound, limit)
     assert pool
     for t in pool:
         assert ft.validate_tree(g, t) is None
@@ -280,7 +354,7 @@ def flat_witness(w):
 def test_leq_matches_reference(pow2, exchange, order_demo):
     # the whole pools of acceptance criterion 4, then witness-sized trees
     pools = [
-        list(itertools.islice(ft.enumerate_trees(g, max_nodes, bound), 400))
+        enumerated(g, max_nodes, bound, 400)
         for g, max_nodes, bound in [(pow2, 6, 5), (exchange, 5, 4), (order_demo, 6, 7)]
     ]
     f1 = f1_witness(25)
@@ -452,7 +526,7 @@ def test_amalgamate_matches_reference_on_pools(pow2, exchange, order_demo):
     # the pools of acceptance criterion 4
     checked = spliced = 0
     for g, max_nodes, bound in [(pow2, 6, 5), (exchange, 5, 4), (order_demo, 6, 7)]:
-        pool = list(itertools.islice(ft.enumerate_trees(g, max_nodes, bound), 400))
+        pool = enumerated(g, max_nodes, bound, 400)
         for s in pool:
             ups = [(t, got[1]) for t in pool if (got := ft.leq(s, t)) is not None]
             for (t1, w1), (t2, w2) in itertools.product(ups, repeat=2):
@@ -460,6 +534,64 @@ def test_amalgamate_matches_reference_on_pools(pow2, exchange, order_demo):
                 checked += 1
                 spliced += has_inner_anchor(w1) or has_inner_anchor(w2)
     assert checked > 5000 and spliced > 2000, (checked, spliced)
+
+
+def interned(t):
+    """t with each class of structurally equal subtrees made one object."""
+    order, todo = [], [t]
+    while todo:
+        nd = todo.pop()
+        order.append(nd)
+        todo.extend(nd.children)
+    canon, table = {}, {}
+    for nd in reversed(order):  # children before their parents
+        kids = tuple(canon[id(c)] for c in nd.children)
+        canon[id(nd)] = table.setdefault((nd.label, tuple(map(id, kids))), ft.FlowTree(nd.label, kids))
+    return canon[id(t)]
+
+
+def node_objects(t):
+    """The number of distinct node objects in t."""
+    seen, todo = set(), [t]
+    while todo:
+        nd = todo.pop()
+        if id(nd) not in seen:
+            seen.add(id(nd))
+            todo.extend(nd.children)
+    return len(seen)
+
+
+def test_shared_subtrees_change_no_answer(pow2, exchange, order_demo):
+    # one subtree object of s may merge differently in different places, so
+    # amalgamate must not memoize on it; shift keeps the sharing
+    merged = shared = 0
+    for g, max_nodes, bound in [(pow2, 6, 5), (exchange, 5, 4), (order_demo, 6, 7)]:
+        pool = enumerated(g, max_nodes, bound, 400)
+        for s in pool:
+            one = interned(s)
+            assert one == s
+            shared += ft.tree_size(s) - node_objects(one)
+            assert node_objects(ft.shift(one, (1,) * g.dim)) == node_objects(one)
+            ups = []
+            for t in pool:
+                got, again = ft.leq(s, t), ft.leq(one, t)
+                assert (got is None) == (again is None)
+                if got is not None:
+                    assert got[0] == again[0] and flat_witness(got[1]) == flat_witness(again[1])
+                    ups.append((t, got[1]))
+            for (t1, w1), (t2, w2) in itertools.product(ups, repeat=2):
+                assert ft.amalgamate(one, t1, w1, t2, w2) == ft.amalgamate(s, t1, w1, t2, w2)
+                merged += node_objects(one) < ft.tree_size(one)
+    assert shared > 0 and merged > 50, (shared, merged)
+    # the pools share little: the doubling witness's two T -> (0) nodes,
+    # made one object, are lifted differently in most of its amalgamations
+    s = doubling_witness(pow2)
+    one = interned(s)
+    assert node_objects(one) == ft.tree_size(s) - 2
+    ups = [(t, got[1]) for t in enumerated(pow2, 13, 8, symbols=["S"]) if (got := ft.leq(s, t)) is not None]
+    assert len(ups) == 16
+    for (t1, w1), (t2, w2) in itertools.product(ups, repeat=2):
+        assert ft.amalgamate(one, t1, w1, t2, w2) == ft.amalgamate(s, t1, w1, t2, w2)
 
 
 def f1_witness(n):
@@ -555,14 +687,38 @@ def test_dot_counts(pow2):
 
 
 def test_enumerate_trees_deterministic(pow2):
-    a = list(itertools.islice(ft.enumerate_trees(pow2, 5, 3), 50))
+    a = enumerated(pow2, 5, 3, 50)
     b = list(itertools.islice(ft.enumerate_trees(pow2, 5, 3), 50))
     assert a == b
 
 
 def test_enumerate_trees_runs_sources_in_lexicographic_order(exchange):
     cells = [(x, y) for x in range(4) for y in range(4)]
-    assert list(ft.enumerate_trees(exchange, 4, 3)) == list(ft.enumerate_trees(exchange, 4, 3, sources=cells))
+    assert enumerated(exchange, 4, 3) == enumerated(exchange, 4, 3, sources=cells)
+
+
+@pytest.mark.parametrize("max_nodes", [0, 1, 2, 3, 6, 8])
+def test_enumerate_trees_matches_reference(pow2, exchange, order_demo, max_nodes):
+    # whole enumerations: every rule choice, budget split and pruning
+    for g, bound in [(pow2, 4), (exchange, 3), (order_demo, 6)]:
+        enumerated(g, max_nodes, bound)
+    enumerated(pow2, max_nodes, 6, symbols=["T", (-1,), "S"], sources=[(3,), (1,), (0,)])
+    enumerated(order_demo, max_nodes, 6, symbols=["V", "U"], sources=[(2,)])
+
+
+def test_enumerate_trees_does_not_recurse(shallow_stack):
+    # S -> (1) S | eps: the first tree takes the first rule as long as the
+    # budget allows, 500 levels of S in 999 nodes
+    chain = Gvas.from_rules(1, [("S", [(1,), "S"]), ("S", [])], "S")
+
+    def first(enumerate_trees):
+        return next(iter(enumerate_trees(chain, 1000, 5000, symbols=["S"], sources=[(0,)])))
+
+    with pytest.raises(RecursionError):
+        shallow_stack(first, reference_enumerate)  # the fixture bites
+    tree = shallow_stack(first, ft.enumerate_trees)
+    assert ft.validate_tree(chain, tree) is None
+    assert ft.tree_size(tree) == 999 and tree.label == Transition((0,), "S", (499,))
 
 
 def test_enumerate_trees_checks_its_arguments_on_the_call(pow2):
@@ -593,7 +749,7 @@ def test_enumeration_matches_table(pow2):
     # table pair must appear among enumerated roots at a generous budget
     bound = 2
     table = bounded_reach(pow2, bound)
-    roots = {(t.label.src, t.label.dst) for t in ft.enumerate_trees(pow2, 11, bound, symbols=["S"])}
+    roots = {(t.label.src, t.label.dst) for t in enumerated(pow2, 11, bound, symbols=["S"])}
     table_pairs = set(table.pairs("S"))
     assert roots <= table_pairs
     assert table_pairs <= roots

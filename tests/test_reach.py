@@ -573,6 +573,13 @@ def test_witness_of_depth_600():
     assert chain_depth(tree) == 601
 
 
+def test_witnesses_do_not_recurse(shallow_stack):
+    for engine in (bounded_reach(CHAIN, 1500), reach_from(CHAIN, (0,), 1500)):
+        tree = shallow_stack(engine.witness, (0,), "S", (1400,))
+        assert validate_tree(CHAIN, tree) is None
+        assert chain_depth(tree) == 1401
+
+
 @pytest.mark.parametrize("bound,dtype", [(200, np.uint8), (300, np.uint16)])
 def test_stamps_take_the_smallest_type_of_the_last_round(bound, dtype):
     table = bounded_reach(CHAIN, bound)  # the pair 0 -> bound is found in round bound + 1
