@@ -353,6 +353,10 @@ def safety_check(d: int, symbol: str, bound: int, table: Optional[ReachTable] = 
     _check_core_symbol(g, symbol)
     if table is None:
         table = cached_reach(g, bound)
+    elif table.bound != bound:  # the caps and level codes are computed from bound and d
+        raise ValueError(f"table has bound {table.bound}, not {bound}")
+    elif table.gvas != g:
+        raise ValueError(f"table's grammar (dimension {table.gvas.dim}) is not the depth-{d} core (dimension {d + 2})")
     rows, cols = table.pairs_arrays(symbol)
     entries = len(rows)
     if entries == 0:

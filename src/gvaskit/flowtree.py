@@ -329,8 +329,10 @@ def replay(witness: EmbeddingWitness, s: FlowTree, t: FlowTree) -> Lifting:
     """Verify a witness against a tree pair in linear time.
 
     Returns the root lifting; raises :class:`InvalidWitnessError` on the
-    first failing clause in pre-order.
+    first failing clause in pre-order.  Trees of different dimensions
+    raise DimensionMismatchError.
     """
+    _check_dimensions(s, t)
     todo = [(witness, s, t)]
     while todo:
         w, a, b = todo.pop()

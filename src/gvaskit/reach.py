@@ -1,21 +1,22 @@
-"""Bounded reachability: the two engines behind every semantic query.
+"""Bounded reachability: the one engine behind every semantic query.
 
 A pair (x, y) enters the relation of symbol X exactly when some flow
 tree for ``x ->X y`` keeps every node configuration inside the grid
-``{0..B}^dim``.  Both engines binarize rules into chains of two-factor
-joins (:func:`_binarize`) and evaluate the least fixpoint semi-naively,
-round by round, in the array kernel :mod:`gvaskit._kernel`.  The kernel
-owns the relations' array format, sorted linear keys ``s * n + d`` over
-the grid's n cells with a stamp each, and is the one module of the
-engines that imports numpy.  :func:`bounded_reach` and :class:`ReachCone`
-import it when they build an engine, so a process that builds none, such
-as one that only works on flow trees or grammars, never loads numpy.
-This module keeps the engines' public face: the grid, the checks of a
-query's symbol and cells, the queries, which read a source cell's row
-from the slice of keys it occupies with the arrays' own methods, and
-witness reconstruction.  Both engines keep the relations on the rows
-demanded of them, :class:`ReachCone` from one source, :func:`bounded_reach`
-every row, and neither stores an action's pairs.
+``{0..B}^dim``.  One engine, :class:`ReachTable`, computes that least
+fixpoint on the source rows demanded of it: every row for
+:func:`bounded_reach`, the all-pairs table, and for :func:`reach_from`
+the rows that rule applications from one source reach, its cone.  Both
+go through one builder, which checks the grammar, grid and source, then
+binarizes rules into chains of two-factor joins (:func:`_binarize`) and
+runs semi-naive rounds in the array kernel :mod:`gvaskit._kernel`.  The
+kernel owns the relations' format, sorted linear keys ``s * n + d`` over
+the grid's n cells with a stamp each, and is the engine's one importer
+of numpy; a process that builds no engine never loads it.  Every query
+answers on the demanded rows, read from the slice of keys a row
+occupies, and one about a nonterminal from a row never demanded raises
+NotInTableError; no action's pairs are stored.  :class:`ReachCone`, the
+cone's class, only gives ``witness`` an attribute of its own, which
+``perfbench/tracer.py`` times apart from the table's.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand from the engine's own stamps and
@@ -194,16 +195,18 @@ def _justify(engine, r: int, rhs, s: int, d: int, below: int) -> list[int] | Non
     return cells[1:]
 
 
-def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
-    """:meth:`ReachTable.witness` and :meth:`ReachCone.witness`: the
-    deterministic flow tree for the pair ``x ->symbol y`` of ``engine``.
+def _witness(engine: ReachTable, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
+    """:meth:`ReachTable.witness`: the deterministic flow tree for the pair
+    ``x ->symbol y`` of ``engine``, from a demanded source.
 
     Each node takes the first rule, in declaration order, that
     :func:`_justify` accepts under the node's own stamp.  Built by
     :func:`flowtree._solve`, so chain-shaped witnesses of any depth are fine.
     """
     g, grid = engine.gvas, engine.grid
-    kind, symbol = _pair_ref(g, grid, x, symbol, y)
+    key = _pair_ref(g, grid, x, symbol, y)
+    s = engine._demanded(key, x, symbol)
+    kind, symbol = key
     if kind == "act" and tuple(map(sum, zip(x, symbol))) != tuple(y):
         raise NotInTableError(f"{tuple(y)} is not {tuple(x)} + {symbol}")
 
@@ -228,12 +231,19 @@ def _witness(engine, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         return FlowTree(label, tuple(kids))
 
     # no memo: the questions are fresh tuples, whose ids a later one may reuse
-    return _solve(go, (symbol, grid.encode(x), grid.encode(y)))
+    return _solve(go, (symbol, s, grid.encode(y)))
 
 
-class _Relations:
-    """The queries both engines answer from ``self._relations``: relation
-    key -> (sorted linear keys ``s * n + d``, stamps) on rows ``self._dem[key]``."""
+class ReachTable:
+    """The engine: relation key -> (sorted linear keys ``s * n + d``,
+    stamps) in ``self._relations``, on the rows ``self._dem[key]``, with
+    witness reconstruction.  Immutable once built; safe to share.
+    """
+
+    def __init__(self, g, grid, relations, dem):
+        self.gvas: Gvas = g
+        self.grid: Grid = grid
+        self._relations, self._dem = relations, dem
 
     @property
     def bound(self) -> int:
@@ -260,38 +270,32 @@ class _Relations:
         cols, stamps = self._row(key, s)
         return zip(cols.tolist(), stamps.tolist())
 
-    def successors(self, symbol, x: Sequence[int]) -> list[Config]:
-        """Destinations from a demanded source: every source of a table, and
-        the cone's own source for the start symbol."""
-        key = _source_ref(self.gvas, self.grid, symbol, x)
+    def _demanded(self, key, x: Sequence[int], symbol) -> int:
+        """The cell of the in-grid source x of a query about ``symbol``, whose
+        relation key is ``key``; NotInTableError if its row was never demanded."""
         s = self.grid.encode(x)
+        if key[0] == "sym":
+            dem = self._dem[key]
+            pos = dem.searchsorted(dem.dtype.type(s))
+            if pos == len(dem) or dem[pos] != s:
+                raise NotInTableError(f"source {tuple(x)} was never demanded for {symbol!r}")
+        return s
+
+    def successors(self, symbol, x: Sequence[int]) -> list[Config]:
+        """Destinations from x, in configuration order."""
+        key = _source_ref(self.gvas, self.grid, symbol, x)
+        s = self._demanded(key, x, symbol)
         if key[0] == "act":
             d = _action_target(self.grid, key[1], s)
             return [self.grid.decode(d)] if d is not None else []
-        dem = self._dem[key]
-        pos = dem.searchsorted(dem.dtype.type(s))
-        if pos == len(dem) or dem[pos] != s:
-            raise NotInTableError(f"source {tuple(x)} was never demanded for {symbol!r}")
         cols = self._row(key, s)[0]
         return sorted(map(tuple, self.grid.decode_many(cols).tolist()))
-
-
-class ReachTable(_Relations):
-    """Per-symbol bounded reachability relation with witness reconstruction.
-
-    Immutable once built; safe to share.
-    """
-
-    def __init__(self, g, grid, relations, dem):
-        self.gvas: Gvas = g
-        self.grid: Grid = grid
-        self._relations, self._dem = relations, dem
 
     def contains(self, symbol, x: Sequence[int], y: Sequence[int]) -> bool:
         key = _known_ref(self.gvas, symbol)
         if not self.grid.contains(x) or not self.grid.contains(y):
             return False
-        s, d = self.grid.encode(x), self.grid.encode(y)
+        s, d = self._demanded(key, x, symbol), self.grid.encode(y)
         if key[0] == "act":
             return _action_target(self.grid, key[1], s) == d
         return self._stamp_of(key, s, d) > 0
@@ -318,7 +322,7 @@ class ReachTable(_Relations):
         order (sorted by source, then destination).
 
         Bulk companion to :meth:`pairs`; decode with ``grid.decode_many``.
-        Both arrays have the type of the table's keys: ``int32`` when
+        Both arrays have the type of the engine's keys: ``int32`` when
         n(n+1) fits it for an n-cell grid, else ``int64``.
         """
         keys = self._keys(symbol)
@@ -327,6 +331,34 @@ class ReachTable(_Relations):
     def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
         """Deterministic valid flow tree with root ``x ->symbol y``."""
         return _witness(self, x, symbol, y)
+
+
+class ReachCone(ReachTable):
+    """The engine :func:`reach_from` builds: ``witness`` is its own attribute
+    so that the benchmark's tracer can time cone witnesses apart."""
+
+    witness = ReachTable.witness
+
+
+def _built(
+    cls: type[ReachTable], g: Gvas, bound: int, limit: int, *, max_cells: int | None = None, source=None,
+) -> ReachTable:
+    """An engine of at most ``limit`` pairs, checks first: without a
+    ``source`` the table of at most ``max_cells`` cells, else its cone."""
+    grid = Grid(g.dim, bound)
+    _check_valid(g)
+    n = grid.size
+    root = None
+    if source is None:
+        if n > max_cells:
+            raise ResourceLimitError(f"grid has {n} cells, limit {max_cells}")
+    else:  # a cone's grid may be far larger than a table's
+        if n * (n + 1) >= 1 << 63:
+            raise ResourceLimitError(f"grid has {n} cells: a cone's keys s * n + d overflow int64")
+        root = (_source_ref(g, grid, g.start, source), grid.encode(source))
+    from ._kernel import _collapsed
+
+    return cls(g, grid, *_collapsed(grid, _binarize(g), limit, root))
 
 
 def bounded_reach(
@@ -346,14 +378,7 @@ def bounded_reach(
     Each relation's blocks are then merged, and released one by one, into
     the keys and stamps kept.
     """
-    grid = Grid(g.dim, bound)
-    _check_valid(g)
-    if grid.size > max_cells:
-        raise ResourceLimitError(f"grid has {grid.size} cells, limit {max_cells}")
-
-    from ._kernel import _collapsed
-
-    return ReachTable(g, grid, *_collapsed(grid, _binarize(g), max_pairs))
+    return _built(ReachTable, g, bound, max_pairs, max_cells=max_cells)
 
 
 @functools.lru_cache(maxsize=4)
@@ -362,40 +387,13 @@ def cached_reach(g: Gvas, bound: int) -> ReachTable:
     return bounded_reach(g, bound)
 
 
-class ReachCone(_Relations):
-    """Single-source slice of the bounded reachability relation.
-
-    The kernel's rounds from the cone's source (:func:`gvaskit._kernel._collapsed`)
-    compute a relation only on the source rows that rule applications from
-    it demand, which keeps high-dimensional membership queries far below
-    the all-pairs table.
-    """
-
-    def __init__(self, g: Gvas, source, bound: int, max_entries: int = 5_000_000):
-        self.gvas, self.grid = g, Grid(g.dim, bound)
-        _check_valid(g)
-        n = self.grid.size
-        if n * (n + 1) >= 1 << 63:
-            raise ResourceLimitError(f"grid has {n} cells: a cone's keys s * n + d overflow int64")
-        if not self.grid.contains(source):
-            raise OutOfGridError(f"{tuple(source)} outside grid bound {bound}")
-        self.source: Config = tuple(source)
-        from ._kernel import _collapsed
-
-        root = (("sym", g.start), self.grid.encode(self.source))
-        self._relations, self._dem = _collapsed(self.grid, _binarize(g), max_entries, root)
-
-    def witness(self, x: Sequence[int], symbol, y: Sequence[int]) -> FlowTree:
-        """Deterministic valid flow tree with root ``x ->symbol y``."""
-        return _witness(self, x, symbol, y)
-
-
 def reach_from(g: Gvas, x, bound: int, max_entries: int = 5_000_000) -> ReachCone:
-    """Demand-driven bounded reachability from one configuration."""
-    return ReachCone(g, tuple(x), bound, max_entries)
+    """Demand-driven bounded reachability from one configuration: the
+    rows that rule applications from x demand, which keeps high-dimensional
+    membership queries far below the all-pairs table."""
+    return _built(ReachCone, g, bound, max_entries, source=x)
 
 
 @functools.lru_cache(maxsize=16)
 def cached_cone(g: Gvas, x: tuple, bound: int) -> ReachCone:
-    return ReachCone(g, x, bound)
-
+    return reach_from(g, x, bound)

@@ -271,4 +271,7 @@ def parse_predicate(text: str) -> DefinablePredicate:
     m = re.search(r"^#\s*arity\s+(\d+)\s+aux\s+(\d+)\s*$", text, re.MULTILINE)
     if not m:
         raise ParseError("missing '# arity N aux L' header", 1, 1, ("# arity N aux L",))
-    return DefinablePredicate(int(m.group(1)), parse_gvas(text), int(m.group(2)))
+    arity, aux, g = int(m.group(1)), int(m.group(2)), parse_gvas(text)
+    if arity + aux != g.dim:
+        raise ParseError(f"arity {arity} + aux {aux} is not dim {g.dim}", text.count("\n", 0, m.start()) + 1, 1)
+    return DefinablePredicate(arity, g, aux)

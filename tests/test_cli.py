@@ -401,6 +401,15 @@ def test_setop_coordinates_are_refused_as_typed(capsys, argv, err):
     assert captured.out == "" and captured.err == f"parse error: {err}\n"
 
 
+def test_setop_refuses_a_header_that_does_not_add_up_to_dim(capsys, tmp_path):
+    bad = tmp_path / "bad.pred"
+    bad.write_text("# pairs (x, y) with y = x\n# arity 3 aux 0\ndim 2\nstart S\nS -> (1,1) S | eps\n")
+    code = main(["setop", "hull", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == "parse error: 2:1: arity 3 + aux 0 is not dim 2\n"
+
+
 def test_setop_missing_operand(capsys):
     code, _ = run(capsys, "setop", "project", str(DATA / "evens.pred"))
     assert code == 2
@@ -480,3 +489,16 @@ def test_benchmark_tracer_finds_every_boundary(capsys):
     assert {"gvas.parse_gvas", "reach.bounded_reach", "reach.witness", "reach.cone_witness", "reach.cached_cone"} <= names
     assert not hasattr(gvaskit.reach.ReachTable.witness, "__wrapped__")
     assert not hasattr(gvaskit.reach.ReachCone.witness, "__wrapped__")
+
+
+def test_benchmark_worker_empties_both_engine_caches(pow2):
+    # perfbench/worker.py clears these caches by name before every repetition
+    spec = importlib.util.spec_from_file_location("worker", Path(__file__).parents[1] / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    caches = (gvaskit.reach.cached_reach, gvaskit.reach.cached_cone)
+    gvaskit.reach.cached_reach(pow2, 4)
+    gvaskit.reach.cached_cone(pow2, (1,), 4)
+    assert all(cache.cache_info().currsize for cache in caches)
+    worker._reset_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]

@@ -9,6 +9,7 @@ hypothesis with generated values.
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvaskit import flowtree as ft
@@ -41,7 +42,7 @@ def random_gvas(rng: random.Random) -> Gvas:
 
 def test_table_and_cone_agree_on_random_grammars():
     rng = random.Random(7)
-    checked = demanded = 0
+    checked = demanded = undemanded = 0
     for _ in range(60):
         g = random_gvas(rng)
         bound = rng.randint(2, 5)
@@ -53,16 +54,32 @@ def test_table_and_cone_agree_on_random_grammars():
             assert cone.successors(g.start, src) == table.successors(g.start, src), (
                 format_gvas(g), bound, src)
             checked += 1
-            # every cell the cone demanded holds the table's full row
-            for nt, x in itertools.product(g.nonterminals, cells):
-                try:
-                    got = cone.successors(nt, x)
-                except NotInTableError:
-                    continue
-                assert got == table.successors(nt, x), (format_gvas(g), bound, src, nt, x)
-                demanded += 1
+            # every cell the cone demanded holds the table's full row; contains from another cell raises
+            for nt in g.nonterminals:
+                rows = set()
+                for x in cells:
+                    try:
+                        got = cone.successors(nt, x)
+                    except NotInTableError:
+                        with pytest.raises(NotInTableError):
+                            cone.contains(nt, x, x)
+                        undemanded += 1
+                        continue
+                    assert got == table.successors(nt, x), (format_gvas(g), bound, src, nt, x)
+                    for y in cells:
+                        assert cone.contains(nt, x, y) == table.contains(nt, x, y), (format_gvas(g), src, nt, x, y)
+                    rows.add(table.grid.encode(x))
+                    demanded += 1
+                # the cone's pairs are the table's on the demanded rows
+                t_rows, t_cols = table.pairs_arrays(nt)
+                keep = [s in rows for s in t_rows.tolist()]
+                c_rows, c_cols = cone.pairs_arrays(nt)
+                assert (c_rows.tolist(), c_cols.tolist()) == (t_rows[keep].tolist(), t_cols[keep].tolist())
+                assert cone.count(nt) == len(c_rows) == sum(keep)
+                assert list(cone.pairs(nt)) == [p for p, k in zip(table.pairs(nt), keep) if k]
     assert checked >= 150
     assert demanded > checked  # more than the start cells alone
+    assert undemanded > 0
 
 
 def test_both_engines_build_valid_witnesses_for_same_pairs():

@@ -165,6 +165,18 @@ def test_safety_rejects_unknown_symbol():
         safety_check(1, "Nope", 4)
 
 
+@pytest.mark.parametrize("d,symbol,bound,core,table_bound,err", [
+    (1, "Fn", 6, 1, 8, "table has bound 8, not 6"),  # once 32 violations that do not exist
+    (1, "Iter", 6, 1, 8, "table has bound 8, not 6"),  # once an IndexError
+    (1, "Fn", 12, 1, 8, "table has bound 8, not 12"),  # once a wrong max_slack and cap_hits
+    (1, "Fn", 4, 2, 4, r"dimension 4\) is not the depth-1 core \(dimension 3"),  # once numpy's matmul ValueError
+], ids=["fn-below", "iter-below", "fn-above", "deeper-core"])
+def test_safety_refuses_a_table_of_other_values(d, symbol, bound, core, table_bound, err):
+    table = bounded_reach(build_core(core), table_bound)
+    with pytest.raises(ValueError, match=err):
+        safety_check(d, symbol, bound, table)
+
+
 def reference_safety_check(d, symbol, table):
     """The scan as one evaluator call per distinct clause key: the oracle
     for the tabulated scan in :func:`safety_check`."""

@@ -199,6 +199,16 @@ def test_orderings_refuse_trees_of_different_dimensions(order):
             order(s, t)
 
 
+def test_replay_and_amalgamate_refuse_trees_of_different_dimensions():
+    # an empty witness once replayed into Lifting((1,), (2,)), and amalgamate into ((3 S 5))
+    one, two = ft.node((1,), "S", (1,)), ft.node((2, 5), "S", (3, 5))
+    w = ft.EmbeddingWitness(())
+    with pytest.raises(DimensionMismatchError, match="dimensions"):
+        ft.replay(w, one, two)
+    with pytest.raises(DimensionMismatchError, match="dimensions"):
+        ft.amalgamate(one, two, w, two, w)
+
+
 def test_adorn_agreement_on_triple(order_trees):
     trees = list(order_trees.values())
     for s, t in itertools.product(trees, repeat=2):

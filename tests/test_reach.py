@@ -506,14 +506,11 @@ def test_unknown_symbols_are_rejected(pow2, engine, symbol):
     queries = [
         lambda: eng.successors(symbol, (1,)),
         lambda: eng.witness((1,), symbol, (4,)),
+        lambda: eng.contains(symbol, (1,), (4,)),
+        lambda: eng.pairs(symbol),
+        lambda: eng.count(symbol),
+        lambda: eng.pairs_arrays(symbol),
     ]
-    if engine == "table":
-        queries += [
-            lambda: eng.contains(symbol, (1,), (4,)),
-            lambda: eng.pairs(symbol),
-            lambda: eng.count(symbol),
-            lambda: eng.pairs_arrays(symbol),
-        ]
     for query in queries:
         with pytest.raises(UnknownSymbolError):
             query()
