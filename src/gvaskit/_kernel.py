@@ -16,20 +16,27 @@ row of every relation in round 1, so each of its reads is a delta.
 
 While the rounds run, each relation is a short list of disjoint blocks
 (:class:`_Block`) whose sizes shrink geometrically, newest last, as in a
-log-structured merge.  A round's candidates are deduplicated and looked
-up by binary search in every block, so its membership test and insert
-cost O(|delta| log |relation|) rather than O(|relation|).  A relation
-dense enough, holding an eighth of the grid's n * n pairs, also keeps a
-bitmap over all n * n keys, at most one byte per stored pair: its
-candidates are checked by one bit lookup each, and only the new ones
-sorted.  A join with an action shifts keys (:func:`_shifted`), checked on
-the digits the action moves; no action's pairs are stored.  The engines
-differ only in the kernel of a join of two relations: the table
-multiplies its blocks' CSR arrays with compiled sparse routines
-(:func:`_products`, the one function that loads scipy, on the table's
-first product), the cone gathers rows from the sorted keys themselves
-and never loads them.  When the rounds stop, each relation's blocks are
-merged into the keys and stamps the engine keeps (:func:`_collapsed`).
+log-structured merge.  Membership has one rule for every relation that
+is searched, that is, every relation not defined by one join with an
+action (:class:`_Band`).  Once its pairs pay for it, at most one byte
+per stored pair, a relation keeps a bitmap over a band of offsets
+``[lo, lo + W)``: row s holds the pair (s, d) at bit d - s - lo.  A band
+that reaches a grid row is the widest, and its bits are the n * n keys
+themselves.  The core grammars' pairs lie in narrow bands, which switch
+on within three rounds; small grids reach the key layout.  Candidates
+are then checked by one bit lookup each, one outside the band being new,
+so only the new ones are sorted.  A relation without bits sorts and
+deduplicates its candidates and looks them up by binary search in every
+block, so its membership test and insert cost O(|delta| log |relation|)
+rather than O(|relation|).  A join with an action shifts keys
+(:func:`_shifted`), checked on the digits the action moves; no action's
+pairs are stored.  The engines differ only in the kernel of a join of
+two relations: the table multiplies its blocks' CSR arrays with compiled
+sparse routines (:func:`_products`, the one function that loads scipy,
+on the table's first product), the cone gathers rows from the sorted
+keys themselves and never loads them.  When the rounds stop, each
+relation's blocks are merged into the keys and stamps the engine keeps
+(:func:`_collapsed`).
 """
 
 from __future__ import annotations
@@ -214,49 +221,139 @@ def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
 
 _BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # the mask of bit i of a byte
+_SLICE = 1 << 16  # indices per slice of a bit update or lookup, which bounds its temporaries
 
 
-def _dense(pairs: int, n: int) -> bool:
-    """Whether a relation of ``pairs`` pairs on an n-cell grid keeps a
-    bitmap: from n * n / 8 pairs on, its n * n bits cost at most one byte
-    per pair."""
-    return 8 * pairs >= n * n
+def _set_bits(bits: np.ndarray, idx: np.ndarray) -> None:
+    """Set the bits of the given indices, bit k of byte i for index 8i + k,
+    a slice of indices at a time."""
+    for i in range(0, len(idx), _SLICE):
+        part = idx[i:i + _SLICE]
+        np.bitwise_or.at(bits, part >> 3, _BIT.take(part & 7))
 
 
-def _set_bits(bits: np.ndarray, keys: np.ndarray) -> None:
-    """Set the bits of sorted, distinct keys, one write per byte they touch."""
-    byte = keys >> 3
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(byte[1:], byte[:-1], out=first[1:])
-    at = np.flatnonzero(first)
-    bits[byte[at]] |= np.bitwise_or.reduceat(_BIT.take(keys & 7), at)
+class _Band:
+    """The membership bits of one searched relation's pairs (s, d), over a
+    band of their offsets d - s, once its pairs pay for them.
+
+    It counts the relation's pairs and, once they pay for a band at all
+    (8 * pairs >= n), tracks the span ``[lo, hi]`` of their offsets, taken
+    first from the blocks, then from each fresh batch.  A band of offsets
+    ``[base, base + W)``, ``base`` and ``W`` multiples of 8, keeps
+    n * (W + 8) bits, the rows of a uint8 array: row s holds offset
+    ``base + j`` at bit index ``s * (W + 8) + j`` and ends in a guard byte
+    that stays clear, so a pair outside the band, whose offset is clamped
+    into that byte, reads as absent.  A band whose row reaches a grid row
+    is the widest: its bits are the grid's n * n linear keys ``s * n + d``
+    themselves, held flat, and cover every pair.
+
+    One density rule sizes the band (:meth:`add`): bits over W offsets
+    cost n * W, at most one byte per stored pair while 8 * pairs >= n * W.
+    A relation switches on once its pairs pay for its span with a quarter
+    of it as slack on each side, or for the key layout if a grid row is
+    narrower, and a fresh pair outside the band widens it, centred on the
+    new span with the same slack.  Either way it takes the widest band its
+    pairs pay for, if wider, and the key layout once that reaches a row.
+    A widened band copies the bytes it shares with the old one, which hold
+    every pair: the old span lies in both.
+    """
+
+    __slots__ = ("pairs", "lo", "hi", "base", "bits")
+
+    def __init__(self):
+        self.pairs, self.lo, self.hi, self.base = 0, None, None, 0
+        self.bits: np.ndarray | None = None
+
+    def _offsets(self, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sources s of the pairs of ``keys`` and their offsets d - s - base."""
+        s = keys // n
+        u = s * (n + 1)
+        u += self.base
+        np.subtract(keys, u, out=u)
+        return s, u
+
+    def _index(self, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The bit indices, built in ``s``, of the pairs with sources ``s``
+        and offsets ``u`` from the base; an offset outside the band goes to
+        its row's guard byte."""
+        w = u.view(f"u{u.itemsize}")  # below the band wraps to above it
+        np.minimum(w, 8 * self.bits.shape[1] - 8, out=w)
+        s *= 8 * self.bits.shape[1]
+        s += u
+        return s
+
+    def absent(self, keys: np.ndarray, n: int) -> np.ndarray:
+        """The pairs of ``keys`` the relation lacks, by one bit lookup each,
+        a slice of keys at a time."""
+        if len(keys) > _SLICE:
+            return np.concatenate([self.absent(keys[i:i + _SLICE], n) for i in range(0, len(keys), _SLICE)])
+        idx = keys if self.bits.ndim == 1 else self._index(*self._offsets(keys, n))
+        return keys[self.bits.reshape(-1).take(idx >> 3) & _BIT.take(idx & 7) == 0]
+
+    def _slacked(self) -> int:
+        """The width of a band over the span with a quarter of it as slack on each side."""
+        span = self.hi - self.lo + 1
+        return span + span // 2
+
+    def add(self, keys: np.ndarray, stack: list[_Block], n: int) -> None:
+        """Count the relation's fresh pairs ``keys``, already in its blocks
+        ``stack``, and set their bits; switch on, widen or go to the key
+        layout first when the density rule says so."""
+        self.pairs += len(keys)
+        paid = 8 * self.pairs // n  # the widest band the pairs pay for
+        bits = self.bits
+        if bits is not None and bits.ndim == 1:
+            _set_bits(bits, keys)
+            return
+        if not paid:  # no band yet: the span is taken from the blocks once one is paid for
+            return
+        if self.lo is None:
+            spans = [(int(u.min()), int(u.max())) for u in (self._offsets(b.keys, n)[1] for b in stack)]
+            self.lo, self.hi = min(lo for lo, _ in spans), max(hi for _, hi in spans)
+        elif bits is None and self._slacked() + 8 >= n:
+            if paid >= n:  # a band over the span would reach a grid row: only the key layout can come
+                self._keyed(stack, n)
+            return
+        else:
+            s, u = self._offsets(keys, n)
+            self.lo, self.hi = min(self.lo, int(u.min()) + self.base), max(self.hi, int(u.max()) + self.base)
+            if bits is not None and paid + 8 < n and self.base <= self.lo and self.hi < self.base + 8 * bits.shape[1] - 8:
+                _set_bits(bits.reshape(-1), self._index(s, u))
+                return
+        if bits is None and paid < min(self._slacked(), n):
+            return
+        width = max(paid, self._slacked())
+        base = (self.lo - (width - self.hi + self.lo - 1) // 2) & -8  # centred, rounded down to a byte
+        width = -(-max(width, self.hi + 1 - base) // 8) * 8
+        if width + 8 >= n:  # a row of the band reaches a grid row
+            self._keyed(stack, n)
+            return
+        was, self.base, self.bits = self.base, base, np.zeros((n, width // 8 + 1), dtype=np.uint8)
+        if bits is None:
+            for block in stack:
+                _set_bits(self.bits.reshape(-1), self._index(*self._offsets(block.keys, n)))
+            return
+        first, last = max(was, base), min(was + 8 * bits.shape[1] - 8, base + width)
+        self.bits[:, (first - base) // 8:(last - base) // 8] = bits[:, (first - was) // 8:(last - was) // 8]
+        u += was - base
+        _set_bits(self.bits.reshape(-1), self._index(s, u))
+
+    def _keyed(self, stack: list[_Block], n: int) -> None:
+        """Switch to the key layout: the bits of the blocks' keys."""
+        self.bits = np.zeros(-(-n * n // 8), dtype=np.uint8)
+        for block in stack:
+            _set_bits(self.bits, block.keys)
 
 
-def _bitmap(stack: list[_Block], n: int) -> np.ndarray:
-    """The bitmap over an n-cell grid's n * n linear keys of the blocks'
-    pairs: bit k of byte i for key 8i + k.  Built through one byte per key,
-    at most eight per pair of a relation :func:`_dense` calls dense."""
-    marks = np.zeros(n * n, dtype=bool)
-    for block in stack:
-        marks[block.keys] = True
-    return np.packbits(marks, bitorder="little")
-
-
-def _fresh(parts: list[np.ndarray], stack: list[_Block], bits: np.ndarray | None) -> np.ndarray:
+def _fresh(parts: list[np.ndarray], stack: list[_Block]) -> np.ndarray:
     """The distinct candidates of ``parts`` (emptied to release them) that
-    the relation lacks: whose bit in ``bits`` is clear, or without a
-    bitmap that no block of ``stack`` holds.  A bitmap drops the pairs
-    held before sorting, so only the rest are sorted and deduplicated."""
-    if bits is not None:
-        for i, c in enumerate(parts):
-            parts[i] = c[bits.take(c >> 3) & _BIT.take(c & 7) == 0]
+    no block of ``stack`` holds."""
     cand = np.concatenate(parts)
     parts.clear()
     cand.sort()
     cand = _first_of_runs(cand)
-    if bits is None:
-        for block in stack:
-            cand = cand[~_isin(block.keys, cand)]
+    for block in stack:
+        cand = cand[~_isin(block.keys, cand)]
     return cand
 
 
@@ -311,16 +408,20 @@ def _rounds(
     times the time and 3 times the memory, and that of exchange@40 7.7
     times the time.
 
-    Candidates are deduplicated and searched for in the target's blocks;
-    those in none are its fresh pairs, stamped r.  A relation defined by
-    one join with an action alone skips the search: it holds its factor's
-    shift as the factor stood a round earlier, and a shift is injective,
-    so its candidates are new.  Any other relation that ends a round with
-    n * n / 8 pairs or more (:func:`_dense`) takes a bitmap over the
-    n * n keys, built once from its blocks and updated from each fresh
-    batch, so it costs at most one byte per stored pair.  Its candidates
-    are then checked by one bit lookup each before the sort, and its
-    blocks are no longer searched; the fresh pairs are the same.  Nothing
+    The target's fresh pairs, stamped r, are its distinct candidates that
+    it lacks (:func:`_fresh`).  A relation defined by one join with an
+    action alone skips the test: it holds its factor's shift as the factor
+    stood a round earlier, and a shift is injective, so its candidates are
+    new.  Every other relation keeps a :class:`_Band`, which each fresh
+    batch updates at the end of the round: it tracks the span of the
+    relation's offsets d - s and, once 8 * pairs >= n * W for a band W
+    offsets wide that covers the span with slack, keeps bits over that
+    band, widened when a fresh pair falls outside it and replaced by the
+    n * n bits of the keys once a band row reaches a grid row.  With bits,
+    each candidate is checked by one bit lookup as it is made, and only
+    the ones not held are kept for the sort; an offset outside the band is
+    new.  Without, the candidates are sorted and searched for in the
+    blocks.  Either test finds the same fresh pairs.  Nothing
     grows before the round ends, so stamps are exactly round numbers.  A
     fresh batch becomes the newest block after absorbing each newest block
     of at most four times its pairs: N pairs take O(log N) blocks, each
@@ -339,7 +440,7 @@ def _rounds(
     wants = ({k: [np.arange(n, dtype=key_dtype)] for k in defs} if root is None
              else {root[0]: [np.array([root[1]], dtype=key_dtype)]})
     fresh: dict[tuple, _Block] = {}
-    bits: dict[tuple, np.ndarray] = {}  # the searched relations dense enough for a bitmap
+    bands = {k: _Band() for k in defs if k not in shifts}
     round_no = entries = 0
 
     def older(key, keys: np.ndarray) -> np.ndarray:
@@ -356,6 +457,8 @@ def _rounds(
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def add(key, cand: np.ndarray) -> None:
+        if len(cand) and key in bands and bands[key].bits is not None:
+            cand = bands[key].absent(cand, n)  # dropped as made, so a round holds only new candidates
         if len(cand):
             cands.setdefault(key, []).append(cand)
 
@@ -415,17 +518,15 @@ def _rounds(
         for key, parts in cands.items():
             # new and distinct by construction; a stable sort merges the sorted runs of the cone's parts
             cand = (np.sort(np.concatenate(parts), kind="stable") if key in shifts
-                    else _fresh(parts, blocks[key], bits.get(key)))
+                    else _fresh(parts, [] if bands[key].bits is not None else blocks[key]))
             if len(cand):
                 entries += len(cand)
                 stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
                 fresh[key] = block = _Block(cand, stamps)
                 keys, stamps = _absorb(blocks[key], cand, stamps)
                 blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
-                if key in bits:
-                    _set_bits(bits[key], cand)
-                elif key not in shifts and _dense(sum(len(b.keys) for b in blocks[key]), n):
-                    bits[key] = _bitmap(blocks[key], n)
+                if key in bands:
+                    bands[key].add(cand, blocks[key], n)
         if entries > limit:
             raise ResourceLimitError(f"relation store reached {entries} pairs, limit {limit}" if root is None
                                      else f"reachability cone exceeded {limit} entries")

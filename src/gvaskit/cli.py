@@ -419,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except GvasError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:  # an input file that cannot be read, a bad value
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -374,7 +374,8 @@ def bounded_reach(
     the grammar value and the bound.  The kernel's rounds with every row
     demanded (:func:`gvaskit._kernel._collapsed`): memory is O(pairs), one
     row of O(cells) per block's CSR arrays and per relation's demanded rows,
-    and at most one byte per pair of a dense relation's bitmap; no state is cells by cells.
+    and a searched relation's band bits, at most one byte per stored pair
+    when they switch on; no state is cells by cells.
     Each relation's blocks are then merged, and released one by one, into
     the keys and stamps kept.
     """

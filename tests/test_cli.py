@@ -417,6 +417,20 @@ def test_setop_missing_operand(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["validate", "{dir}"],
+    ["to-pvas", "--gvas", "{dir}"],
+    ["dot", "--tree", "{dir}"],
+    ["setop", "intersect", DATA / "evens.pred", "{dir}"],
+], ids=["validate", "gvas", "tree", "setop-operand"])
+def test_unreadable_input_path_is_usage_error(capsys, tmp_path, args):
+    # a directory given as an input file is refused as typed, not with a traceback
+    code = main([str(tmp_path) if a == "{dir}" else str(a) for a in args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: ") and f"'{tmp_path}'" in captured.err
+
+
 def test_unknown_oracle_is_usage_error(capsys):
     code, _ = run(capsys, "check-weak", "--gvas", DATA / "computer_f1.gvas",
                   "--oracle", "sqrt", "--n-max", "1", "--bound", "4")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import gvaskit
@@ -15,7 +16,7 @@ from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit import _kernel
-from gvaskit._kernel import _bitmap, _Block, _dense, _fresh, _key_dtype, _products, _rounds, _set_bits, _shifted
+from gvaskit._kernel import _Band, _Block, _key_dtype, _products, _rounds, _shifted
 from gvaskit.reach import Grid, _action_target, _binarize, bounded_reach, reach_from
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
@@ -802,64 +803,123 @@ def test_cone_out_of_grid(pow2):
         reach_from(pow2, (9,), 4)
 
 
-# --- bitmaps for dense relations -----------------------------------------------
+# --- band bitmaps for searched relations ------------------------------------
 
 
 def switches(monkeypatch, g, bound, root=None):
-    """Each relation key that the rounds switch to a bitmap, with the round
-    it switched in and the number of blocks its bitmap was built from;
-    with a root config, for the cone from it."""
+    """Each relation key whose band the rounds switch on, with the layouts
+    it takes in order: the round of each, and its band's width in offsets,
+    or None for the key layout; with a root config, for the cone from it."""
     grid = Grid(g.dim, bound)
-    defs = _binarize(g)
-    built = []
+    seen = []
+    add = _Band.add
 
-    def spy(stack, n):
-        built.append((stack, max(int(b.stamps.max()) for b in stack), len(stack)))
-        return _bitmap(stack, n)
+    def spy(band, keys, stack, n):
+        before = band.bits
+        add(band, keys, stack, n)
+        if band.bits is not before:
+            width = None if band.bits.ndim == 1 else 8 * band.bits.shape[1] - 8
+            seen.append((stack, max(int(b.stamps.max()) for b in stack), width))
 
-    monkeypatch.setattr(_kernel, "_bitmap", spy)
-    blocks, _, _ = _rounds(grid, defs, 60_000_000, None if root is None else (("sym", g.start), grid.encode(root)))
-    return {key: (r, k) for stack, r, k in built for key, s in blocks.items() if s is stack}
+    monkeypatch.setattr(_Band, "add", spy)
+    blocks, _, _ = _rounds(grid, _binarize(g), 60_000_000, None if root is None else (("sym", g.start), grid.encode(root)))
+    return {key: [(r, w) for owner, r, w in seen if owner is stack]
+            for key, stack in blocks.items() if any(owner is stack for owner, _, _ in seen)}
 
 
 def test_dense_relations_switch_to_bitmaps(monkeypatch, pow2):
-    # pow2@16 (17 cells): S, T and aux(1, 1) reach 17 * 17 / 8 pairs; aux(3, 1),
-    # defined by a shift alone, is never searched, so never switches
-    assert switches(monkeypatch, pow2, 16) == {("aux", 1, 1): (4, 1), ("sym", "S"): (5, 1), ("sym", "T"): (5, 1)}
-    # the chain's S switches in round 7, its bitmap built from two blocks
-    assert switches(monkeypatch, CHAIN, 50) == {("sym", "S"): (7, 2)}
-    # on 5 cells the identity of round 1 is dense already
-    assert switches(monkeypatch, pow2, 4) == {("sym", "S"): (1, 1), ("sym", "T"): (1, 1), ("aux", 1, 1): (2, 1)}
+    # pow2@16 (17 cells): round 1's identity pays for the band its span needs, and
+    # that band with its guard byte reaches a row, so S and T take the key
+    # layout at once; aux(3, 1), defined by a shift alone, is never searched
+    assert switches(monkeypatch, pow2, 16) == {("sym", "S"): [(1, None)], ("sym", "T"): [(1, None)],
+                                                ("aux", 1, 1): [(2, None)]}
+    assert switches(monkeypatch, pow2, 4) == {("sym", "S"): [(1, None)], ("sym", "T"): [(1, None)],
+                                               ("aux", 1, 1): [(2, None)]}
+    # the chain's S (51 cells) starts on a band 16 offsets wide, and in round 6
+    # its pairs pay for a band that reaches a row
+    assert switches(monkeypatch, CHAIN, 50) == {("sym", "S"): [(1, 16), (6, None)]}
     for g, bound in [(pow2, 16), (CHAIN, 50), (pow2, 4)]:
         assert_same_stamps(g, bound)
 
 
-def test_sparse_core_relations_keep_their_searches(monkeypatch):
-    # every relation of the core grammars stays below an eighth of the grid's pairs
-    assert switches(monkeypatch, build_core(1), 8) == {}
-    assert switches(monkeypatch, build_core(2), 4) == {}
+def test_core_relations_switch_to_narrow_bands(monkeypatch):
+    # every searched relation of the core grammars switches in rounds 1-3 on a
+    # band far narrower than a row (729 cells at core(1)@8, 625 at core(2)@4)
+    # and only widens after; none reaches the key layout
+    got = switches(monkeypatch, build_core(1), 8)
+    assert {key: (layouts[0], layouts[-1], len(layouts)) for key, layouts in got.items()} == {
+        ("sym", "Fn"): ((1, 16), (13, 184), 6), ("sym", "Iter"): ((2, 16), (13, 168), 5),
+        ("sym", "Load"): ((1, 16), (13, 80), 4), ("aux", 1, 1): ((3, 8), (12, 184), 7),
+        ("aux", 3, 2): ((3, 16), (11, 168), 5)}
+    got = switches(monkeypatch, build_core(2), 4)
+    assert {key: (layouts[0], layouts[-1], len(layouts)) for key, layouts in got.items()} == {
+        ("sym", "Fn"): ((1, 16), (10, 48), 3), ("sym", "Iter"): ((2, 16), (11, 56), 3),
+        ("sym", "Load"): ((1, 16), (7, 24), 2), ("sym", "Desc1"): ((2, 16), (11, 48), 3),
+        ("aux", 1, 1): ((3, 8), (14, 56), 5), ("aux", 2, 2): ((3, 8), (12, 48), 3),
+        ("aux", 4, 2): ((3, 16), (9, 48), 3)}
+    assert_same_stamps(build_core(1), 8, samples=4)
+    assert_same_stamps(build_core(2), 4, samples=4)
 
 
 def test_dense_cone_matches_reference(monkeypatch):
-    assert switches(monkeypatch, CHAIN, 40, root=(0,)) == {("sym", "S"): (6, 1)}
+    assert switches(monkeypatch, CHAIN, 40, root=(0,)) == {("sym", "S"): [(1, 16), (5, None)]}
     assert_same_cone(CHAIN, (0,), 40)
 
 
+@st.composite
+def band_runs(draw):
+    """A grid size, a key type and the batches of a relation's pairs: round
+    1's identity, which switches a band on, then batches whose offsets
+    drift, which widen it, and now and then a dense batch, which takes it
+    to the key layout."""
+    n = draw(st.integers(2, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batches = [(np.arange(n), np.arange(n))]
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:  # about a quarter of the grid
+            s, d = np.divmod(rng.integers(0, n * n, n * n // 4), n)
+        else:  # offsets in a window of up to 13 anywhere
+            lo = draw(st.integers(-(n - 1), n - 1))
+            s = rng.integers(0, n, draw(st.integers(0, 3 * n)))
+            d = s + rng.integers(lo, lo + draw(st.integers(1, 13)), len(s))
+        batches.append((s[(d >= 0) & (d < n)], d[(d >= 0) & (d < n)]))
+    return n, draw(st.sampled_from([np.int32, np.int64])), batches, rng
+
+
+@settings(max_examples=150)
+@given(band_runs())
+def test_band_lookups_equal_isin(run):
+    n, dtype, batches, rng = run
+    band, stack, held = _Band(), [], np.zeros(0, dtype=dtype)
+    for s, d in batches:
+        keys = np.unique((s * n + d).astype(dtype))
+        keys = keys[~np.isin(keys, held)]
+        if not len(keys):
+            continue
+        stack.append(_Block(keys, None))
+        band.add(keys, stack, n)
+        held = np.union1d(held, keys)
+        assert band.pairs == len(held)
+        if band.bits is None:
+            continue
+        # every held pair, the cells beside each, and any keys: most lie outside a narrow band
+        cand = np.concatenate([held, held - 1, held + 1, rng.integers(0, n * n, 50)]).astype(dtype)
+        cand = rng.permutation(cand[(cand >= 0) & (cand < n * n)])
+        assert band.absent(cand, n).tolist() == cand[~np.isin(cand, held)].tolist()
+        if band.bits.ndim == 2:
+            width = 8 * band.bits.shape[1] - 8
+            assert band.base <= band.lo and band.hi < band.base + width and width + 8 < n
+
+
 def test_bitmap_membership():
-    n = 37
-    rng = np.random.default_rng(4)
-    batches = [np.unique(rng.integers(0, n * n, size)).astype(np.int32) for size in (300, 7, 1, 120)]
-    held = np.unique(np.concatenate(batches))
-    bits = np.zeros((n * n + 7) // 8, dtype=np.uint8)
-    for keys in batches:
-        _set_bits(bits, keys)
-    # bit k of byte i is key 8i + k, whether set batch by batch or built at once
-    assert np.array_equal(bits, _bitmap([_Block(b, None) for b in batches], n))
-    assert np.flatnonzero(np.unpackbits(bits, bitorder="little")).tolist() == held.tolist()
-    cand = rng.integers(0, n * n, 2000).astype(np.int32)
-    parts = [cand[:500], cand[500:]]
-    assert _fresh(parts, [], bits).tolist() == np.setdiff1d(cand, held).tolist() and parts == []
-    assert _dense(n * n // 8 + 1, n) and not _dense(n * n // 8, n)
+    # the identity of a 400-cell grid switches on a narrow band; a lookup of
+    # more than 2**16 keys runs in slices and keeps their order
+    n = 400
+    band, keys = _Band(), np.arange(n, dtype=np.int64) * (n + 1)
+    band.add(keys, [_Block(keys, None)], n)
+    assert band.bits.shape == (n, 3) and band.base == -8  # offsets [-8, 8) and the guard byte
+    cand = np.random.default_rng(4).integers(0, n * n, 150_000)
+    assert band.absent(cand, n).tolist() == cand[~np.isin(cand, keys)].tolist()
 
 
 @pytest.mark.parametrize("make", [lambda g: bounded_reach(g, -1), lambda g: reach_from(g, (0,), -1),
