@@ -18,14 +18,15 @@ While the rounds run, each relation is a short list of disjoint blocks
 (:class:`_Block`) whose sizes shrink geometrically, newest last, as in a
 log-structured merge.  Membership has one rule for every relation that
 is searched, that is, every relation not defined by one join with an
-action (:class:`_Band`).  Once its pairs pay for it, at most one byte
+action (:class:`_Band`).  While its pairs pay for it, at most one byte
 per stored pair, a relation keeps a bitmap over a band of offsets
 ``[lo, lo + W)``: row s holds the pair (s, d) at bit d - s - lo.  A band
 that reaches a grid row is the widest, and its bits are the n * n keys
-themselves.  The core grammars' pairs lie in narrow bands, which switch
-on within three rounds; small grids reach the key layout.  Candidates
-are then checked by one bit lookup each, one outside the band being new,
-so only the new ones are sorted.  A relation without bits sorts and
+themselves.  The core grammars' pairs lie in bands far narrower than a
+row, which their pairs pay for from about a quarter of their rounds on;
+small grids reach the key layout.  Candidates are then checked by one
+bit lookup each, one outside the band being new, so only the new ones
+are sorted.  A relation without bits sorts and
 deduplicates its candidates and looks them up by binary search in every
 block, so its membership test and insert cost O(|delta| log |relation|)
 rather than O(|relation|).  A join with an action shifts keys
@@ -221,47 +222,52 @@ def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
 
 _BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # the mask of bit i of a byte
-_SLICE = 1 << 16  # indices per slice of a bit update or lookup, which bounds its temporaries
+_SLICE = 1 << 16  # keys per slice of a lookup, which bounds its temporaries
 
 
 def _set_bits(bits: np.ndarray, idx: np.ndarray) -> None:
-    """Set the bits of the given indices, bit k of byte i for index 8i + k,
-    a slice of indices at a time."""
-    for i in range(0, len(idx), _SLICE):
-        part = idx[i:i + _SLICE]
-        np.bitwise_or.at(bits, part >> 3, _BIT.take(part & 7))
+    """Set the bits of sorted, distinct indices, bit k of byte i for index
+    8i + k, one write per byte they touch."""
+    byte = idx >> 3
+    first = np.ones(len(idx), dtype=bool)
+    np.not_equal(byte[1:], byte[:-1], out=first[1:])
+    at = np.flatnonzero(first)
+    bits[byte[at]] |= np.bitwise_or.reduceat(_BIT.take(idx & 7), at)
 
 
 class _Band:
     """The membership bits of one searched relation's pairs (s, d), over a
-    band of their offsets d - s, once its pairs pay for them.
+    band of their offsets d - s, while its pairs pay for them.
 
-    It counts the relation's pairs and, once they pay for a band at all
-    (8 * pairs >= n), tracks the span ``[lo, hi]`` of their offsets, taken
-    first from the blocks, then from each fresh batch.  A band of offsets
-    ``[base, base + W)``, ``base`` and ``W`` multiples of 8, keeps
-    n * (W + 8) bits, the rows of a uint8 array: row s holds offset
-    ``base + j`` at bit index ``s * (W + 8) + j`` and ends in a guard byte
-    that stays clear, so a pair outside the band, whose offset is clamped
-    into that byte, reads as absent.  A band whose row reaches a grid row
-    is the widest: its bits are the grid's n * n linear keys ``s * n + d``
-    themselves, held flat, and cover every pair.
+    A band of offsets ``[base, base + width)``, both multiples of 8, keeps
+    n * (width + 8) bits, the rows of a uint8 array: row s holds offset
+    ``base + j`` at bit index ``s * (width + 8) + j`` and ends in a guard
+    byte that stays clear, so a pair outside the band, its offset clamped
+    into that byte, reads as absent.  A band whose row with its guard byte
+    would reach a grid row is the widest, ``width`` n: its bits are the
+    grid's n * n linear keys ``s * n + d`` themselves, held flat, and cover
+    every pair.  Within a band the bit index grows with the key, so the
+    sorted keys of a block or a fresh batch give sorted indices.
 
-    One density rule sizes the band (:meth:`add`): bits over W offsets
-    cost n * W, at most one byte per stored pair while 8 * pairs >= n * W.
-    A relation switches on once its pairs pay for its span with a quarter
-    of it as slack on each side, or for the key layout if a grid row is
-    narrower, and a fresh pair outside the band widens it, centred on the
-    new span with the same slack.  Either way it takes the widest band its
-    pairs pay for, if wider, and the key layout once that reaches a row.
-    A widened band copies the bytes it shares with the old one, which hold
-    every pair: the old span lies in both.
+    One density rule picks the layout on every fresh batch (:meth:`add`):
+    bits over ``width`` offsets cost at most one byte per stored pair,
+    besides the guard bytes, so a relation keeps them only while
+    ``n * width <= 8 * pairs``.  Once its pairs pay for the narrowest band
+    it tracks the span ``[lo, hi]`` of its offsets, and it needs the key
+    layout once its pairs pay for that, which needs no span and has the
+    cheapest lookup; otherwise the band it has while that covers the span,
+    or else one centred on the span with the slack its pairs pay for, up
+    to a quarter of the span on each side, or the key layout if that band
+    would reach a grid row.  While its pairs do not pay for the layout it
+    needs it keeps no bits, and its candidates are searched for in its
+    blocks.  A new band copies the bytes it shares with the old one, made
+    from the blocks when there is none or it takes the key layout.
     """
 
-    __slots__ = ("pairs", "lo", "hi", "base", "bits")
+    __slots__ = ("pairs", "lo", "hi", "base", "width", "bits")
 
     def __init__(self):
-        self.pairs, self.lo, self.hi, self.base = 0, None, None, 0
+        self.pairs, self.lo, self.hi, self.base, self.width = 0, None, None, 0, 0
         self.bits: np.ndarray | None = None
 
     def _offsets(self, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +283,8 @@ class _Band:
         and offsets ``u`` from the base; an offset outside the band goes to
         its row's guard byte."""
         w = u.view(f"u{u.itemsize}")  # below the band wraps to above it
-        np.minimum(w, 8 * self.bits.shape[1] - 8, out=w)
-        s *= 8 * self.bits.shape[1]
+        np.minimum(w, self.width, out=w)
+        s *= self.width + 8
         s += u
         return s
 
@@ -287,62 +293,55 @@ class _Band:
         a slice of keys at a time."""
         if len(keys) > _SLICE:
             return np.concatenate([self.absent(keys[i:i + _SLICE], n) for i in range(0, len(keys), _SLICE)])
-        idx = keys if self.bits.ndim == 1 else self._index(*self._offsets(keys, n))
+        idx = keys if self.width == n else self._index(*self._offsets(keys, n))
         return keys[self.bits.reshape(-1).take(idx >> 3) & _BIT.take(idx & 7) == 0]
 
-    def _slacked(self) -> int:
-        """The width of a band over the span with a quarter of it as slack on each side."""
+    def _needed(self, n: int, paid: int) -> tuple[int, int]:
+        """The base and width of the layout the relation needs when its pairs
+        pay for ``paid`` offsets, as the class describes: (0, n) for the key
+        layout."""
+        if paid >= n:
+            return 0, n
+        if self.base <= self.lo and self.hi < self.base + self.width:
+            return self.base, self.width
         span = self.hi - self.lo + 1
-        return span + span // 2
+        slack = max(0, min(span // 4, (paid - span - 14) // 2))  # rounding to bytes adds up to 14
+        base = (self.lo - slack) & -8
+        width = (self.hi + slack - base) // 8 * 8 + 8
+        return (0, n) if width + 8 >= n else (base, width)
 
     def add(self, keys: np.ndarray, stack: list[_Block], n: int) -> None:
         """Count the relation's fresh pairs ``keys``, already in its blocks
-        ``stack``, and set their bits; switch on, widen or go to the key
-        layout first when the density rule says so."""
+        ``stack``, and take the layout the density rule gives: set the fresh
+        bits in the one held, make the bits of a new one, or drop them."""
         self.pairs += len(keys)
         paid = 8 * self.pairs // n  # the widest band the pairs pay for
-        bits = self.bits
-        if bits is not None and bits.ndim == 1:
-            _set_bits(bits, keys)
+        if paid < 8:  # not the narrowest band: the span is taken from the blocks once it is paid for
             return
-        if not paid:  # no band yet: the span is taken from the blocks once one is paid for
-            return
+        s = u = None
         if self.lo is None:
             spans = [(int(u.min()), int(u.max())) for u in (self._offsets(b.keys, n)[1] for b in stack)]
-            self.lo, self.hi = min(lo for lo, _ in spans), max(hi for _, hi in spans)
-        elif bits is None and self._slacked() + 8 >= n:
-            if paid >= n:  # a band over the span would reach a grid row: only the key layout can come
-                self._keyed(stack, n)
-            return
-        else:
+            self.lo, self.hi = min(lo for lo, _ in spans), max(hi for _, hi in spans)  # the base is 0
+        elif self._needed(n, paid)[1] < n:  # once the span needs a grid row, it needs no more tracking
             s, u = self._offsets(keys, n)
             self.lo, self.hi = min(self.lo, int(u.min()) + self.base), max(self.hi, int(u.max()) + self.base)
-            if bits is not None and paid + 8 < n and self.base <= self.lo and self.hi < self.base + 8 * bits.shape[1] - 8:
-                _set_bits(bits.reshape(-1), self._index(s, u))
+        base, width = self._needed(n, paid)
+        if paid < width:
+            self.bits, self.width = None, 0
+            return
+        bits, was, wide = self.bits, self.base, self.width
+        if (base, width) != (was, wide):
+            self.base, self.width = base, width
+            self.bits = np.zeros(-(-n * n // 8) if width == n else (n, width // 8 + 1), dtype=np.uint8)
+            if bits is None or width == n:  # made from the blocks, which hold the fresh pairs
+                for block in stack:
+                    _set_bits(self.bits.reshape(-1), block.keys if width == n else self._index(*self._offsets(block.keys, n)))
                 return
-        if bits is None and paid < min(self._slacked(), n):
-            return
-        width = max(paid, self._slacked())
-        base = (self.lo - (width - self.hi + self.lo - 1) // 2) & -8  # centred, rounded down to a byte
-        width = -(-max(width, self.hi + 1 - base) // 8) * 8
-        if width + 8 >= n:  # a row of the band reaches a grid row
-            self._keyed(stack, n)
-            return
-        was, self.base, self.bits = self.base, base, np.zeros((n, width // 8 + 1), dtype=np.uint8)
-        if bits is None:
-            for block in stack:
-                _set_bits(self.bits.reshape(-1), self._index(*self._offsets(block.keys, n)))
-            return
-        first, last = max(was, base), min(was + 8 * bits.shape[1] - 8, base + width)
-        self.bits[:, (first - base) // 8:(last - base) // 8] = bits[:, (first - was) // 8:(last - was) // 8]
-        u += was - base
-        _set_bits(self.bits.reshape(-1), self._index(s, u))
-
-    def _keyed(self, stack: list[_Block], n: int) -> None:
-        """Switch to the key layout: the bits of the blocks' keys."""
-        self.bits = np.zeros(-(-n * n // 8), dtype=np.uint8)
-        for block in stack:
-            _set_bits(self.bits, block.keys)
+            # the bytes the old band shares with the new one hold every pair: the old span lies in both
+            first, last = max(was, base), min(was + wide, base + width)
+            self.bits[:, (first - base) // 8:(last - base) // 8] = bits[:, (first - was) // 8:(last - was) // 8]
+            u += was - base
+        _set_bits(self.bits.reshape(-1), keys if width == n else self._index(s, u))
 
 
 def _fresh(parts: list[np.ndarray], stack: list[_Block]) -> np.ndarray:
@@ -414,10 +413,11 @@ def _rounds(
     stood a round earlier, and a shift is injective, so its candidates are
     new.  Every other relation keeps a :class:`_Band`, which each fresh
     batch updates at the end of the round: it tracks the span of the
-    relation's offsets d - s and, once 8 * pairs >= n * W for a band W
-    offsets wide that covers the span with slack, keeps bits over that
-    band, widened when a fresh pair falls outside it and replaced by the
-    n * n bits of the keys once a band row reaches a grid row.  With bits,
+    relation's offsets d - s and keeps bits over a band W offsets wide that
+    covers the span while 8 * pairs >= n * W, widened when a fresh pair
+    falls outside it, dropped while the pairs do not pay for the band the
+    span needs, and replaced by the n * n bits of the keys once the pairs
+    pay for those or a band row would reach a grid row.  With bits,
     each candidate is checked by one bit lookup as it is made, and only
     the ones not held are kept for the sort; an offset outside the band is
     new.  Without, the candidates are sorted and searched for in the

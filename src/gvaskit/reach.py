@@ -375,7 +375,7 @@ def bounded_reach(
     demanded (:func:`gvaskit._kernel._collapsed`): memory is O(pairs), one
     row of O(cells) per block's CSR arrays and per relation's demanded rows,
     and a searched relation's band bits, at most one byte per stored pair
-    when they switch on; no state is cells by cells.
+    and a guard byte per cell.
     Each relation's blocks are then merged, and released one by one, into
     the keys and stamps kept.
     """

@@ -807,19 +807,23 @@ def test_cone_out_of_grid(pow2):
 
 
 def switches(monkeypatch, g, bound, root=None):
-    """Each relation key whose band the rounds switch on, with the layouts
-    it takes in order: the round of each, and its band's width in offsets,
-    or None for the key layout; with a root config, for the cone from it."""
+    """Each relation key whose band layout the rounds change, with the
+    layouts it takes in order: the round of each, and its band's width in
+    offsets, "keys" for the key layout or None for no bits; with a root
+    config, for the cone from it.  After every batch its bits cost at most
+    one byte per stored pair, besides a band's guard byte per row."""
     grid = Grid(g.dim, bound)
     seen = []
     add = _Band.add
 
     def spy(band, keys, stack, n):
-        before = band.bits
+        before = band.bits is None, band.base, band.width
         add(band, keys, stack, n)
-        if band.bits is not before:
-            width = None if band.bits.ndim == 1 else 8 * band.bits.shape[1] - 8
-            seen.append((stack, max(int(b.stamps.max()) for b in stack), width))
+        if band.bits is not None:
+            assert band.bits.nbytes <= band.pairs + (n if band.width < n else 0)
+        if (band.bits is None, band.base, band.width) != before:
+            layout = None if band.bits is None else "keys" if band.width == n else band.width
+            seen.append((stack, max(int(b.stamps.max()) for b in stack), layout))
 
     monkeypatch.setattr(_Band, "add", spy)
     blocks, _, _ = _rounds(grid, _binarize(g), 60_000_000, None if root is None else (("sym", g.start), grid.encode(root)))
@@ -828,41 +832,50 @@ def switches(monkeypatch, g, bound, root=None):
 
 
 def test_dense_relations_switch_to_bitmaps(monkeypatch, pow2):
-    # pow2@16 (17 cells): round 1's identity pays for the band its span needs, and
-    # that band with its guard byte reaches a row, so S and T take the key
-    # layout at once; aux(3, 1), defined by a shift alone, is never searched
-    assert switches(monkeypatch, pow2, 16) == {("sym", "S"): [(1, None)], ("sym", "T"): [(1, None)],
-                                                ("aux", 1, 1): [(2, None)]}
-    assert switches(monkeypatch, pow2, 4) == {("sym", "S"): [(1, None)], ("sym", "T"): [(1, None)],
-                                               ("aux", 1, 1): [(2, None)]}
-    # the chain's S (51 cells) starts on a band 16 offsets wide, and in round 6
-    # its pairs pay for a band that reaches a row
-    assert switches(monkeypatch, CHAIN, 50) == {("sym", "S"): [(1, 16), (6, None)]}
+    # pow2@16 (17 cells): T's identity in round 1 pays for a band 8 offsets
+    # wide, and S and T take the key layout in round 5, once their pairs pay
+    # for it; aux(3, 1), defined by a shift alone, is never searched
+    assert switches(monkeypatch, pow2, 16) == {("sym", "S"): [(3, 8), (5, "keys")],
+                                                ("sym", "T"): [(1, 8), (5, "keys")], ("aux", 1, 1): [(4, "keys")]}
+    # on 5 cells a band 8 offsets wide would reach a row: the identity pays for the key layout
+    assert switches(monkeypatch, pow2, 4) == {("sym", "S"): [(3, "keys")], ("sym", "T"): [(1, "keys")],
+                                               ("aux", 1, 1): [(4, "keys")]}
+    # the chain's S (51 cells) starts on a band 8 offsets wide and takes the key layout in round 7
+    assert switches(monkeypatch, CHAIN, 50) == {("sym", "S"): [(1, 8), (7, "keys")]}
     for g, bound in [(pow2, 16), (CHAIN, 50), (pow2, 4)]:
         assert_same_stamps(g, bound)
 
 
 def test_core_relations_switch_to_narrow_bands(monkeypatch):
-    # every searched relation of the core grammars switches in rounds 1-3 on a
-    # band far narrower than a row (729 cells at core(1)@8, 625 at core(2)@4)
-    # and only widens after; none reaches the key layout
-    got = switches(monkeypatch, build_core(1), 8)
-    assert {key: (layouts[0], layouts[-1], len(layouts)) for key, layouts in got.items()} == {
-        ("sym", "Fn"): ((1, 16), (13, 184), 6), ("sym", "Iter"): ((2, 16), (13, 168), 5),
-        ("sym", "Load"): ((1, 16), (13, 80), 4), ("aux", 1, 1): ((3, 8), (12, 184), 7),
-        ("aux", 3, 2): ((3, 16), (11, 168), 5)}
-    got = switches(monkeypatch, build_core(2), 4)
-    assert {key: (layouts[0], layouts[-1], len(layouts)) for key, layouts in got.items()} == {
-        ("sym", "Fn"): ((1, 16), (10, 48), 3), ("sym", "Iter"): ((2, 16), (11, 56), 3),
-        ("sym", "Load"): ((1, 16), (7, 24), 2), ("sym", "Desc1"): ((2, 16), (11, 48), 3),
-        ("aux", 1, 1): ((3, 8), (14, 56), 5), ("aux", 2, 2): ((3, 8), (12, 48), 3),
-        ("aux", 4, 2): ((3, 16), (9, 48), 3)}
+    # every searched relation of the core grammars keeps bits on a band far
+    # narrower than a row (729 cells at core(1)@8, 625 at core(2)@4) by round
+    # 18; one whose span outgrows what its pairs pay for drops its bits
+    # until they pay again, and Load's never do once it has dropped them
+    assert switches(monkeypatch, build_core(1), 8) == {
+        ("sym", "Fn"): [(15, 136)], ("sym", "Load"): [(1, 8), (3, None)],
+        ("sym", "Iter"): [(2, 8), (4, None), (9, 48), (10, 64), (11, 72), (12, 88), (13, 112), (14, 136), (18, 176)],
+        ("aux", 1, 1): [(15, 136), (17, 152)], ("aux", 3, 2): [(13, 136)]}
+    assert switches(monkeypatch, build_core(2), 4) == {
+        ("sym", "Fn"): [(13, 40)], ("sym", "Iter"): [(2, 8), (4, None), (5, 16), (8, None), (9, 32), (11, 40)],
+        ("sym", "Load"): [(1, 8), (3, None), (5, 16), (7, None)],
+        ("sym", "Desc1"): [(6, 16), (7, None), (8, 24), (10, None), (12, 40)],
+        ("aux", 1, 1): [(16, 48)], ("aux", 2, 2): [(17, 40)], ("aux", 4, 2): [(11, 40)]}
     assert_same_stamps(build_core(1), 8, samples=4)
     assert_same_stamps(build_core(2), 4, samples=4)
 
 
+def test_band_drops_bits_its_pairs_do_not_pay_for(monkeypatch):
+    # S's identity pays for a band 8 offsets wide; round 2's pairs (s, s + k)
+    # need a band wider than a row, so the key layout, which about 1.3n pairs
+    # do not pay for: S drops its bits rather than take n * n bits
+    bound = 2000
+    g = Gvas.from_rules(1, [("S", [(7 * bound // 10,), "S"]), ("S", [])], "S")
+    assert switches(monkeypatch, g, bound) == {("sym", "S"): [(1, 8), (2, None)]}
+    assert_same_stamps(g, bound)
+
+
 def test_dense_cone_matches_reference(monkeypatch):
-    assert switches(monkeypatch, CHAIN, 40, root=(0,)) == {("sym", "S"): [(1, 16), (5, None)]}
+    assert switches(monkeypatch, CHAIN, 40, root=(0,)) == {("sym", "S"): [(1, 8), (6, "keys")]}
     assert_same_cone(CHAIN, (0,), 40)
 
 
@@ -902,22 +915,23 @@ def test_band_lookups_equal_isin(run):
         assert band.pairs == len(held)
         if band.bits is None:
             continue
+        # at most one byte per stored pair, besides a band's guard byte per row
+        assert band.bits.nbytes <= band.pairs + (n if band.width < n else 0)
         # every held pair, the cells beside each, and any keys: most lie outside a narrow band
         cand = np.concatenate([held, held - 1, held + 1, rng.integers(0, n * n, 50)]).astype(dtype)
         cand = rng.permutation(cand[(cand >= 0) & (cand < n * n)])
         assert band.absent(cand, n).tolist() == cand[~np.isin(cand, held)].tolist()
-        if band.bits.ndim == 2:
-            width = 8 * band.bits.shape[1] - 8
-            assert band.base <= band.lo and band.hi < band.base + width and width + 8 < n
+        if band.width < n:
+            assert band.base <= band.lo and band.hi < band.base + band.width and band.width + 8 < n
 
 
 def test_bitmap_membership():
-    # the identity of a 400-cell grid switches on a narrow band; a lookup of
-    # more than 2**16 keys runs in slices and keeps their order
+    # the identity of a 400-cell grid pays for a band 8 offsets wide; a
+    # lookup of more than 2**16 keys runs in slices and keeps their order
     n = 400
     band, keys = _Band(), np.arange(n, dtype=np.int64) * (n + 1)
     band.add(keys, [_Block(keys, None)], n)
-    assert band.bits.shape == (n, 3) and band.base == -8  # offsets [-8, 8) and the guard byte
+    assert band.bits.shape == (n, 2) and band.base == 0  # offsets [0, 8) and the guard byte
     cand = np.random.default_rng(4).integers(0, n * n, 150_000)
     assert band.absent(cand, n).tolist() == cand[~np.isin(cand, keys)].tolist()
 
