@@ -229,9 +229,10 @@ def _set_bits(bits: np.ndarray, idx: np.ndarray) -> None:
     """Set the bits of sorted, distinct indices, bit k of byte i for index
     8i + k, one write per byte they touch."""
     byte = idx >> 3
-    first = np.ones(len(idx), dtype=bool)
+    first = np.empty(len(idx), dtype=bool)
+    first[0] = True
     np.not_equal(byte[1:], byte[:-1], out=first[1:])
-    at = np.flatnonzero(first)
+    at = first.nonzero()[0]
     bits[byte[at]] |= np.bitwise_or.reduceat(_BIT.take(idx & 7), at)
 
 
@@ -240,13 +241,13 @@ class _Band:
     band of their offsets d - s, while its pairs pay for them.
 
     A band of offsets ``[base, base + width)``, both multiples of 8, keeps
-    n * (width + 8) bits, the rows of a uint8 array: row s holds offset
+    n rows of width + 8 bits in a flat uint8 array: row s holds offset
     ``base + j`` at bit index ``s * (width + 8) + j`` and ends in a guard
     byte that stays clear, so a pair outside the band, its offset clamped
     into that byte, reads as absent.  A band whose row with its guard byte
     would reach a grid row is the widest, ``width`` n: its bits are the
-    grid's n * n linear keys ``s * n + d`` themselves, held flat, and cover
-    every pair.  Within a band the bit index grows with the key, so the
+    grid's n * n linear keys ``s * n + d`` themselves, and cover every
+    pair.  Within a band the bit index grows with the key, so the
     sorted keys of a block or a fresh batch give sorted indices.
 
     One density rule picks the layout on every fresh batch (:meth:`add`):
@@ -294,7 +295,7 @@ class _Band:
         if len(keys) > _SLICE:
             return np.concatenate([self.absent(keys[i:i + _SLICE], n) for i in range(0, len(keys), _SLICE)])
         idx = keys if self.width == n else self._index(*self._offsets(keys, n))
-        return keys[self.bits.reshape(-1).take(idx >> 3) & _BIT.take(idx & 7) == 0]
+        return keys[self.bits.take(idx >> 3) & _BIT.take(idx & 7) == 0]
 
     def _needed(self, n: int, paid: int) -> tuple[int, int]:
         """The base and width of the layout the relation needs when its pairs
@@ -310,15 +311,24 @@ class _Band:
         width = (self.hi + slack - base) // 8 * 8 + 8
         return (0, n) if width + 8 >= n else (base, width)
 
+    def _set(self, keys: np.ndarray, n: int) -> None:
+        """Set the bits of sorted, distinct keys of pairs the layout covers,
+        a slice of keys at a time."""
+        for i in range(0, len(keys), _SLICE):
+            part = keys[i:i + _SLICE]
+            _set_bits(self.bits, part if self.width == n else self._index(*self._offsets(part, n)))
+
     def add(self, keys: np.ndarray, stack: list[_Block], n: int) -> None:
         """Count the relation's fresh pairs ``keys``, already in its blocks
         ``stack``, and take the layout the density rule gives: set the fresh
         bits in the one held, make the bits of a new one, or drop them."""
         self.pairs += len(keys)
+        if self.width == n:  # the key layout is final: it holds any pair, and the pairs only grow
+            self._set(keys, n)
+            return
         paid = 8 * self.pairs // n  # the widest band the pairs pay for
         if paid < 8:  # not the narrowest band: the span is taken from the blocks once it is paid for
             return
-        s = u = None
         if self.lo is None:
             spans = [(int(u.min()), int(u.max())) for u in (self._offsets(b.keys, n)[1] for b in stack)]
             self.lo, self.hi = min(lo for lo, _ in spans), max(hi for _, hi in spans)  # the base is 0
@@ -329,19 +339,20 @@ class _Band:
         if paid < width:
             self.bits, self.width = None, 0
             return
-        bits, was, wide = self.bits, self.base, self.width
-        if (base, width) != (was, wide):
+        if (base, width) != (self.base, self.width):
+            bits, was, wide = self.bits, self.base, self.width
             self.base, self.width = base, width
-            self.bits = np.zeros(-(-n * n // 8) if width == n else (n, width // 8 + 1), dtype=np.uint8)
+            self.bits = np.zeros(-(-n * n // 8) if width == n else n * (width // 8 + 1), dtype=np.uint8)
             if bits is None or width == n:  # made from the blocks, which hold the fresh pairs
                 for block in stack:
-                    _set_bits(self.bits.reshape(-1), block.keys if width == n else self._index(*self._offsets(block.keys, n)))
+                    self._set(block.keys, n)
                 return
             # the bytes the old band shares with the new one hold every pair: the old span lies in both
             first, last = max(was, base), min(was + wide, base + width)
-            self.bits[:, (first - base) // 8:(last - base) // 8] = bits[:, (first - was) // 8:(last - was) // 8]
+            self.bits.reshape(n, -1)[:, (first - base) // 8:(last - base) // 8] = \
+                bits.reshape(n, -1)[:, (first - was) // 8:(last - was) // 8]
             u += was - base
-        _set_bits(self.bits.reshape(-1), keys if width == n else self._index(s, u))
+        _set_bits(self.bits, self._index(s, u))  # a band: the span, and so s and u, were tracked above
 
 
 def _fresh(parts: list[np.ndarray], stack: list[_Block]) -> np.ndarray:

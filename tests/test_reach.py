@@ -931,7 +931,7 @@ def test_bitmap_membership():
     n = 400
     band, keys = _Band(), np.arange(n, dtype=np.int64) * (n + 1)
     band.add(keys, [_Block(keys, None)], n)
-    assert band.bits.shape == (n, 2) and band.base == 0  # offsets [0, 8) and the guard byte
+    assert (band.base, band.width, band.bits.nbytes) == (0, 8, 2 * n)  # offsets [0, 8) and the guard byte
     cand = np.random.default_rng(4).integers(0, n * n, 150_000)
     assert band.absent(cand, n).tolist() == cand[~np.isin(cand, keys)].tolist()
 
