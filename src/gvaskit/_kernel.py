@@ -222,18 +222,12 @@ def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
 
 _BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # the mask of bit i of a byte
-_SLICE = 1 << 16  # keys per slice of a lookup, which bounds its temporaries
+_SLICE = 1 << 16  # keys per slice of a bit lookup or update, which bounds its temporaries
 
 
 def _set_bits(bits: np.ndarray, idx: np.ndarray) -> None:
-    """Set the bits of sorted, distinct indices, bit k of byte i for index
-    8i + k, one write per byte they touch."""
-    byte = idx >> 3
-    first = np.empty(len(idx), dtype=bool)
-    first[0] = True
-    np.not_equal(byte[1:], byte[:-1], out=first[1:])
-    at = first.nonzero()[0]
-    bits[byte[at]] |= np.bitwise_or.reduceat(_BIT.take(idx & 7), at)
+    """Set the bits of the given indices, bit k of byte i for index 8i + k."""
+    np.bitwise_or.at(bits, idx >> 3, _BIT.take(idx & 7))
 
 
 class _Band:
@@ -247,8 +241,7 @@ class _Band:
     into that byte, reads as absent.  A band whose row with its guard byte
     would reach a grid row is the widest, ``width`` n: its bits are the
     grid's n * n linear keys ``s * n + d`` themselves, and cover every
-    pair.  Within a band the bit index grows with the key, so the
-    sorted keys of a block or a fresh batch give sorted indices.
+    pair.
 
     One density rule picks the layout on every fresh batch (:meth:`add`):
     bits over ``width`` offsets cost at most one byte per stored pair,
@@ -312,8 +305,8 @@ class _Band:
         return (0, n) if width + 8 >= n else (base, width)
 
     def _set(self, keys: np.ndarray, n: int) -> None:
-        """Set the bits of sorted, distinct keys of pairs the layout covers,
-        a slice of keys at a time."""
+        """Set the bits of the pairs of ``keys``, which the layout covers, a
+        slice of keys at a time."""
         for i in range(0, len(keys), _SLICE):
             part = keys[i:i + _SLICE]
             _set_bits(self.bits, part if self.width == n else self._index(*self._offsets(part, n)))
