@@ -23,13 +23,13 @@ per stored pair, a relation keeps a bitmap over a band of offsets
 ``[lo, lo + W)``: row s holds the pair (s, d) at bit d - s - lo.  A band
 that reaches a grid row is the widest, and its bits are the n * n keys
 themselves.  The core grammars' pairs lie in bands far narrower than a
-row, which their pairs pay for from about a quarter of their rounds on;
-small grids reach the key layout.  Candidates are then checked by one
-bit lookup each, one outside the band being new, so only the new ones
-are sorted.  A relation without bits sorts and
-deduplicates its candidates and looks them up by binary search in every
-block, so its membership test and insert cost O(|delta| log |relation|)
-rather than O(|relation|).  A join with an action shifts keys
+row, which their pairs pay for once the span stops growing as fast as
+they do; small grids reach the key layout.  Candidates are then checked
+by one bit lookup each, one outside the band being new, so only the new
+ones are sorted.  A relation without bits sorts and deduplicates its
+candidates and looks them up by binary search in every block, so its
+membership test and insert cost O(|delta| log |relation|) rather than
+O(|relation|).  A join with an action shifts keys
 (:func:`_shifted`), checked on the digits the action moves; no action's
 pairs are stored.  The engines differ only in the kernel of a join of
 two relations: the table multiplies its blocks' CSR arrays with compiled
