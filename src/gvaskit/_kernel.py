@@ -32,16 +32,21 @@ membership test and insert cost O(|delta| log |relation|) rather than
 O(|relation|).  A join with an action shifts keys
 (:func:`_shifted`), checked on the digits the action moves; no action's
 pairs are stored.  The engines differ only in the kernel of a join of
-two relations: the table multiplies its blocks' CSR arrays with compiled
-sparse routines (:func:`_products`, the one function that loads scipy,
-on the table's first product), the cone gathers rows from the sorted
-keys themselves and never loads them.  When the rounds stop, each
-relation's blocks are merged into the keys and stamps the engine keeps
-(:func:`_collapsed`).
+two relations: the table multiplies its blocks' CSR arrays with scipy's
+compiled ``csr_matmat`` (:func:`_products`, the one function that loads
+scipy, on the table's first product), the cone gathers rows from the
+sorted keys themselves and never loads it.  A product makes one pass per
+chunk of about :data:`_CHUNK` flops, its output sized from them.  When
+the rounds stop, each relation's blocks are merged into the keys and
+stamps the engine keeps (:func:`_collapsed`).  Every merge, of a fresh
+batch with the blocks it absorbs or of the blocks at the end, orders a
+slice of at most :data:`_SLICE` keys at a time (:func:`_merge`), so
+neither a product nor a merge holds a temporary the size of a relation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -99,36 +104,52 @@ def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def _row_keys(csr: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
-    """Linear keys ``s * n + d`` of the pairs of an n-by-n CSR matrix."""
-    indptr, indices = csr
-    keys = np.repeat(np.arange(n, dtype=_key_dtype(n)) * n, np.diff(indptr))
-    keys += indices
+def _row_keys(indptr: np.ndarray, indices: np.ndarray, n: int, first: int = 0) -> np.ndarray:
+    """Linear keys ``s * n + d`` of the pairs of the CSR rows ``first``,
+    ``first + 1``, ... of an n-by-n matrix, whose ``indices`` may run past
+    the last row's."""
+    keys = np.repeat(np.arange(first, first + len(indptr) - 1, dtype=_key_dtype(n)) * n, np.diff(indptr))
+    keys += indices[:len(keys)]
     return keys
 
 
-def _col_keys(csr: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
-    """Linear keys ``s * n + d`` of the pairs of the transpose of an n-by-n CSR matrix."""
-    indptr, indices = csr
-    keys = indices.astype(_key_dtype(n))
+def _col_keys(indptr: np.ndarray, indices: np.ndarray, n: int, first: int = 0) -> np.ndarray:
+    """Linear keys ``s * n + d`` of the pairs of the transpose of the CSR
+    rows ``first``, ``first + 1``, ... of an n-by-n matrix, whose
+    ``indices`` may run past the last row's."""
+    keys = indices[:indptr[-1]].astype(_key_dtype(n))
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=keys.dtype), np.diff(indptr))
+    keys += np.repeat(np.arange(first, first + len(indptr) - 1, dtype=keys.dtype), np.diff(indptr))
     return keys
+
+
+_SLICE = 1 << 16  # keys per slice of a merge, bit lookup or update, which bounds its temporaries
 
 
 def _merge(older: tuple[np.ndarray, np.ndarray], newer: tuple[np.ndarray, np.ndarray]):
     """The union of two disjoint sets of pairs, each sorted linear keys
-    with their stamps."""
-    at = np.searchsorted(older[0], newer[0]) + np.arange(len(newer[0]))
-    old = np.ones(len(older[0]) + len(newer[0]), dtype=bool)
-    old[at] = False
-    out = []
-    for a, b in zip(older, newer):
-        both = np.empty(len(old), dtype=np.result_type(a, b))
-        both[old] = a
-        both[at] = b
-        out.append(both)
-    return tuple(out)
+    with their stamps, a slice of at most :data:`_SLICE` keys at a time.
+
+    Both runs are cut at the same pivots, every ``_SLICE // 2``-th key of
+    each, so a slice holds at most that many keys of either run.  One
+    stable argsort orders a slice's keys, which timsort does in linear
+    time, as the keys are two sorted runs, and its keys and stamps are
+    taken into the preallocated union: besides the union, a merge holds
+    no more than a slice's keys, stamps and order."""
+    (a, sa), (b, sb) = older, newer
+    half = _SLICE // 2
+    pivots = np.sort(np.concatenate((a[half::half], b[half::half])))
+    ca = [0, *a.searchsorted(pivots).tolist(), len(a)]
+    cb = [0, *b.searchsorted(pivots).tolist(), len(b)]
+    keys = np.empty(len(a) + len(b), dtype=np.result_type(a, b))
+    stamps = np.empty(len(keys), dtype=np.result_type(sa, sb))
+    for a0, a1, b0, b1 in zip(ca, ca[1:], cb, cb[1:]):
+        part = np.concatenate((a[a0:a1], b[b0:b1]))
+        order = part.argsort(kind="stable")
+        at = slice(a0 + b0, a1 + b1)
+        np.take(part, order, out=keys[at], mode="clip")
+        np.take(np.concatenate((sa[a0:a1], sb[b0:b1])), order, out=stamps[at], mode="clip")
+    return keys, stamps
 
 
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -181,37 +202,57 @@ class _Block:
         return self._cols
 
 
-def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = False) -> list[np.ndarray]:
+_CHUNK = 1 << 20  # flops per compiled product call, which bounds its output arrays
+
+
+def _flops_before(ap: np.ndarray, aj: np.ndarray, bp: np.ndarray) -> np.ndarray:
+    """The flops of a CSR matrix's product with another, whose indptr is
+    ``bp``, on the rows before each of its rows, and on all of them: the
+    pairs its rows reach through the other's rows."""
+    flops = np.zeros(len(aj) + 1, dtype=np.int64)
+    np.cumsum(np.diff(bp)[aj], out=flops[1:])
+    return flops[ap]
+
+
+def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = False) -> Iterator[np.ndarray]:
     """Linear keys ``s * n + d`` of the boolean products of a delta with
     each block of a factor, as the table joins two relations: the delta's
     rows by each block's rows, or ``transposed`` the delta's transpose by
-    each block's transpose, keyed back untransposed.  Each product lists a
-    pair once, in no particular order.
+    each block's transpose, keyed back untransposed.  Each product comes
+    in chunks of consecutive rows of the delta, each listing a pair once,
+    in no particular order, and block by block in the factor's order.
 
-    scipy's compiled ``csr_matmat_maxnnz`` and ``csr_matmat`` run on the
-    blocks' own CSR arrays, so no sparse matrix is built or validated per
-    product.  They are imported here, the one use of scipy: it loads on
-    the table's first product, and never for the cone or anything else.
-    A product's index arrays widen to ``int64`` when its pairs or n pass
-    ``int32``.
+    scipy's compiled ``csr_matmat`` runs on the blocks' own CSR arrays, so
+    no sparse matrix is built or validated per product.  It is imported
+    here, the one use of scipy: it loads on the table's first product, and
+    never for the cone or anything else.  A product's flops, the pairs its
+    rows reach through the block, bound its pairs, so its output arrays
+    are sized from them, with no symbolic pass.  Its rows are cut at the
+    last row boundary at or below each multiple of :data:`_CHUNK` flops,
+    one call per chunk, so a call's output arrays hold less than
+    ``_CHUNK`` flops plus one row's, and rows with no flops before the
+    first chunk are skipped.  A product's index arrays widen to ``int64``
+    when its largest chunk's flops or n pass ``int32``.
     """
-    from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
+    from scipy.sparse._sparsetools import csr_matmat
 
     if transposed:
-        a, bs, keys_of = delta.cols(n), [b.cols(n) for b in factor], _col_keys
+        (ap, aj), bs, keys_of = delta.cols(n), [b.cols(n) for b in factor], _col_keys
     else:
-        a, bs, keys_of = delta.rows(n), [b.rows(n) for b in factor], _row_keys
-    ones = np.ones(max([len(a[1])] + [len(b[1]) for b in bs]), dtype=bool)  # every entry's value
-    out = []
-    for b in bs:
-        idx = np.result_type(a[0], b[0])  # each block's type already holds n
-        nnz = csr_matmat_maxnnz(n, n, *(x.astype(idx, copy=False) for x in (*a, *b)))
-        idx = np.result_type(idx, _index_dtype(nnz))
-        ap, aj, bp, bj = (x.astype(idx, copy=False) for x in (*a, *b))
-        indptr, indices = np.empty(n + 1, dtype=idx), np.empty(nnz, dtype=idx)
-        csr_matmat(n, n, ap, aj, ones, bp, bj, ones, indptr, indices, np.empty(nnz, dtype=bool))
-        out.append(keys_of((indptr, indices), n))
-    return out
+        (ap, aj), bs, keys_of = delta.rows(n), [b.rows(n) for b in factor], _row_keys
+    ones = np.ones(max([len(aj)] + [len(bj) for _, bj in bs]), dtype=bool)  # every entry's value
+    for bp, bj in bs:
+        before = _flops_before(ap, aj, bp)
+        cuts = np.unique(np.append(before.searchsorted(np.arange(0, before[-1], _CHUNK), side="right") - 1, n))
+        if len(cuts) < 2:  # no flops
+            continue
+        most = int(np.diff(before[cuts]).max())
+        idx = np.result_type(ap, bp, _index_dtype(most))  # each block's type already holds n
+        a_p, a_j, b_p, b_j = (x.astype(idx, copy=False) for x in (ap, aj, bp, bj))
+        indptr, indices, data = np.empty(n + 1, dtype=idx), np.empty(most, dtype=idx), np.empty(most, dtype=bool)
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            csr_matmat(hi - lo, n, a_p[lo:hi + 1], a_j, ones, b_p, b_j, ones, indptr[:hi - lo + 1], indices, data)
+            yield keys_of(indptr[:hi - lo + 1], indices, n, lo)
 
 
 def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -222,7 +263,6 @@ def _isin(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
 
 _BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # the mask of bit i of a byte
-_SLICE = 1 << 16  # keys per slice of a bit lookup or update, which bounds its temporaries
 
 
 def _set_bits(bits: np.ndarray, idx: np.ndarray) -> None:

@@ -33,7 +33,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import NotInTableError, OutOfGridError, ResourceLimitError
+from .errors import DimensionMismatchError, NotInTableError, OutOfGridError, ResourceLimitError
 from .flowtree import FlowTree, _solve
 from .gvas import Config, Gvas, Transition, _check_word, fatal_defects
 
@@ -108,10 +108,18 @@ def _known_ref(g: Gvas, symbol) -> tuple:
     return _symbol_ref(_check_word(g, (symbol,))[0])
 
 
+def _check_length(g: Gvas, role: str, x: Sequence[int]) -> None:
+    """DimensionMismatchError for a configuration x whose length is not g's dimension."""
+    if len(x) != g.dim:
+        raise DimensionMismatchError(f"{role} {tuple(x)} has length {len(x)}, expected {g.dim}")
+
+
 def _source_ref(g: Gvas, grid: Grid, symbol, x: Sequence[int]) -> tuple:
     """The relation key of a query about symbol from x: UnknownSymbolError
-    for a symbol not of g, then OutOfGridError for x outside the grid."""
+    for a symbol not of g, then DimensionMismatchError for x of another
+    length than g's dimension, then OutOfGridError for x outside the grid."""
     key = _known_ref(g, symbol)
+    _check_length(g, "source", x)
     if not grid.contains(x):
         raise OutOfGridError(f"{tuple(x)} outside grid bound {grid.bound}")
     return key
@@ -119,8 +127,11 @@ def _source_ref(g: Gvas, grid: Grid, symbol, x: Sequence[int]) -> tuple:
 
 def _pair_ref(g: Gvas, grid: Grid, x: Sequence[int], symbol, y: Sequence[int]) -> tuple:
     """The relation key of a query about symbol from x to y: UnknownSymbolError
-    for a symbol not of g, then NotInTableError for x or y outside the grid."""
+    for a symbol not of g, then DimensionMismatchError for x or y of another
+    length than g's dimension, then NotInTableError for x or y outside the grid."""
     key = _known_ref(g, symbol)
+    _check_length(g, "source", x)
+    _check_length(g, "target", y)
     if not grid.contains(x) or not grid.contains(y):
         raise NotInTableError(f"{tuple(x)} or {tuple(y)} outside grid")
     return key
@@ -375,7 +386,9 @@ def bounded_reach(
     demanded (:func:`gvaskit._kernel._collapsed`): memory is O(pairs), one
     row of O(cells) per block's CSR arrays and per relation's demanded rows,
     and a searched relation's band bits, at most one byte per stored pair
-    and a guard byte per cell.
+    and a guard byte per cell.  A product's output arrays hold one chunk
+    of about ``_kernel._CHUNK`` flops (more only for a row of more flops)
+    and a merge's temporaries one slice of ``_kernel._SLICE`` keys.
     Each relation's blocks are then merged, and released one by one, into
     the keys and stamps kept.
     """

@@ -177,7 +177,7 @@ POW2 = str(DATA / "pow2.gvas")
     (["reach", "--from", "(9)", "--symbol", "Q", "--bound", "4"], 1, "error: unknown nonterminal 'Q'"),
     (["reach", "--from", "(9)", "--symbol", "(3)", "--bound", "4"], 1, "error: unknown action (3,)"),
     (["reach", "--from", "(9)", "--symbol", "S", "--bound", "4"], 1, "error: (9,) outside grid bound 4"),
-    (["reach", "--from", "(1,1)", "--symbol", "S", "--bound", "4"], 1, "error: (1, 1) outside grid bound 4"),
+    (["reach", "--from", "(1,1)", "--symbol", "S", "--bound", "4"], 1, "error: source (1, 1) has length 2, expected 1"),
     (["witness-tree", "--from", "(x)", "--symbol", "Q", "--to", "(y)", "--bound", "4"], 2,
      "parse error: 1:1: bad vector '(x)' (expected (v1,...,vd))"),
     (["witness-tree", "--from", "(1)", "--symbol", "Q", "--to", "(y)", "--bound", "4"], 2,
@@ -190,11 +190,15 @@ POW2 = str(DATA / "pow2.gvas")
      "error: (1,) or (9,) outside grid"),
     (["witness-tree", "--from", "(9)", "--symbol", "(1)", "--to", "(10)", "--bound", "4"], 1,
      "error: (9,) or (10,) outside grid"),
+    (["witness-tree", "--from", "(1,2)", "--symbol", "S", "--to", "(9)", "--bound", "4"], 1,
+     "error: source (1, 2) has length 2, expected 1"),
+    (["witness-tree", "--from", "(1)", "--symbol", "(1)", "--to", "(9,9)", "--bound", "4"], 1,
+     "error: target (9, 9) has length 2, expected 1"),
 ], ids=["reach-from", "reach-symbol-vector", "reach-nonterminal", "reach-action", "reach-grid",
         "reach-dim", "witness-from", "witness-to", "witness-symbol-vector", "witness-nonterminal",
-        "witness-grid", "witness-action-grid"])
+        "witness-grid", "witness-action-grid", "witness-from-dim", "witness-to-dim"])
 def test_bad_query_arguments_fail_before_the_fixpoint(monkeypatch, capsys, argv, code, err):
-    # parse errors come first, then the symbol, then the grid, as the table's own checks order them
+    # parse errors come first, then the symbol, then the length, then the grid, as the table's own checks order them
     def no_table(*args, **kwargs):
         raise AssertionError("bounded_reach called")
 

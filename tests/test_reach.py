@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import gvaskit
-from gvaskit.errors import NotInTableError, OutOfGridError, ResourceLimitError, UnknownSymbolError
+from gvaskit.errors import (
+    DimensionMismatchError, NotInTableError, OutOfGridError, ResourceLimitError, UnknownSymbolError,
+)
 from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit import _kernel
-from gvaskit._kernel import _Band, _Block, _key_dtype, _products, _rounds, _shifted
+from gvaskit._kernel import _Band, _Block, _key_dtype, _merge, _products, _rounds, _shifted
 from gvaskit.reach import Grid, _action_target, _binarize, bounded_reach, reach_from
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
@@ -356,20 +359,36 @@ def random_block(rng, n, density):
     return _Block(keys, np.ones(len(keys), dtype=np.uint8))
 
 
+def product_keys(delta, b, n, transposed=False):
+    """The keys of one product of :func:`_products`, its chunks joined."""
+    chunks = list(_products(delta, [b], n, transposed))
+    assert all(c.dtype == _key_dtype(n) for c in chunks)
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=_key_dtype(n))
+
+
 def assert_products_match_scipy(delta, factor, n):
-    """Both orientations of :func:`_products` against public scipy, block by block."""
-    rows = _products(delta, factor, n)
-    cols = _products(delta, factor, n, transposed=True)
-    assert len(rows) == len(cols) == len(factor)
-    for b, got_rows, got_cols in zip(factor, rows, cols):
-        for got, want in ((got_rows, scipy_product_keys(delta.keys, b.keys, n)),
-                          (got_cols, scipy_product_keys(b.keys, delta.keys, n))):
-            assert got.dtype == _key_dtype(n)
-            assert np.array_equal(np.sort(got), want)  # each pair once
+    """Both orientations of :func:`_products` against public scipy, block by
+    block, and all blocks' chunks in one call."""
+    for transposed in (False, True):
+        wants = [scipy_product_keys(b.keys, delta.keys, n) if transposed else scipy_product_keys(delta.keys, b.keys, n)
+                 for b in factor]
+        for b, want in zip(factor, wants):
+            assert np.array_equal(np.sort(product_keys(delta, b, n, transposed)), want)  # each pair once
+        got = list(_products(delta, factor, n, transposed))
+        assert np.array_equal(np.sort(np.concatenate(got)) if got else [], np.sort(np.concatenate(wants or [[]])))
+
+
+@pytest.fixture(params=[None, 1, 6], ids=["one-chunk", "chunk-1", "chunk-6"])
+def chunk(request, monkeypatch):
+    """The flops per product call: the kernel's own, or small, so that
+    products of a few dozen flops come in several chunks."""
+    if request.param is not None:
+        monkeypatch.setattr(_kernel, "_CHUNK", request.param)
+    return request.param
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_products_match_public_scipy(seed):
+def test_products_match_public_scipy(seed, chunk):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
     delta = random_block(rng, n, 0.05)
@@ -379,29 +398,60 @@ def test_products_match_public_scipy(seed):
     assert b._rows[0].dtype == b._rows[1].dtype == b._cols[0].dtype == b._cols[1].dtype == np.int32
 
 
-def test_products_of_empty_and_one_cell_blocks():
+def test_products_of_empty_and_one_cell_blocks(chunk):
     rng = np.random.default_rng(7)
     n = 12
     empty = _Block(np.zeros(0, dtype=_key_dtype(n)), np.zeros(0, dtype=np.uint8))
     full = random_block(rng, n, 0.2)
     assert_products_match_scipy(empty, [full, full], n)  # an empty delta
     assert_products_match_scipy(full, [empty], n)  # an empty block of the factor
-    assert _products(full, [], n) == _products(full, [], n, transposed=True) == []  # an empty factor
+    assert list(_products(full, [], n)) == list(_products(full, [], n, transposed=True)) == []  # an empty factor
     one = _Block(np.zeros(1, dtype=_key_dtype(1)), np.ones(1, dtype=np.uint8))
     assert_products_match_scipy(one, [one], 1)  # the one-cell grid's loop
-    assert _products(one, [one], 1)[0].tolist() == [0]
+    assert [c.tolist() for c in _products(one, [one], 1)] == [[0]]
+
+
+def test_products_cut_at_row_boundaries(monkeypatch):
+    # rows 0 and 11 of the delta hit one pair of the block each, row 4 all
+    # twelve rows of the block, 12 * 12 flops; the rows between are empty
+    from scipy.sparse import _sparsetools
+
+    n, calls = 12, []
+    matmat = _sparsetools.csr_matmat
+
+    def spy(n_row, n_col, ap, aj, ax, bp, bj, bx, cp, cj, cx):
+        calls.append((n_row, int(np.diff(bp)[aj[ap[0]:ap[-1]]].sum())))
+        matmat(n_row, n_col, ap, aj, ax, bp, bj, bx, cp, cj, cx)
+
+    monkeypatch.setattr(_sparsetools, "csr_matmat", spy)
+    monkeypatch.setattr(_kernel, "_CHUNK", 20)
+    keys = np.array([0 * n + 0] + [4 * n + d for d in range(n)] + [11 * n + 1], dtype=_key_dtype(n))
+    delta = _Block(keys, np.ones(len(keys), dtype=np.uint8))
+    block = _Block(np.arange(n * n, dtype=_key_dtype(n)), np.ones(n * n, dtype=np.uint8))
+    sparse_block = _Block(np.array([0, n + 1], dtype=_key_dtype(n)), np.ones(2, dtype=np.uint8))
+    assert_products_match_scipy(delta, [block, sparse_block], n)
+    calls.clear()
+    product_keys(delta, block, n)
+    # cut where the flops pass 20, 40, ..., 160: row 0 (12 flops) and empty rows 1-3; row 4
+    # (144 flops, past the chunk) and empty rows 5-10; row 11 (12 flops)
+    assert calls == [(4, 12), (7, 144), (1, 12)]
+    calls.clear()
+    product_keys(delta, sparse_block, n)  # 4 flops, all in one chunk: 1 from row 0, 2 from row 4, 1 from row 11
+    assert calls == [(12, 4)]
 
 
 def test_products_widen_their_index_arrays_to_int64(monkeypatch, pow2):
     # with int32 capped at 40, a block of more pairs is int64 from the start, and a
-    # product of two int32 blocks of more pairs widens both before it multiplies
+    # product of two int32 blocks of more flops, which bound its pairs, widens
+    # both before it multiplies
     monkeypatch.setattr(_kernel, "_INT32_TOP", 40)
     n = 30
     star = np.unique([i * n for i in range(20)] + list(range(20))).astype(np.int32)  # (i, 0) and (0, j)
     small, big = _Block(star, np.ones(len(star), dtype=np.uint8)), random_block(np.random.default_rng(3), n, 0.3)
     assert len(small.keys) < 40 < len(big.keys)
     assert small.rows(n)[0].dtype == np.int32 and big.rows(n)[0].dtype == big.rows(n)[1].dtype == np.int64
-    assert len(scipy_product_keys(small.keys, small.keys, n)) > 40
+    ap, aj = small.rows(n)
+    assert np.diff(ap)[aj].sum() > len(scipy_product_keys(small.keys, small.keys, n)) > 40
     assert_products_match_scipy(small, [small, big], n)
     assert_products_match_scipy(big, [small], n)
     # the table built on int64 arrays is the table
@@ -415,6 +465,69 @@ def test_products_widen_their_index_arrays_to_int64(monkeypatch, pow2):
     for key, (keys, stamps) in want.items():
         assert np.array_equal(got[key][0], keys) and np.array_equal(got[key][1], stamps)
         assert got[key][0].dtype == keys.dtype and got[key][1].dtype == stamps.dtype
+
+
+def reference_merge(older, newer):
+    """The union of two disjoint sets of pairs, each sorted linear keys with
+    their stamps, by one binary search per newer key."""
+    at = np.searchsorted(older[0], newer[0]) + np.arange(len(newer[0]))
+    old = np.ones(len(older[0]) + len(newer[0]), dtype=bool)
+    old[at] = False
+    out = []
+    for a, b in zip(older, newer):
+        both = np.empty(len(old), dtype=np.result_type(a, b))
+        both[old] = a
+        both[at] = b
+        out.append(both)
+    return tuple(out)
+
+
+@st.composite
+def merge_runs(draw):
+    """A slice size and two disjoint runs of sorted keys with stamps: keys of
+    either type, stamps of uint8 or uint16 on each side, the runs
+    interleaved or one entirely before the other, and either side may be empty."""
+    key_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    top = int(np.iinfo(key_dtype).max)
+    keys = np.array(sorted(draw(st.sets(st.integers(0, top), max_size=120))), dtype=key_dtype)
+    layout = draw(st.sampled_from(["interleaved", "older first", "newer first"]))
+    if layout == "interleaved":
+        to_older = np.array(draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys))), dtype=bool)
+    else:
+        cut = draw(st.integers(0, len(keys)))
+        to_older = (np.arange(len(keys)) < cut) == (layout == "older first")
+    runs = []
+    for part in (keys[to_older], keys[~to_older]):
+        stamp_dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+        top = int(np.iinfo(stamp_dtype).max)
+        stamps = draw(st.lists(st.integers(0, top), min_size=len(part), max_size=len(part)))
+        runs.append((part, np.array(stamps, dtype=stamp_dtype)))
+    return draw(st.sampled_from([2, 3, 4, 8, _kernel._SLICE])), *runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_runs())
+def test_merge_equals_the_reference_merge(run):
+    size, older, newer = run
+    with mock.patch.object(_kernel, "_SLICE", size):
+        got = _merge(older, newer)
+    want = reference_merge(older, newer)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_merge_cases():
+    # int32 keys with uint8 stamps, int64 keys with uint16 stamps, merged both ways
+    with mock.patch.object(_kernel, "_SLICE", 4):
+        for key_dtype, a_stamp, b_stamp in ((np.int32, np.uint8, np.uint16), (np.int64, np.uint16, np.uint8)):
+            evens, odds = np.arange(0, 40, 2, dtype=key_dtype), np.arange(1, 40, 2, dtype=key_dtype)
+            low, high = np.arange(10, dtype=key_dtype), np.arange(10, 30, dtype=key_dtype)
+            empty = evens[:0]
+            for a, b in ((evens, odds), (low, high), (high, low), (evens, empty), (empty, odds), (empty, empty)):
+                older, newer = (a, np.full(len(a), 200, dtype=a_stamp)), (b, np.full(len(b), 300 % 256, dtype=b_stamp))
+                got, want = _merge(older, newer), reference_merge(older, newer)
+                assert got[0].dtype == key_dtype and got[1].dtype == np.uint16
+                assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("limit", [3, 1000, 50000])
@@ -796,6 +909,25 @@ def test_cone_keys_of_large_grids():
     g8 = Gvas.from_rules(8, [("S", [(1,) + (0,) * 7, "S"]), ("S", [])], "S")
     with pytest.raises(ResourceLimitError, match="overflow int64"):
         reach_from(g8, (0,) * 8, 20)
+
+
+def test_queries_refuse_configurations_of_another_length(pow2):
+    # the length is checked after the symbol and before the grid, as enumerate_trees does
+    with pytest.raises(DimensionMismatchError, match=r"^source \(1, 2\) has length 2, expected 1$"):
+        reach_from(pow2, (1, 2), 4)
+    for engine in (bounded_reach(pow2, 4), reach_from(pow2, (1,), 4)):
+        for symbol in ("S", (1,)):
+            with pytest.raises(DimensionMismatchError, match=r"^source \(9, 9\) has length 2, expected 1$"):
+                engine.successors(symbol, (9, 9))
+            with pytest.raises(DimensionMismatchError, match=r"^source \(1, 2\) has length 2, expected 1$"):
+                engine.witness((1, 2), symbol, (2,))
+            with pytest.raises(DimensionMismatchError, match=r"^target \(\) has length 0, expected 1$"):
+                engine.witness((1,), symbol, ())
+            assert not engine.contains(symbol, (1, 2), (2,)) and not engine.contains(symbol, (1,), ())
+        with pytest.raises(UnknownSymbolError):
+            engine.successors("Q", (1, 2))
+        with pytest.raises(UnknownSymbolError):
+            engine.witness((1, 2), "Q", (2,))
 
 
 def test_cone_out_of_grid(pow2):
