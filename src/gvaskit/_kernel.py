@@ -130,8 +130,9 @@ def _merge(older: tuple[np.ndarray, np.ndarray], newer: tuple[np.ndarray, np.nda
     """The union of two disjoint sets of pairs, each sorted linear keys
     with their stamps, a slice of at most :data:`_SLICE` keys at a time.
 
-    Both runs are cut at the same pivots, every ``_SLICE // 2``-th key of
-    each, so a slice holds at most that many keys of either run.  One
+    Past ``_SLICE`` keys in all, both runs are cut at the same pivots,
+    every ``_SLICE // 2``-th key of each, so a slice holds at most that
+    many keys of either run.  One
     stable argsort orders a slice's keys, which timsort does in linear
     time, as the keys are two sorted runs, and its keys and stamps are
     taken into the preallocated union: besides the union, a merge holds
@@ -139,10 +140,11 @@ def _merge(older: tuple[np.ndarray, np.ndarray], newer: tuple[np.ndarray, np.nda
     which kept the cones of the cone-membership benchmark 4 MB lower in
     peak RSS than fresh ones per slice."""
     (a, sa), (b, sb) = older, newer
-    half = _SLICE // 2
-    pivots = np.sort(np.concatenate((a[half::half], b[half::half])))
-    ca = [0, *a.searchsorted(pivots).tolist(), len(a)]
-    cb = [0, *b.searchsorted(pivots).tolist(), len(b)]
+    ca, cb = [0, len(a)], [0, len(b)]
+    if len(a) + len(b) > _SLICE:
+        half = _SLICE // 2
+        pivots = np.sort(np.concatenate((a[half::half], b[half::half])))
+        ca[1:1], cb[1:1] = a.searchsorted(pivots).tolist(), b.searchsorted(pivots).tolist()
     keys = np.empty(len(a) + len(b), dtype=np.result_type(a, b))
     stamps = np.empty(len(keys), dtype=np.result_type(sa, sb))
     most = max(x1 - x0 + y1 - y0 for x0, x1, y0, y1 in zip(ca, ca[1:], cb, cb[1:]))
@@ -208,13 +210,19 @@ class _Block:
 _CHUNK = 1 << 20  # flops per compiled product call, which bounds its output arrays
 
 
-def _flops_before(ap: np.ndarray, aj: np.ndarray, bp: np.ndarray) -> np.ndarray:
-    """The flops of a CSR matrix's product with another, whose indptr is
-    ``bp``, on the rows before each of its rows, and on all of them: the
-    pairs its rows reach through the other's rows."""
-    flops = np.zeros(len(aj) + 1, dtype=np.int64)
-    np.cumsum(np.diff(bp)[aj], out=flops[1:])
-    return flops[ap]
+def _chunks(ap: np.ndarray, aj: np.ndarray, bp: np.ndarray) -> tuple[list[int], int]:
+    """The row cuts of a CSR matrix's product with another, whose indptr is
+    ``bp``, into chunks, as :func:`_products` describes, and the largest
+    chunk's flops: the pairs its rows reach through the other's rows."""
+    work = np.diff(bp)[aj]
+    total = int(work.sum())
+    if total <= _CHUNK:
+        return ([0, len(ap) - 1] if total else []), total
+    before = np.zeros(len(aj) + 1, dtype=np.int64)
+    np.cumsum(work, out=before[1:])
+    before = before[ap]  # the flops of the rows before each row, and of all of them
+    cuts = np.unique(np.append(before.searchsorted(np.arange(0, total, _CHUNK), side="right") - 1, len(ap) - 1))
+    return cuts.tolist(), int(np.diff(before[cuts]).max())
 
 
 def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = False) -> Iterator[np.ndarray]:
@@ -233,8 +241,8 @@ def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = Fa
     are sized from them, with no symbolic pass.  Its rows are cut at the
     last row boundary at or below each multiple of :data:`_CHUNK` flops,
     one call per chunk, so a call's output arrays hold less than
-    ``_CHUNK`` flops plus one row's, and rows with no flops before the
-    first chunk are skipped.  A product's index arrays widen to ``int64``
+    ``_CHUNK`` flops plus one row's; a product of at most ``_CHUNK``
+    flops is one call.  A product's index arrays widen to ``int64``
     when its largest chunk's flops or n pass ``int32``.
     """
     from scipy.sparse._sparsetools import csr_matmat
@@ -245,15 +253,11 @@ def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = Fa
         (ap, aj), bs, keys_of = delta.rows(n), [b.rows(n) for b in factor], _row_keys
     ones = np.ones(max([len(aj)] + [len(bj) for _, bj in bs]), dtype=bool)  # every entry's value
     for bp, bj in bs:
-        before = _flops_before(ap, aj, bp)
-        cuts = np.unique(np.append(before.searchsorted(np.arange(0, before[-1], _CHUNK), side="right") - 1, n))
-        if len(cuts) < 2:  # no flops
-            continue
-        most = int(np.diff(before[cuts]).max())
+        cuts, most = _chunks(ap, aj, bp)
         idx = np.result_type(ap, bp, _index_dtype(most))  # each block's type already holds n
         a_p, a_j, b_p, b_j = (x.astype(idx, copy=False) for x in (ap, aj, bp, bj))
         indptr, indices, data = np.empty(n + 1, dtype=idx), np.empty(most, dtype=idx), np.empty(most, dtype=bool)
-        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        for lo, hi in zip(cuts, cuts[1:]):
             csr_matmat(hi - lo, n, a_p[lo:hi + 1], a_j, ones, b_p, b_j, ones, indptr[:hi - lo + 1], indices, data)
             yield keys_of(indptr[:hi - lo + 1], indices, n, lo)
 
