@@ -132,13 +132,13 @@ def _merge(older: tuple[np.ndarray, np.ndarray], newer: tuple[np.ndarray, np.nda
 
     Past ``_SLICE`` keys in all, both runs are cut at the same pivots,
     every ``_SLICE // 2``-th key of each, so a slice holds at most that
-    many keys of either run.  One
-    stable argsort orders a slice's keys, which timsort does in linear
-    time, as the keys are two sorted runs, and its keys and stamps are
-    taken into the preallocated union: besides the union, a merge holds
-    one slice's keys, stamps and order, in buffers every slice reuses,
-    which kept the cones of the cone-membership benchmark 4 MB lower in
-    peak RSS than fresh ones per slice."""
+    many keys of either run.  One stable argsort orders a slice's keys,
+    which timsort does in linear time, as the keys are two sorted runs,
+    and its keys and stamps are taken into the preallocated union:
+    besides the union, a merge holds one slice's keys, stamps and order,
+    in buffers every slice reuses, which kept the cones of the
+    cone-membership benchmark 4 MB lower in peak RSS than fresh ones per
+    slice."""
     (a, sa), (b, sb) = older, newer
     ca, cb = [0, len(a)], [0, len(b)]
     if len(a) + len(b) > _SLICE:
