@@ -378,17 +378,8 @@ def assert_products_match_scipy(delta, factor, n):
         assert np.array_equal(np.sort(np.concatenate(got)) if got else [], np.sort(np.concatenate(wants or [[]])))
 
 
-@pytest.fixture(params=[None, 1, 6], ids=["one-chunk", "chunk-1", "chunk-6"])
-def chunk(request, monkeypatch):
-    """The flops per product call: the kernel's own, or small, so that
-    products of a few dozen flops come in several chunks."""
-    if request.param is not None:
-        monkeypatch.setattr(_kernel, "_CHUNK", request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_products_match_public_scipy(seed, chunk):
+def test_products_match_public_scipy(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
     delta = random_block(rng, n, 0.05)
@@ -398,7 +389,7 @@ def test_products_match_public_scipy(seed, chunk):
     assert b._rows[0].dtype == b._rows[1].dtype == b._cols[0].dtype == b._cols[1].dtype == np.int32
 
 
-def test_products_of_empty_and_one_cell_blocks(chunk):
+def test_products_of_empty_and_one_cell_blocks():
     rng = np.random.default_rng(7)
     n = 12
     empty = _Block(np.zeros(0, dtype=_key_dtype(n)), np.zeros(0, dtype=np.uint8))
@@ -409,6 +400,15 @@ def test_products_of_empty_and_one_cell_blocks(chunk):
     one = _Block(np.zeros(1, dtype=_key_dtype(1)), np.ones(1, dtype=np.uint8))
     assert_products_match_scipy(one, [one], 1)  # the one-cell grid's loop
     assert [c.tolist() for c in _products(one, [one], 1)] == [[0]]
+
+
+@pytest.mark.parametrize("chunk", [1, 6])
+def test_products_in_small_chunks_match_public_scipy(monkeypatch, chunk):
+    # products of a few dozen flops come in several chunks
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+    for seed in range(4):
+        test_products_match_public_scipy(seed)
+    test_products_of_empty_and_one_cell_blocks()
 
 
 def test_products_cut_at_row_boundaries(monkeypatch):
