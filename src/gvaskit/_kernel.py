@@ -17,14 +17,14 @@ row of every relation in round 1, so each of its reads is a delta.
 While the rounds run, each relation is a short list of disjoint blocks
 (:class:`_Block`) whose sizes shrink geometrically, newest last, as in a
 log-structured merge.  Membership has one rule for every relation that
-is searched, that is, every relation not defined by one join with an
-action (:class:`_Band`).  While its pairs pay for it, at most one byte
-per stored pair, a relation keeps a bitmap over a band of offsets
-``[lo, lo + W)``: row s holds the pair (s, d) at bit d - s - lo.  A band
-that reaches a grid row is the widest, and its bits are the n * n keys
-themselves.  The core grammars' pairs lie in bands far narrower than a
-row, which their pairs pay for once the span stops growing as fast as
-they do; small grids reach the key layout.  Candidates are then checked
+is searched, that is, every relation neither defined by one join with an
+action nor derived (see below): :class:`_Band`.  While its pairs pay for
+it, at most one byte per stored pair, a relation keeps a bitmap over a
+band of offsets ``[lo, lo + W)``: row s holds the pair (s, d) at bit
+d - s - lo.  A band that reaches a grid row is the widest, and its bits
+are the n * n keys themselves.  The core grammars' pairs lie in bands
+far narrower than a row, which their pairs pay for once the span stops
+growing as fast as they do; small grids reach the key layout.  Candidates are then checked
 by one bit lookup each, one outside the band being new, so only the new
 ones are sorted.  A relation without bits sorts and deduplicates its
 candidates and looks them up by binary search in every block, so its
@@ -42,6 +42,18 @@ stamps the engine keeps (:func:`_collapsed`).  Every merge, of a fresh
 batch with the blocks it absorbs or of the blocks at the end, orders a
 slice of at most :data:`_SLICE` keys at a time (:func:`_merge`), so
 neither a product nor a merge holds a temporary the size of a relation.
+
+The table derives a relation K2 with no product of its own when its one
+definition is ``L ; A``, A's is ``Y ; a`` with a an action, and another
+relation K1 has the one definition ``L ; Y`` (:func:`_derived`): K2 is
+K1 shifted by a, and each of its pairs takes the stamp of its K1 pair or
+one more.  K1's left delta is multiplied by Y without Y's fresh batch,
+whose entries enter the product with the value False (the ``without``
+of :func:`_products`), so the K1 pairs that product finds are the ones
+whose shift K2 stamps in the same round; it stamps the shifts of K1's
+other pairs a round later.  Stamps are those K2's own products would
+give: K2's stamp is ``1 + min_m max(L(s, m), Y(m, d) + 1)`` and K1's
+``1 + min_m max(L(s, m), Y(m, d))``.
 """
 
 from __future__ import annotations
@@ -225,13 +237,19 @@ def _chunks(ap: np.ndarray, aj: np.ndarray, bp: np.ndarray) -> tuple[list[int], 
     return cuts.tolist(), int(np.diff(before[cuts]).max())
 
 
-def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = False) -> Iterator[np.ndarray]:
+def _products(
+    delta: _Block, factor: list[_Block], n: int, transposed: bool = False, without: int | None = None,
+) -> Iterator[np.ndarray]:
     """Linear keys ``s * n + d`` of the boolean products of a delta with
     each block of a factor, as the table joins two relations: the delta's
     rows by each block's rows, or ``transposed`` the delta's transpose by
     each block's transpose, keyed back untransposed.  Each product comes
     in chunks of consecutive rows of the delta, each listing a pair once,
     in no particular order, and block by block in the factor's order.
+    Untransposed, the factor's pairs stamped ``without``, all in its newest
+    block, are left out: they enter the product with the value False, and
+    a pair whose every path holds one sums to False, which the product
+    drops.
 
     scipy's compiled ``csr_matmat`` runs on the blocks' own CSR arrays, so
     no sparse matrix is built or validated per product.  It is imported
@@ -252,13 +270,14 @@ def _products(delta: _Block, factor: list[_Block], n: int, transposed: bool = Fa
     else:
         (ap, aj), bs, keys_of = delta.rows(n), [b.rows(n) for b in factor], _row_keys
     ones = np.ones(max([len(aj)] + [len(bj) for _, bj in bs]), dtype=bool)  # every entry's value
-    for bp, bj in bs:
+    for i, (bp, bj) in enumerate(bs):
         cuts, most = _chunks(ap, aj, bp)
         idx = np.result_type(ap, bp, _index_dtype(most))  # each block's type already holds n
         a_p, a_j, b_p, b_j = (x.astype(idx, copy=False) for x in (ap, aj, bp, bj))
+        b_x = factor[i].stamps != without if without is not None and i == len(bs) - 1 else ones
         indptr, indices, data = np.empty(n + 1, dtype=idx), np.empty(most, dtype=idx), np.empty(most, dtype=bool)
         for lo, hi in zip(cuts, cuts[1:]):
-            csr_matmat(hi - lo, n, a_p[lo:hi + 1], a_j, ones, b_p, b_j, ones, indptr[:hi - lo + 1], indices, data)
+            csr_matmat(hi - lo, n, a_p[lo:hi + 1], a_j, ones, b_p, b_j, b_x, indptr[:hi - lo + 1], indices, data)
             yield keys_of(indptr[:hi - lo + 1], indices, n, lo)
 
 
@@ -407,6 +426,23 @@ def _fresh(parts: list[np.ndarray], stack: list[_Block]) -> np.ndarray:
     return cand
 
 
+def _fresh_split(parts: list[np.ndarray], first: int, stack: list[_Block]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_fresh` of ``parts``, split in two: the fresh pairs among the
+    first ``first`` parts, and the others."""
+    head = parts[:first]
+    del parts[:first]
+    none = np.zeros(0, dtype=(head or parts)[0].dtype)
+    head = _fresh(head, stack) if head else none
+    tail = _fresh(parts, stack) if parts else none
+    return head, tail[~_isin(head, tail)]
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two disjoint sorted arrays: one stable sort,
+    which timsort does in linear time, as the keys are two sorted runs."""
+    return np.sort(np.concatenate((a, b)), kind="stable")
+
+
 def _absorb(stack: list[_Block], keys: np.ndarray, stamps: np.ndarray):
     """A fresh batch merged with (and popping) each newest block of at most four times its pairs."""
     while stack and len(stack[-1].keys) <= 4 * len(keys):
@@ -428,6 +464,31 @@ def _gather(blocks: list[_Block], rows: np.ndarray, n: int, transposed: bool = F
             at.append(np.repeat(np.arange(len(rows)), cnt))
             got.append(keys[np.arange(total) + (lo + cnt - cnt.cumsum())[at[-1]]])
     return (np.concatenate(at), np.concatenate(got)) if got else (rows[:0].astype(np.intp), rows[:0])
+
+
+def _shifts(defs: dict[tuple, list[tuple]]) -> set[tuple]:
+    """The relations defined by one join with an action alone."""
+    return {k for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join"
+            and "act" in (ops[0][1][0], ops[0][2][0])}
+
+
+def _derived(defs: dict[tuple, list[tuple]], shifts: set[tuple]) -> dict[tuple, tuple[tuple, tuple[int, ...]]]:
+    """The relations the table derives, each with its source and action:
+    K2 -> (K1, a) where K2's one definition is ``L ; A``, A's is ``Y ; a``
+    with a an action, K1's is ``L ; Y``, and L, Y and K1 are relations and
+    K1 is not derived itself, as :func:`_rounds` describes."""
+    # the joins of two relations alone: neither factor of a relation outside shifts is an action
+    joins = {k: ops[0][1:] for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join" and k not in shifts}
+    first = {}  # (L, Y) -> the first relation whose one definition is L ; Y
+    for k, factors in joins.items():
+        first.setdefault(factors, k)
+    derived = {}
+    for k2, (left, right) in joins.items():
+        if right in shifts:
+            _, y, a = defs[right][0]
+            if a[0] == "act" and (left, y) in first:
+                derived[k2] = (first[left, y], a[1])
+    return {k2: (k1, a) for k2, (k1, a) in derived.items() if k1 not in derived}
 
 
 def _rounds(
@@ -462,8 +523,9 @@ def _rounds(
     it lacks (:func:`_fresh`).  A relation defined by one join with an
     action alone skips the test: it holds its factor's shift as the factor
     stood a round earlier, and a shift is injective, so its candidates are
-    new.  Every other relation keeps a :class:`_Band`, which each fresh
-    batch updates at the end of the round: it tracks the span of the
+    new.  Every other relation but a derived one (below) keeps a
+    :class:`_Band`, which each fresh batch updates at the end of the
+    round: it tracks the span of the
     relation's offsets d - s and keeps bits over a band W offsets wide that
     covers the span while 8 * pairs >= n * W, widened when a fresh pair
     falls outside it, dropped while the pairs do not pay for the band the
@@ -477,21 +539,40 @@ def _rounds(
     fresh batch becomes the newest block after absorbing each newest block
     of at most four times its pairs: N pairs take O(log N) blocks, each
     copied O(log N) times.
+
+    Without a root, a relation K2 the table derives (:func:`_derived`),
+    ``L ; A`` alone with A = ``Y ; a`` alone beside K1 = ``L ; Y`` alone,
+    runs no product, takes no candidates and keeps no band.  K1's product
+    of its left delta leaves out Y's pairs of round r - 1, all in Y's
+    newest block, as :func:`_absorb` made it, so it reads Y_old; the
+    transposed product of Y's delta with all of L finds the rest of K1's
+    candidates.  K1's fresh pairs of round r split into those found by
+    the first product, g_r, and the rest, and K2's fresh pairs of round r
+    are the shifts by a of g_r and of K1's rest of round r - 1.  A pair
+    (s, d) of K1 stamped r has a path through some m with L(s, m) = r - 1
+    and Y(m, d) <= r - 1; the pair (s, d + a) of K2 is stamped r when one
+    of them has Y(m, d) < r - 1, that is when the first product finds it,
+    and r + 1 otherwise, so its stamp is the one its own products would
+    give.  A K1 that is derived itself derives nothing.
     ResourceLimitError once the relations hold more than ``limit`` pairs.
     """
     n, key_dtype = grid.size, _key_dtype(grid.size)
     dem = {k: np.zeros(0, dtype=key_dtype) for k in defs}
     blocks: dict[tuple, list[_Block]] = {k: [] for k in defs}
-    # the relations defined by one join with an action alone
-    shifts = {k for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join"
-              and "act" in (ops[0][1][0], ops[0][2][0])}
+    shifts = _shifts(defs)
+    derived = _derived(defs, shifts) if root is None else {}
+    sources = {k1 for k1, _ in derived.values()}
+    firsts: dict[tuple, int] = {}  # how many of a source's candidate parts its left product made this round
+    found: dict[tuple, np.ndarray] = {}  # a source's fresh pairs among those parts: g_r
+    rest: dict[tuple, np.ndarray] = {}  # its other fresh pairs, which its derived relations take a round later
     # demand that needs no pair: a copy or left factor on its target's rows, a right factor past a left action
     static = {k: [(op[1], None) if op[1][0] != "act" else (op[2], op[1][1])
                   for op in ops if op[0] != "eps" and not op[1][0] == op[-1][0] == "act"] for k, ops in defs.items()}
     wants = ({k: [np.arange(n, dtype=key_dtype)] for k in defs} if root is None
              else {root[0]: [np.array([root[1]], dtype=key_dtype)]})
     fresh: dict[tuple, _Block] = {}
-    bands = {k: _Band() for k in defs if k not in shifts}
+    bands = {k: _Band() for k in defs if k not in shifts and k not in derived}
+    none = np.zeros(0, dtype=key_dtype)
     round_no = entries = 0
 
     def older(key, keys: np.ndarray) -> np.ndarray:
@@ -513,6 +594,18 @@ def _rounds(
         if len(cand):
             cands.setdefault(key, []).append(cand)
 
+    def grow(key, cand: np.ndarray) -> None:
+        """Stamp a relation's fresh pairs with the round and make them its newest batch."""
+        nonlocal entries
+        if len(cand):
+            entries += len(cand)
+            stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
+            fresh[key] = block = _Block(cand, stamps)
+            keys, stamps = _absorb(blocks[key], cand, stamps)
+            blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
+            if key in bands:
+                bands[key].add(cand, blocks[key], n)
+
     while True:
         new_rows: dict[tuple, np.ndarray] = {}
         while wants:  # each part sorted and distinct
@@ -529,9 +622,10 @@ def _rounds(
             break
         round_no += 1
         cands, wants = {}, {}
+        firsts.clear()
         for key, ops in defs.items():
             rows = new_rows.get(key, dem[key][:0])
-            for op in ops if len(rows) or len(dem[key]) else ():
+            for op in ops if (len(rows) or len(dem[key])) and key not in derived else ():
                 if op[0] == "eps":
                     add(key, rows * (n + 1))
                     continue
@@ -543,8 +637,11 @@ def _rounds(
                     elif r[0] == "act":
                         add(key, _shifted(grid, vis, r[1]))
                     elif root is None:  # vis is x's delta from round 2 on, and r is empty in round 1
-                        for keys in _products(fresh[x], blocks[r], n) if x in fresh else ():
+                        without = round_no - 1 if key in sources and r in fresh else None  # a source reads r_old
+                        for keys in _products(fresh[x], blocks[r], n, without=without) if x in fresh else ():
                             add(key, keys)
+                        if key in sources:
+                            firsts[key] = len(cands.get(key, ()))
                     elif len(vis):  # demand r at m and read it there, m ascending for the searches
                         m, s = np.divmod(np.sort(vis % n * n + vis // n), n)
                         if x[0] != "act":
@@ -565,19 +662,19 @@ def _rounds(
         for key, rows in new_rows.items():
             dem[key] = np.sort(np.concatenate((dem[key], rows)), kind="stable")
         # every candidate of the round is taken: only now may the relations grow
-        fresh = {}
+        fresh, found, rest, late = {}, {}, {}, rest
         for key, parts in cands.items():
-            # new and distinct by construction; a stable sort merges the sorted runs of the cone's parts
-            cand = (np.sort(np.concatenate(parts), kind="stable") if key in shifts
-                    else _fresh(parts, [] if bands[key].bits is not None else blocks[key]))
-            if len(cand):
-                entries += len(cand)
-                stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
-                fresh[key] = block = _Block(cand, stamps)
-                keys, stamps = _absorb(blocks[key], cand, stamps)
-                blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
-                if key in bands:
-                    bands[key].add(cand, blocks[key], n)
+            if key in shifts:  # new and distinct by construction; a stable sort merges the cone's sorted runs
+                grow(key, np.sort(np.concatenate(parts), kind="stable"))
+                continue
+            stack = [] if bands[key].bits is not None else blocks[key]
+            if key in sources:
+                found[key], rest[key] = _fresh_split(parts, firsts.get(key, 0), stack)
+                grow(key, _union(found[key], rest[key]))
+            else:
+                grow(key, _fresh(parts, stack))
+        for key, (k1, a) in derived.items():  # shifts of k1's pairs its left product found, and of last round's rest
+            grow(key, _shifted(grid, _union(found.get(k1, none), late.get(k1, none)), a))
         if entries > limit:
             raise ResourceLimitError(f"relation store reached {entries} pairs, limit {limit}" if root is None
                                      else f"reachability cone exceeded {limit} entries")

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -19,7 +20,7 @@ from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit import _kernel
-from gvaskit._kernel import _Band, _Block, _key_dtype, _merge, _products, _rounds, _shifted
+from gvaskit._kernel import _Band, _Block, _derived, _key_dtype, _merge, _products, _rounds, _shifted, _shifts
 from gvaskit.reach import Grid, _action_target, _binarize, bounded_reach, reach_from
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
@@ -285,6 +286,35 @@ def test_fixpoint_matches_reference(pow2, exchange, order_demo):
     rng = random.Random(5)
     for _ in range(40):
         assert_same_stamps(random_gvas(rng), rng.randint(2, 6))
+
+
+def table_digests(g, bound):
+    """Each relation's sha256 of its keys, stamps and their types, in hex
+    (its first 16 digits)."""
+    out = {}
+    for key, (keys, stamps) in bounded_reach(g, bound)._relations.items():
+        h = hashlib.sha256()
+        for a in (keys, stamps):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+        out[key] = h.hexdigest()[:16]
+    return out
+
+
+def test_core_tables_keep_their_digests():
+    # every relation of core(1)@12 and core(2)@5 as the kernel made it
+    # before the table derived aux(1, 1); the reference compares stamps
+    # only at smaller bounds (core(1)@8, core(2)@4)
+    assert table_digests(build_core(1), 12) == {
+        ("aux", 1, 1): "8daa38fad99de59e", ("aux", 1, 2): "54fcce22ed473277", ("aux", 3, 1): "47f521ec32634430",
+        ("aux", 3, 2): "47148fc3e437b7e7", ("aux", 5, 1): "78d747348049c986", ("sym", "Fn"): "b1e8fb59f16b7b53",
+        ("sym", "Iter"): "c5949a8a265b88bc", ("sym", "Load"): "7953542623a1cd47"}
+    assert table_digests(build_core(2), 5) == {
+        ("aux", 1, 1): "f2d589d786f07929", ("aux", 1, 2): "cb64e3f7fae6cd10", ("aux", 2, 1): "0f634193833b814f",
+        ("aux", 2, 2): "4027464987dcf8b4", ("aux", 2, 3): "3d774821f27b4ee3", ("aux", 4, 1): "4957fba20a82d8b5",
+        ("aux", 4, 2): "f8789ad9bc63bdb4", ("aux", 6, 1): "3386ef190d29e73c", ("aux", 8, 1): "0aa7119d247febab",
+        ("aux", 8, 2): "4b511548d2d2332d", ("aux", 8, 3): "d5e58fdf048174c9", ("sym", "Desc1"): "c879006cce4abb7a",
+        ("sym", "Fn"): "bb873621deea5201", ("sym", "Iter"): "56ba63b52e3cc2be", ("sym", "Load"): "ddc401c640c15585"}
 
 
 def test_shifts_keep_key_order_and_drop_what_leaves_the_grid():
@@ -982,16 +1012,17 @@ def test_core_relations_switch_to_narrow_bands(monkeypatch):
     # every searched relation of the core grammars keeps bits on a band far
     # narrower than a row (729 cells at core(1)@8, 625 at core(2)@4) by round
     # 18; one whose span outgrows what its pairs pay for drops its bits
-    # until they pay again, and Load's never do once it has dropped them
+    # until they pay again, and Load's never do once it has dropped them;
+    # aux(1, 1), derived from the other join of Iter and Fn, holds no band
     assert switches(monkeypatch, build_core(1), 8) == {
         ("sym", "Fn"): [(15, 136)], ("sym", "Load"): [(1, 8), (3, None)],
         ("sym", "Iter"): [(2, 8), (4, None), (9, 48), (10, 64), (11, 72), (12, 88), (13, 112), (14, 136), (18, 176)],
-        ("aux", 1, 1): [(15, 136), (17, 152)], ("aux", 3, 2): [(13, 136)]}
+        ("aux", 3, 2): [(13, 136)]}
     assert switches(monkeypatch, build_core(2), 4) == {
         ("sym", "Fn"): [(13, 40)], ("sym", "Iter"): [(2, 8), (4, None), (5, 16), (8, None), (9, 32), (11, 40)],
         ("sym", "Load"): [(1, 8), (3, None), (5, 16), (7, None)],
         ("sym", "Desc1"): [(6, 16), (7, None), (8, 24), (10, None), (12, 40)],
-        ("aux", 1, 1): [(16, 48)], ("aux", 2, 2): [(17, 40)], ("aux", 4, 2): [(11, 40)]}
+        ("aux", 2, 2): [(17, 40)], ("aux", 4, 2): [(11, 40)]}
     assert_same_stamps(build_core(1), 8, samples=4)
     assert_same_stamps(build_core(2), 4, samples=4)
 
@@ -1009,6 +1040,129 @@ def test_band_drops_bits_its_pairs_do_not_pay_for(monkeypatch):
 def test_dense_cone_matches_reference(monkeypatch):
     assert switches(monkeypatch, CHAIN, 40, root=(0,)) == {("sym", "S"): [(1, 8), (6, "keys")]}
     assert_same_cone(CHAIN, (0,), 40)
+
+
+# --- derived relations -------------------------------------------------------
+
+# every shape of a derived relation K2 = L ; A, A = Y ; a beside K1 = L ; Y,
+# and its near misses.  aux(1, 1) and aux(2, 1) share the source aux(6, 1),
+# with actions that move both digits, down and up, and leave the grid;
+# aux(11, 1) is L ; A for the nonterminal A; aux(5, 1) has L == Y, from M.
+# Not derived: aux(10, 1), a second L ; Y; aux(12, 1), whose source aux(11, 1)
+# is derived; N, which has a second definition; R, whose K1 would be Q, which
+# has a second definition; T, whose A is a left action (1,0) ; Y; aux(20, 1),
+# L ; Z with Z = Z ; (1,0), which would be its own source.
+DERIVED = parse_gvas("""dim 2
+start L
+L -> (1,0) | (0,1) L Y (-1,2) | (1,0) L Y (0,-1) | (1,-1) Y
+Y -> eps | (-1,1) Y Y (1,1) | (0,-1) L Y
+M -> Y Y
+A -> Y (-1,2)
+B -> A (0,1)
+C -> (1,0) L Y
+D -> (0,1) L A
+E -> (1,1) L B
+N -> L Y (1,0) | eps
+Q -> Y L | (1,0)
+R -> Y L (0,1)
+T -> L (1,0) Y
+Z -> Z (1,0)
+F -> (1,1) L Z
+""")
+
+
+def test_derived_relations_and_their_near_misses():
+    defs = _binarize(DERIVED)
+    assert _derived(defs, _shifts(defs)) == {
+        ("aux", 1, 1): (("aux", 6, 1), (-1, 2)), ("aux", 2, 1): (("aux", 6, 1), (0, -1)),
+        ("aux", 5, 1): (("sym", "M"), (1, 1)), ("aux", 11, 1): (("aux", 6, 1), (-1, 2))}
+    assert defs[("aux", 5, 1)][0][1] == defs[("aux", 5, 2)][0][1] == ("sym", "Y")  # L == Y
+    for bound in (0, 1, 2, 3, 5, 7):
+        assert_same_stamps(DERIVED, bound)
+    # a derived pair takes its source's stamp when a path reaches it through
+    # an older pair of Y, and one more otherwise: both occur
+    table = bounded_reach(DERIVED, 5)
+    for k2, (k1, a) in _derived(defs, _shifts(defs)).items():
+        keys, stamps = table._relations[k2]
+        k1_keys, k1_stamps = table._relations[k1]
+        moved = np.isin(k1_keys, keys - table.grid.offset(a))
+        assert np.array_equal(_shifted(table.grid, k1_keys, a), keys)
+        assert set((stamps.astype(int) - k1_stamps[moved]).tolist()) == {0, 1}
+
+
+def test_derived_relations_match_reference_on_random_grammars():
+    # random grammars with one derived shape added: K -> a L Y b beside J -> c L Y
+    rng = random.Random(11)
+    for _ in range(30):
+        g = random_gvas(rng)
+        l, y = rng.choice(g.nonterminals), rng.choice(g.nonterminals)
+        a, b, c = (tuple(rng.randint(-2, 2) for _ in range(g.dim)) for _ in range(3))
+        g = Gvas.from_rules(g.dim, list(g.rules) + [("J", [c, l, y]), ("K", [a, l, y, b])], g.start)
+        defs = _binarize(g)
+        assert _derived(defs, _shifts(defs))
+        assert_same_stamps(g, rng.randint(2, 6))
+
+
+def derived_work(monkeypatch, g, bound):
+    """The table's rounds of g at bound with a spy on :func:`_products` and
+    :meth:`_Band.add`: each relation's blocks, and per product the factor's
+    blocks and whether it is transposed, and per band update the blocks."""
+    products, adds = [], []
+    product, add = _kernel._products, _Band.add
+
+    def product_spy(delta, factor, n, transposed=False, without=None):
+        products.append((factor, transposed))
+        return product(delta, factor, n, transposed, without)
+
+    def add_spy(band, keys, stack, n):
+        adds.append(stack)
+        add(band, keys, stack, n)
+
+    monkeypatch.setattr(_kernel, "_products", product_spy)
+    monkeypatch.setattr(_Band, "add", add_spy)
+    blocks, _, _ = _rounds(Grid(g.dim, bound), _binarize(g), 60_000_000)
+    return blocks, products, adds
+
+
+@pytest.mark.parametrize("d, bound, source, digit0", [(1, 8, ("aux", 3, 2), (0, 0, 1)),
+                                                      (2, 4, ("aux", 4, 2), (0, 0, 1, 0))])
+def test_core_derives_the_shifted_join_of_iter_and_fn(monkeypatch, d, bound, source, digit0):
+    # aux(1, 1) = Iter ; aux(1, 2) with aux(1, 2) = Fn ; (+digit0) is derived
+    # from the other join of Iter and Fn: it takes no product, so none has
+    # aux(1, 2) for its factor, the transposed products by Iter are only the
+    # other join's, one per round after one with a fresh Fn batch, and it
+    # updates no band
+    g = build_core(d)
+    assert _derived(_binarize(g), _shifts(_binarize(g))) == {("aux", 1, 1): (source, digit0)}
+    blocks, products, adds = derived_work(monkeypatch, g, bound)
+    assert not any(factor is blocks[("aux", 1, 2)] for factor, _ in products)
+    fn_rounds = len(np.unique(np.concatenate([b.stamps for b in blocks[("sym", "Fn")]])))
+    assert sum(factor is blocks[("sym", "Iter")] and transposed for factor, transposed in products) == fn_rounds
+    assert blocks[("aux", 1, 1)] and not any(stack is blocks[("aux", 1, 1)] for stack in adds)
+    assert any(stack is blocks[source] for stack in adds)
+
+
+def test_derived_relations_take_no_product_and_no_band(monkeypatch):
+    derived = _derived(_binarize(DERIVED), _shifts(_binarize(DERIVED)))
+    blocks, products, adds = derived_work(monkeypatch, DERIVED, 5)
+    for k2 in derived:  # each A is the right factor of its K2 alone
+        assert blocks[k2] and not any(factor is blocks[_binarize(DERIVED)[k2][0][2]] for factor, _ in products)
+        assert not any(stack is blocks[k2] for stack in adds)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_products_leave_out_the_newest_blocks_pairs_of_one_stamp(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    delta = random_block(rng, n, 0.05)
+    factor = [random_block(rng, n, d) for d in (0.02, 0.1, 0.3)]
+    newest = factor[-1]
+    newest.stamps = rng.integers(1, 4, len(newest.keys)).astype(np.uint8)
+    kept = np.concatenate([b.keys for b in factor[:-1]] + [newest.keys[newest.stamps != 3]])
+    got = np.unique(np.concatenate(list(_products(delta, factor, n, without=3))))
+    assert np.array_equal(got, np.unique(scipy_product_keys(delta.keys, kept, n)))
+    every = np.unique(np.concatenate(list(_products(delta, factor, n))))
+    assert len(got) < len(every)  # some pairs are reached only through the left-out ones
 
 
 @st.composite
