@@ -24,24 +24,25 @@ band of offsets ``[lo, lo + W)``: row s holds the pair (s, d) at bit
 d - s - lo.  A band that reaches a grid row is the widest, and its bits
 are the n * n keys themselves.  The core grammars' pairs lie in bands
 far narrower than a row, which their pairs pay for once the span stops
-growing as fast as they do; small grids reach the key layout.  Candidates are then checked
-by one bit lookup each, one outside the band being new, so only the new
-ones are sorted.  A relation without bits sorts and deduplicates its
-candidates and looks them up by binary search in every block, so its
-membership test and insert cost O(|delta| log |relation|) rather than
-O(|relation|).  A join with an action shifts keys
-(:func:`_shifted`), checked on the digits the action moves; no action's
-pairs are stored.  The engines differ only in the kernel of a join of
-two relations: the table multiplies its blocks' CSR arrays with scipy's
-compiled ``csr_matmat`` (:func:`_products`, the one function that loads
-scipy, on the table's first product), the cone gathers rows from the
-sorted keys themselves and never loads it.  A product makes one pass per
-chunk of about :data:`_CHUNK` flops, its output sized from them.  When
-the rounds stop, each relation's blocks are merged into the keys and
-stamps the engine keeps (:func:`_collapsed`).  Every merge, of a fresh
-batch with the blocks it absorbs or of the blocks at the end, orders a
-slice of at most :data:`_SLICE` keys at a time (:func:`_merge`), so
-neither a product nor a merge holds a temporary the size of a relation.
+growing as fast as they do; small grids reach the key layout.
+Candidates are then checked by one bit lookup each, one outside the
+band being new, so only the new ones are sorted.  A relation without
+bits sorts and deduplicates its candidates and looks them up by binary
+search in every block, so its membership test and insert cost
+O(|delta| log |relation|) rather than O(|relation|).  A join with an
+action shifts keys (:func:`_shifted`), checked on the digits the action
+moves; no action's pairs are stored.  The engines differ only in the
+kernel of a join of two relations: the table multiplies its blocks' CSR
+arrays with scipy's compiled ``csr_matmat`` (:func:`_products`, the one
+function that loads scipy, on the table's first product), the cone
+gathers rows from the sorted keys themselves and never loads it.  A
+product makes one pass per chunk of about :data:`_CHUNK` flops, its
+output sized from them.  When the rounds stop, each relation's blocks
+are merged into the keys and stamps the engine keeps
+(:func:`_collapsed`).  Every merge, of a fresh batch with the blocks it
+absorbs or of the blocks at the end, orders a slice of at most
+:data:`_SLICE` keys at a time (:func:`_merge`), so neither a product nor
+a merge holds a temporary the size of a relation.
 
 The table derives a relation K2 with no product of its own when its one
 definition is ``L ; A``, A's is ``Y ; a`` with a an action, and another
@@ -525,12 +526,12 @@ def _rounds(
     stood a round earlier, and a shift is injective, so its candidates are
     new.  Every other relation but a derived one (below) keeps a
     :class:`_Band`, which each fresh batch updates at the end of the
-    round: it tracks the span of the
-    relation's offsets d - s and keeps bits over a band W offsets wide that
-    covers the span while 8 * pairs >= n * W, widened when a fresh pair
-    falls outside it, dropped while the pairs do not pay for the band the
-    span needs, and replaced by the n * n bits of the keys once the pairs
-    pay for those or a band row would reach a grid row.  With bits,
+    round: it tracks the span of the relation's offsets d - s and keeps
+    bits over a band W offsets wide that covers the span while
+    8 * pairs >= n * W, widened when a fresh pair falls outside it,
+    dropped while the pairs do not pay for the band the span needs, and
+    replaced by the n * n bits of the keys once the pairs pay for those or
+    a band row would reach a grid row.  With bits,
     each candidate is checked by one bit lookup as it is made, and only
     the ones not held are kept for the sort; an offset outside the band is
     new.  Without, the candidates are sorted and searched for in the
@@ -548,12 +549,12 @@ def _rounds(
     transposed product of Y's delta with all of L finds the rest of K1's
     candidates.  K1's fresh pairs of round r split into those found by
     the first product, g_r, and the rest, and K2's fresh pairs of round r
-    are the shifts by a of g_r and of K1's rest of round r - 1.  A pair
-    (s, d) of K1 stamped r has a path through some m with L(s, m) = r - 1
-    and Y(m, d) <= r - 1; the pair (s, d + a) of K2 is stamped r when one
-    of them has Y(m, d) < r - 1, that is when the first product finds it,
-    and r + 1 otherwise, so its stamp is the one its own products would
-    give.  A K1 that is derived itself derives nothing.
+    are the shifts by a of g_r and of K1's rest of round r - 1.  For a
+    pair (s, d) of K1 stamped r, every m has max(L(s, m), Y(m, d)) >= r - 1.
+    K2's own products would stamp (s, d + a) with r when some m has
+    L(s, m) = r - 1 and Y(m, d) < r - 1, a path of the first product, and
+    with r + 1 otherwise, as then every m reaching r - 1 has Y(m, d) = r - 1.
+    A K1 that is derived itself derives nothing.
     ResourceLimitError once the relations hold more than ``limit`` pairs.
     """
     n, key_dtype = grid.size, _key_dtype(grid.size)
