@@ -595,18 +595,6 @@ def _rounds(
         if len(cand):
             cands.setdefault(key, []).append(cand)
 
-    def grow(key, cand: np.ndarray) -> None:
-        """Stamp a relation's fresh pairs with the round and make them its newest batch."""
-        nonlocal entries
-        if len(cand):
-            entries += len(cand)
-            stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
-            fresh[key] = block = _Block(cand, stamps)
-            keys, stamps = _absorb(blocks[key], cand, stamps)
-            blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
-            if key in bands:
-                bands[key].add(cand, blocks[key], n)
-
     while True:
         new_rows: dict[tuple, np.ndarray] = {}
         while wants:  # each part sorted and distinct
@@ -664,18 +652,28 @@ def _rounds(
             dem[key] = np.sort(np.concatenate((dem[key], rows)), kind="stable")
         # every candidate of the round is taken: only now may the relations grow
         fresh, found, rest, late = {}, {}, {}, rest
+        grown = []  # each relation's fresh pairs, a derived one's after its source's
         for key, parts in cands.items():
             if key in shifts:  # new and distinct by construction; a stable sort merges the cone's sorted runs
-                grow(key, np.sort(np.concatenate(parts), kind="stable"))
-                continue
-            stack = [] if bands[key].bits is not None else blocks[key]
-            if key in sources:
+                cand = np.sort(np.concatenate(parts), kind="stable")
+            elif key in sources:
+                stack = [] if bands[key].bits is not None else blocks[key]
                 found[key], rest[key] = _fresh_split(parts, firsts.get(key, 0), stack)
-                grow(key, _union(found[key], rest[key]))
+                cand = _union(found[key], rest[key])
             else:
-                grow(key, _fresh(parts, stack))
+                cand = _fresh(parts, [] if bands[key].bits is not None else blocks[key])
+            grown.append((key, cand))
         for key, (k1, a) in derived.items():  # shifts of k1's pairs its left product found, and of last round's rest
-            grow(key, _shifted(grid, _union(found.get(k1, none), late.get(k1, none)), a))
+            grown.append((key, _shifted(grid, _union(found.get(k1, none), late.get(k1, none)), a)))
+        for key, cand in grown:
+            if len(cand):
+                entries += len(cand)
+                stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
+                fresh[key] = block = _Block(cand, stamps)
+                keys, stamps = _absorb(blocks[key], cand, stamps)
+                blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
+                if key in bands:
+                    bands[key].add(cand, blocks[key], n)
         if entries > limit:
             raise ResourceLimitError(f"relation store reached {entries} pairs, limit {limit}" if root is None
                                      else f"reachability cone exceeded {limit} entries")
