@@ -18,7 +18,7 @@ While the rounds run, each relation is a short list of disjoint blocks
 (:class:`_Block`) whose sizes shrink geometrically, newest last, as in a
 log-structured merge.  Membership has one rule for every relation that
 is searched, that is, every relation neither defined by one join with an
-action nor derived (see below): :class:`_Band`.  While its pairs pay for
+action nor chained or derived (see below): :class:`_Band`.  While its pairs pay for
 it, at most one byte per stored pair, a relation keeps a bitmap over a
 band of offsets ``[lo, lo + W)``: row s holds the pair (s, d) at bit
 d - s - lo.  A band that reaches a grid row is the widest, and its bits
@@ -55,6 +55,21 @@ whose shift K2 stamps in the same round; it stamps the shifts of K1's
 other pairs a round later.  Stamps are those K2's own products would
 give: K2's stamp is ``1 + min_m max(L(s, m), Y(m, d) + 1)`` and K1's
 ``1 + min_m max(L(s, m), Y(m, d))``.
+
+The table also keeps no pairs of a view (:func:`_views`): an aux
+relation that no product reads and whose one definition moves one
+relation X by actions, ``X ; a`` or ``a ; X``, or is ``a ; b``, the
+identity moved.  A relation whose one definition is ``X ; Z``, with Z's
+one definition ``a ; b``, is chained (:func:`_chained`): the table
+shifts X's delta by a and then by b rather than multiply it by Z, so it
+is X moved too.  A view's fresh batch is made every round, as its
+readers, which shift it, take it as a delta, and then dropped: it never
+reaches :func:`_absorb` or :func:`_merge`.  In the table a view holds
+exactly X's pairs moved, each stamped one more than its X pair, the
+identity's counting as 0, so a :class:`_View` answers every query from
+X's stamps and rows.  Only the table has views.  The cone computes a
+relation on the rows demanded of it, so a view's row can be demanded
+after its factor's, and its stamps are then not X's plus one.
 """
 
 from __future__ import annotations
@@ -91,6 +106,16 @@ def _shifted(grid: Grid, keys: np.ndarray, a: tuple[int, ...], at_source: bool =
     if at_source:
         return keys[_moved(grid, tuple(-v for v in a), keys // n)[0]] - off * n
     return keys[_moved(grid, a, keys % n)[0]] + off
+
+
+def _walk(grid: Grid, word: tuple[tuple[int, ...], ...], cells: np.ndarray) -> np.ndarray:
+    """Which of ``cells`` the actions of ``word``, applied in turn, keep
+    inside the grid at every step."""
+    ok = np.ones(len(cells), dtype=bool)
+    for a in word:
+        step, cells = _moved(grid, a, cells)
+        ok &= step
+    return ok
 
 
 def _key_dtype(n: int) -> type:
@@ -492,6 +517,84 @@ def _derived(defs: dict[tuple, list[tuple]], shifts: set[tuple]) -> dict[tuple, 
     return {k2: (k1, a) for k2, (k1, a) in derived.items() if k1 not in derived}
 
 
+def _chained(defs: dict[tuple, list[tuple]]) -> dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The relations whose one definition is ``X ; Z`` with X a relation
+    and Z's one definition ``a ; b``, a join of two actions, each with a
+    and b: the table shifts X by a and then by b, as :func:`_rounds`
+    describes, and multiplies nothing."""
+    chained = {}
+    for k, ops in defs.items():
+        if len(ops) == 1 and ops[0][0] == "join" and "act" not in (ops[0][1][0], ops[0][2][0]):
+            z = defs[ops[0][2]]
+            if len(z) == 1 and z[0][0] == "join" and z[0][1][0] == z[0][2][0] == "act":
+                chained[k] = (z[0][1][1], z[0][2][1])
+    return chained
+
+
+def _views(defs: dict[tuple, list[tuple]]) -> dict[tuple, tuple[tuple | None, tuple[tuple[int, ...], ...], bool]]:
+    """The relations the table keeps no pairs of, each with what
+    :class:`_View` holds of it: its factor, or None for the identity, the
+    actions of its word and whether they come before the factor.  A view
+    is an aux relation that no product of the table reads, that is, a
+    factor of no join of two relations but those of the relations derived
+    or chained (:func:`_derived`, :func:`_chained`), and whose one
+    definition is ``X ; a`` (X, (a,), False), ``a ; X`` (X, (a,), True),
+    ``a ; b`` (None, (a, b), False) or ``X ; Z`` chained with ``Z = a ; b``
+    (X, (a, b), False), with X a relation and a and b actions."""
+    shifts, chained = _shifts(defs), _chained(defs)
+    skip = chained.keys() | _derived(defs, shifts).keys()
+    read = {f for k, ops in defs.items() if k not in skip for op in ops
+            if op[0] == "join" and "act" not in (op[1][0], op[2][0]) for f in op[1:]}
+    moved = (shifts | chained.keys()) - read
+    views = {}
+    for k in defs:
+        if k[0] == "aux" and k in moved:
+            _, x, y = defs[k][0]
+            if k in chained:
+                views[k] = (x, chained[k], False)
+            elif x[0] == y[0] == "act":
+                views[k] = (None, (x[1], y[1]), False)
+            else:
+                views[k] = (y, (x[1],), True) if x[0] == "act" else (x, (y[1],), False)
+    return views
+
+
+class _View:
+    """A relation the table keeps no pairs of (:func:`_views`): the pairs
+    of relation ``factor``, or of the identity when it is None, moved by
+    the actions of ``word`` in turn, at their sources when ``at_source``
+    and at their destinations otherwise, each stamped one more than its
+    factor pair, an identity pair counting as stamped 0.  ``back`` undoes
+    ``word``: its actions negated, in reverse order.  ``stamp_dtype`` is
+    the type of the table's stamps (:func:`_collapsed`).  Queries read a
+    view through its factor (:meth:`~gvaskit.reach.ReachTable._pairs_of`)."""
+
+    __slots__ = ("factor", "word", "at_source", "back", "stamp_dtype")
+
+    def __init__(self, factor: tuple | None, word: tuple[tuple[int, ...], ...], at_source: bool, stamp_dtype):
+        self.factor, self.word, self.at_source, self.stamp_dtype = factor, word, at_source, stamp_dtype
+        self.back = tuple(tuple(-v for v in a) for a in reversed(word))
+
+    def pairs(self, grid: Grid, factor: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+        """The view's sorted keys and stamps, made from its factor's keys and
+        stamps (None for the identity), of their types."""
+        n = grid.size
+        if factor is None:
+            factor = np.arange(n, dtype=_key_dtype(n)) * (n + 1), np.zeros(n, dtype=self.stamp_dtype)
+        keys, stamps = factor
+        # a pair (m, d) of the factor is the view's (m - word, d) or (m, d + word): one offset, in key order
+        word = self.back if self.at_source else self.word
+        ok = _walk(grid, word, keys // n if self.at_source else keys % n)
+        off = sum(grid.offset(a) for a in word)
+        return keys[ok] + (off * n if self.at_source else off), stamps[ok] + 1
+
+    def moved(self, grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of ``cells`` the view's word keeps inside the grid and the
+        cells it takes them to: the factor's sources of the view's sources,
+        or the view's destinations of the factor's."""
+        return _walk(grid, self.word, cells), cells + sum(grid.offset(a) for a in self.word)
+
+
 def _rounds(
     grid: Grid, defs: dict[tuple, list[tuple]], limit: int, root: tuple[tuple, int] | None = None,
 ) -> tuple[dict[tuple, list[_Block]], dict[tuple, np.ndarray], int]:
@@ -524,7 +627,10 @@ def _rounds(
     it lacks (:func:`_fresh`).  A relation defined by one join with an
     action alone skips the test: it holds its factor's shift as the factor
     stood a round earlier, and a shift is injective, so its candidates are
-    new.  Every other relation but a derived one (below) keeps a
+    new.  So does a relation the table chains (:func:`_chained`), X ; Z
+    alone with Z = ``a ; b`` alone: it takes X's delta shifted by a and
+    then by b, and nothing from Z's delta, whose one batch, of round 1,
+    meets the pairs X's delta of round 1 gives.  Every other relation but a derived one (below) keeps a
     :class:`_Band`, which each fresh batch updates at the end of the
     round: it tracks the span of the relation's offsets d - s and keeps
     bits over a band W offsets wide that covers the span while
@@ -555,6 +661,12 @@ def _rounds(
     L(s, m) = r - 1 and Y(m, d) < r - 1, a path of the first product, and
     with r + 1 otherwise, as then every m reaching r - 1 has Y(m, d) = r - 1.
     A K1 that is derived itself derives nothing.
+
+    Without a root, a view (:func:`_views`) keeps no blocks: its fresh
+    batch is made and stamped like any other, read by the relations that
+    shift it, and dropped at the end of the next round, so it never
+    reaches :func:`_absorb` and :func:`_collapsed` keeps a :class:`_View`
+    for it.  Its pairs count toward the limit all the same.
     ResourceLimitError once the relations hold more than ``limit`` pairs.
     """
     n, key_dtype = grid.size, _key_dtype(grid.size)
@@ -562,6 +674,9 @@ def _rounds(
     blocks: dict[tuple, list[_Block]] = {k: [] for k in defs}
     shifts = _shifts(defs)
     derived = _derived(defs, shifts) if root is None else {}
+    chained = _chained(defs) if root is None else {}
+    shifts |= chained.keys()
+    views = _views(defs) if root is None else {}
     sources = {k1 for k1, _ in derived.values()}
     firsts: dict[tuple, int] = {}  # how many of a source's candidate parts its left product made this round
     found: dict[tuple, np.ndarray] = {}  # a source's fresh pairs among those parts: g_r
@@ -625,6 +740,9 @@ def _rounds(
                         add(key, vis)
                     elif r[0] == "act":
                         add(key, _shifted(grid, vis, r[1]))
+                    elif key in chained:  # X ; (a ; b): a shift by a, then by b
+                        a, b = chained[key]
+                        add(key, _shifted(grid, _shifted(grid, vis, a), b))
                     elif root is None:  # vis is x's delta from round 2 on, and r is empty in round 1
                         without = round_no - 1 if key in sources and r in fresh else None  # a source reads r_old
                         for keys in _products(fresh[x], blocks[r], n, without=without) if x in fresh else ():
@@ -637,7 +755,7 @@ def _rounds(
                             wants.setdefault(r, []).append(_first_of_runs(m))
                         at, got = _gather(blocks[r], m, n)
                         add(key, s[at] * n + got % n)
-                if op[0] == "join" and r in fresh:  # x's pairs into r's fresh pairs, on key's older rows
+                if op[0] == "join" and r in fresh and key not in chained:  # x's pairs into r's fresh pairs
                     if x[0] == "act":
                         got = [_shifted(grid, fresh[r].keys, x[1], at_source=True)]
                     elif root is None:
@@ -670,6 +788,8 @@ def _rounds(
                 entries += len(cand)
                 stamps = np.full(len(cand), round_no, dtype=np.min_scalar_type(round_no))
                 fresh[key] = block = _Block(cand, stamps)
+                if key in views:  # its readers take the batch as a delta; the table answers from its factor
+                    continue
                 keys, stamps = _absorb(blocks[key], cand, stamps)
                 blocks[key].append(block if len(keys) == len(cand) else _Block(keys, stamps))
                 if key in bands:
@@ -685,13 +805,18 @@ def _collapsed(
 ) -> tuple[dict[tuple, tuple[np.ndarray, np.ndarray]], dict[tuple, np.ndarray]]:
     """The one entry of both engines: each relation of ``defs`` after
     :func:`_rounds` from ``root`` (every row demanded without one), its
-    keys and stamps merged from its blocks, each released once merged, and
-    the rows demanded of it.  Stamps take the smallest unsigned type of
-    rounds - 1, the last stamped round: a round that finds no pair stops."""
+    keys and stamps merged from its blocks, each released once merged, or
+    for a view of the table its :class:`_View`, and the rows demanded of
+    it.  Stamps take the smallest unsigned type of rounds - 1, the last
+    stamped round: a round that finds no pair stops."""
     blocks, dem, rounds = _rounds(grid, defs, limit, root)
     stamp_dtype = np.min_scalar_type(rounds - 1)
+    views = _views(defs) if root is None else {}
     relations = {}
     for key, stack in blocks.items():
+        if key in views:
+            relations[key] = _View(*views[key], stamp_dtype)
+            continue
         pairs = (np.zeros(0, dtype=_key_dtype(grid.size)), np.zeros(0, dtype=stamp_dtype))
         while stack:  # newest first
             pairs = _merge((stack[-1].keys, stack.pop().stamps), pairs)

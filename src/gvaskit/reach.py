@@ -14,7 +14,8 @@ the grid's n cells with a stamp each, and is the engine's one importer
 of numpy; a process that builds no engine never loads it.  Every query
 answers on the demanded rows, read from the slice of keys a row
 occupies, and one about a nonterminal from a row never demanded raises
-NotInTableError; no action's pairs are stored.  :class:`ReachCone`, the
+NotInTableError; no action's pairs are stored, nor those of a view of the
+table, which are read through the relation it views.  :class:`ReachCone`, the
 cone's class, only gives ``witness`` an attribute of its own, which
 ``perfbench/tracer.py`` times apart from the table's.
 
@@ -99,6 +100,16 @@ def _action_target(grid: Grid, a: tuple[int, ...], s: int) -> int | None:
     return s + grid.offset(a) if grid.contains(out) else None
 
 
+def _walked(grid: Grid, word: Iterable[tuple[int, ...]], c: int) -> int | None:
+    """The cell the actions of ``word`` take cell c to in turn, or None
+    if one leaves the grid."""
+    for a in word:
+        c = _action_target(grid, a, c)
+        if c is None:
+            break
+    return c
+
+
 def _symbol_ref(s) -> tuple:
     return ("act", s) if isinstance(s, tuple) else ("sym", s)
 
@@ -177,7 +188,9 @@ def _justify(engine, r: int, rhs, s: int, d: int, below: int) -> list[int] | Non
 
     Children must all have stamps in ``engine`` strictly below ``below``;
     picks the lexicographically smallest configuration at each position
-    subject to the suffix staying feasible.
+    subject to the suffix staying feasible.  A row's candidates are
+    checked against the suffix in one vectorized lookup
+    (:meth:`ReachTable._stamps`).
     """
     grid = engine.grid
 
@@ -185,6 +198,15 @@ def _justify(engine, r: int, rhs, s: int, d: int, below: int) -> list[int] | Non
         if ref[0] == "act":
             return _action_target(grid, ref[1], a) == d
         return 0 < engine._stamp_of(ref, a, d) < below
+
+    def least_feasible(ref, cands: np.ndarray) -> int | None:
+        """The configuration-least cell of ``cands`` from which ref is feasible."""
+        if ref[0] == "act":  # only the cell the action takes to d
+            c = _action_target(grid, tuple(-v for v in ref[1]), d)
+            return c if c is not None and (cands == c).any() else None
+        got = engine._stamps(ref, cands, d)
+        ok = cands[(got > 0) & (got < below)].tolist()
+        return min(ok, key=grid.decode) if ok else None
 
     if not rhs:
         return [] if s == d else None
@@ -195,11 +217,10 @@ def _justify(engine, r: int, rhs, s: int, d: int, below: int) -> list[int] | Non
         suffix = _suffix_ref(rhs, r, i + 1)
         if isinstance(head, tuple):
             nxt = _action_target(grid, head, cells[-1])
-            cands = [] if nxt is None else [nxt]
+            nxt = nxt if nxt is not None and feasible(suffix, nxt) else None
         else:
-            row = engine._stamped_row(("sym", head), cells[-1])
-            cands = sorted((c for c, v in row if 0 < v < below), key=grid.decode)
-        nxt = next((c for c in cands if feasible(suffix, c)), None)
+            cols, stamps = engine._row(("sym", head), cells[-1])
+            nxt = least_feasible(suffix, cols[stamps < below])  # stored stamps are positive
         if nxt is None:
             return None
         cells.append(nxt)
@@ -249,19 +270,55 @@ class ReachTable:
     """The engine: relation key -> (sorted linear keys ``s * n + d``,
     stamps) in ``self._relations``, on the rows ``self._dem[key]``, with
     witness reconstruction.  Immutable once built; safe to share.
+
+    A view of the table (:func:`gvaskit._kernel._views`), an aux relation
+    that is only its factor moved by actions, maps instead to a
+    :class:`~gvaskit._kernel._View` and stores no pairs: each of them is
+    its factor pair moved, stamped one more, so ``_stamp_of``, ``_stamps``
+    and ``_row`` answer from the factor, and ``_pairs_of`` makes its keys
+    and stamps.  Symbols are always stored.
     """
 
     def __init__(self, g, grid, relations, dem):
         self.gvas: Gvas = g
         self.grid: Grid = grid
         self._relations, self._dem = relations, dem
+        # a relation the table keeps no pairs of (a view, not (keys, stamps)) is read through its factor
+        self._views = {key: rel for key, rel in relations.items() if not isinstance(rel, tuple)}
 
     @property
     def bound(self) -> int:
         return self.grid.bound
 
+    def _pairs_of(self, key) -> tuple[np.ndarray, np.ndarray]:
+        """Relation ``key``'s sorted linear keys and stamps, a view's made
+        from its factor's, of the types the stored ones have."""
+        view = self._views.get(key)
+        if view is None:
+            return self._relations[key]
+        return view.pairs(self.grid, None if view.factor is None else self._pairs_of(view.factor))
+
+    def _factor_row(self, view, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_row` of view's factor from cell s, the identity's (s, s) stamped 0."""
+        if view.factor is not None:
+            return self._row(view.factor, s)
+        import numpy as np
+
+        from ._kernel import _key_dtype
+
+        return np.full(1, s, dtype=_key_dtype(self.grid.size)), np.zeros(1, dtype=view.stamp_dtype)
+
     def _row(self, key, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Destination cells and stamps of relation ``key``'s pairs from cell s."""
+        view = self._views.get(key)
+        if view is not None:  # the factor's row, moved
+            if view.at_source:
+                m = _walked(self.grid, view.word, s)
+                cols, stamps = self._factor_row(view, s if m is None else m)
+                return (cols, stamps + 1) if m is not None else (cols[:0], stamps[:0])
+            cols, stamps = self._factor_row(view, s)
+            ok, cols = view.moved(self.grid, cols)
+            return cols[ok], stamps[ok] + 1
         keys, stamps = self._relations[key]
         # needles of the keys' own type: any other type converts all of keys per search
         key_type = keys.dtype.type
@@ -271,10 +328,48 @@ class ReachTable:
 
     def _stamp_of(self, key, s: int, d: int) -> int:
         """Discovery stamp of pair (s, d) in relation ``key``, 0 if absent."""
+        view = self._views.get(key)
+        if view is not None:  # the factor's pair, one round earlier
+            if view.at_source:
+                s = _walked(self.grid, view.word, s)
+            else:
+                d = _walked(self.grid, view.back, d)
+            if s is None or d is None:
+                return 0
+            if view.factor is None:
+                return int(s == d)
+            got = self._stamp_of(view.factor, s, d)
+            return got + 1 if got else 0
         keys, stamps = self._relations[key]
         k = s * self.grid.size + d
         pos = keys.searchsorted(keys.dtype.type(k))
         return int(stamps[pos]) if pos < len(keys) and keys[pos] == k else 0
+
+    def _stamps(self, key, cells: np.ndarray, d: int) -> np.ndarray:
+        """Discovery stamps of the pairs (c, d) of relation ``key`` for the
+        cells c of ``cells``, 0 where absent, by one vectorized lookup."""
+        view = self._views.get(key)
+        if view is None:
+            keys, stamps = self._relations[key]
+            if not len(keys):
+                import numpy as np
+
+                return np.zeros(len(cells), dtype=stamps.dtype)
+            k = cells.astype(keys.dtype, copy=False) * self.grid.size + d
+            pos = keys.searchsorted(k)
+            return stamps.take(pos, mode="clip") * (keys.take(pos, mode="clip") == k)
+        ok = True
+        if view.at_source:  # the factor's pairs from the cells the word takes cells to
+            ok, cells = view.moved(self.grid, cells)
+        else:  # the factor's pairs to the cell the word takes to d
+            d = _walked(self.grid, view.back, d)
+            if d is None:  # the word reaches d from no cell
+                ok, d = False, 0
+        if view.factor is None:
+            return ((cells == d) & ok).astype(view.stamp_dtype)
+        got = self._stamps(view.factor, cells, d)
+        got += got > 0
+        return got * ok
 
     def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
         """Every (d, stamp) of relation ``key`` from cell s."""
@@ -386,7 +481,9 @@ def bounded_reach(
     demanded (:func:`gvaskit._kernel._collapsed`): memory is O(pairs), one
     row of O(cells) per block's CSR arrays and per relation's demanded rows,
     and a searched relation's band bits, at most one byte per stored pair
-    and a guard byte per cell.  A product's output arrays hold one chunk
+    and a guard byte per cell.  A view (:func:`gvaskit._kernel._views`)
+    stores nothing but one round's fresh batch, though ``max_pairs`` still
+    counts its pairs.  A product's output arrays hold one chunk
     of about ``_kernel._CHUNK`` flops (more only for a row of more flops)
     and a merge's temporaries one slice of ``_kernel._SLICE`` keys.
     Each relation's blocks are then merged, and released one by one, into

@@ -20,8 +20,12 @@ from gvaskit.flowtree import format_tree, validate_tree
 from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit import _kernel
-from gvaskit._kernel import _Band, _Block, _derived, _key_dtype, _merge, _products, _rounds, _shifted, _shifts
-from gvaskit.reach import Grid, _action_target, _binarize, bounded_reach, reach_from
+from gvaskit._kernel import (
+    _Band, _Block, _View, _derived, _key_dtype, _merge, _products, _rounds, _shifted, _shifts, _views,
+)
+from gvaskit.fastgrowing import as_weak_computer
+from gvaskit.ordinal import Ordinal
+from gvaskit.reach import Grid, _action_target, _binarize, _walked, bounded_reach, reach_from
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
 from test_crosscheck import random_gvas
@@ -231,7 +235,7 @@ def assert_same_stamps(g, bound, samples=12):
     for key, m in want.items():
         want_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
         if key[0] != "act":
-            keys, stamps = table._relations[key]
+            keys, stamps = table._pairs_of(key)
             assert np.array_equal(keys, want_rows * n + m.indices), (key, bound)
             assert np.array_equal(stamps, m.data), (key, bound)
             assert np.array_equal(table._dem[key], np.arange(n)), (key, bound)
@@ -255,15 +259,18 @@ def assert_same_stamps(g, bound, samples=12):
 # every shape of join with an action: ``a ; X``, ``X ; a`` and ``a ; b``; T, its
 # two aux relations and W are defined by one join with an action alone (a chain
 # of them, a left and a right factor of a join of two relations, read by a copy);
-# E is defined by a shift of itself, so stays empty
+# E is defined by a shift of itself, so stays empty.  P's aux relations are
+# T ; (1,0), a shift a join of two relations reads, U ; (1,0), read by a left
+# action, and U ; ((1,0) ; (0,-1)), a relation joined with a join of two actions
 SHIFTS = parse_gvas("""dim 2
 start S
-S -> T U | U W | (1,0) (0,1) | S (0,-1) | V | E
+S -> T U | U W | (1,0) (0,1) | S (0,-1) | V | E | P
 T -> (1,1) (0,-1) (-1,0) U
 U -> (1,0) U | eps
 W -> U (0,1)
 V -> T
 E -> (0,1) E
+P -> U T (1,0) | (0,1) U (1,0) | (0,1) U (1,0) (0,-1)
 """)
 # the same shapes in one dimension, where every action moves the only digit
 SHIFTS_1D = parse_gvas("""dim 1
@@ -292,7 +299,9 @@ def table_digests(g, bound):
     """Each relation's sha256 of its keys, stamps and their types, in hex
     (its first 16 digits)."""
     out = {}
-    for key, (keys, stamps) in bounded_reach(g, bound)._relations.items():
+    table = bounded_reach(g, bound)
+    for key in table._relations:
+        keys, stamps = table._pairs_of(key)
         h = hashlib.sha256()
         for a in (keys, stamps):
             h.update(a.dtype.str.encode())
@@ -488,13 +497,14 @@ def test_products_widen_their_index_arrays_to_int64(monkeypatch, pow2):
     grid = Grid(1, 60)
     blocks, _, _ = _rounds(grid, _binarize(pow2), 60_000_000)
     assert any(b._rows is not None and b._rows[0].dtype == np.int64 for stack in blocks.values() for b in stack)
-    got = bounded_reach(pow2, 60)._relations
+    got = bounded_reach(pow2, 60)
     monkeypatch.undo()
-    want = bounded_reach(pow2, 60)._relations
-    assert set(got) == set(want)
-    for key, (keys, stamps) in want.items():
-        assert np.array_equal(got[key][0], keys) and np.array_equal(got[key][1], stamps)
-        assert got[key][0].dtype == keys.dtype and got[key][1].dtype == stamps.dtype
+    want = bounded_reach(pow2, 60)
+    assert set(got._relations) == set(want._relations)
+    for key in want._relations:
+        (got_keys, got_stamps), (keys, stamps) = got._pairs_of(key), want._pairs_of(key)
+        assert np.array_equal(got_keys, keys) and np.array_equal(got_stamps, stamps)
+        assert got_keys.dtype == keys.dtype and got_stamps.dtype == stamps.dtype
 
 
 def reference_merge(older, newer):
@@ -1013,7 +1023,8 @@ def test_core_relations_switch_to_narrow_bands(monkeypatch):
     # narrower than a row (729 cells at core(1)@8, 625 at core(2)@4) by round
     # 18; one whose span outgrows what its pairs pay for drops its bits
     # until they pay again, and Load's never do once it has dropped them;
-    # aux(1, 1), derived from the other join of Iter and Fn, holds no band
+    # aux(1, 1), derived from the other join of Iter and Fn, holds no band,
+    # nor does core(2)'s aux(2, 2) = Desc1 ; ((0,0,-1,0) ; (0,0,0,1)), a shift
     assert switches(monkeypatch, build_core(1), 8) == {
         ("sym", "Fn"): [(15, 136)], ("sym", "Load"): [(1, 8), (3, None)],
         ("sym", "Iter"): [(2, 8), (4, None), (9, 48), (10, 64), (11, 72), (12, 88), (13, 112), (14, 136), (18, 176)],
@@ -1022,7 +1033,7 @@ def test_core_relations_switch_to_narrow_bands(monkeypatch):
         ("sym", "Fn"): [(13, 40)], ("sym", "Iter"): [(2, 8), (4, None), (5, 16), (8, None), (9, 32), (11, 40)],
         ("sym", "Load"): [(1, 8), (3, None), (5, 16), (7, None)],
         ("sym", "Desc1"): [(6, 16), (7, None), (8, 24), (10, None), (12, 40)],
-        ("aux", 2, 2): [(17, 40)], ("aux", 4, 2): [(11, 40)]}
+        ("aux", 4, 2): [(11, 40)]}
     assert_same_stamps(build_core(1), 8, samples=4)
     assert_same_stamps(build_core(2), 4, samples=4)
 
@@ -1083,8 +1094,8 @@ def test_derived_relations_and_their_near_misses():
     # an older pair of Y, and one more otherwise: both occur
     table = bounded_reach(DERIVED, 5)
     for k2, (k1, a) in _derived(defs, _shifts(defs)).items():
-        keys, stamps = table._relations[k2]
-        k1_keys, k1_stamps = table._relations[k1]
+        keys, stamps = table._pairs_of(k2)
+        k1_keys, k1_stamps = table._pairs_of(k1)
         moved = np.isin(k1_keys, keys - table.grid.offset(a))
         assert np.array_equal(_shifted(table.grid, k1_keys, a), keys)
         assert set((stamps.astype(int) - k1_stamps[moved]).tolist()) == {0, 1}
@@ -1148,6 +1159,134 @@ def test_derived_relations_take_no_product_and_no_band(monkeypatch):
     for k2 in derived:  # each A is the right factor of its K2 alone
         assert blocks[k2] and not any(factor is blocks[_binarize(DERIVED)[k2][0][2]] for factor, _ in products)
         assert not any(stack is blocks[k2] for stack in adds)
+
+
+# --- views ---------------------------------------------------------------------
+
+CORE_VIEWS = {
+    1: {("aux", 1, 2): (("sym", "Fn"), ((0, 0, 1),), False),
+        ("aux", 3, 1): (("aux", 3, 2), ((0, 1, 0),), True),
+        ("aux", 5, 1): (("sym", "Load"), ((0, -1, 0),), True)},
+    2: {("aux", 1, 2): (("sym", "Fn"), ((0, 0, 1, 0),), False),
+        ("aux", 2, 1): (("aux", 2, 2), ((0, 0, 1, 0),), True),
+        ("aux", 2, 2): (("sym", "Desc1"), ((0, 0, -1, 0), (0, 0, 0, 1)), False),
+        ("aux", 2, 3): (None, ((0, 0, -1, 0), (0, 0, 0, 1)), False),
+        ("aux", 4, 1): (("aux", 4, 2), ((0, 1, 0, 0),), True),
+        ("aux", 6, 1): (("sym", "Load"), ((0, -1, 0, 0),), True),
+        ("aux", 8, 1): (("aux", 8, 2), ((0, 1, 0, 0),), True),
+        ("aux", 8, 2): (("aux", 8, 3), ((0, 0, 1, 0),), True),
+        ("aux", 8, 3): (("sym", "Desc1"), ((0, 0, -1, 0),), False)},
+}
+
+
+def absorbs(monkeypatch, g, bound):
+    """The table's rounds of g at bound with spies on :func:`_absorb` and
+    :func:`_merge`: each relation's blocks, the stack of every absorb, and
+    per merge the stack of the absorb that made it."""
+    absorbed, merged = [], []
+    absorb, merge = _kernel._absorb, _kernel._merge
+
+    def absorb_spy(stack, keys, stamps):
+        absorbed.append(stack)
+        return absorb(stack, keys, stamps)
+
+    def merge_spy(older, newer):
+        merged.append(absorbed[-1])  # in the rounds, only an absorb merges
+        return merge(older, newer)
+
+    monkeypatch.setattr(_kernel, "_absorb", absorb_spy)
+    monkeypatch.setattr(_kernel, "_merge", merge_spy)
+    blocks, _, _ = _rounds(Grid(g.dim, bound), _binarize(g), 60_000_000)
+    return blocks, absorbed, merged
+
+
+@pytest.mark.parametrize("d, bound", [(1, 8), (2, 4)])
+def test_core_views_hold_no_block_and_are_never_merged(monkeypatch, d, bound):
+    # every aux relation that is only its factor moved by actions and that no
+    # product reads is a view: its fresh batches are dropped, not absorbed,
+    # and the table keeps a _View for it
+    g = build_core(d)
+    views = _views(_binarize(g))
+    assert views == CORE_VIEWS[d]
+    blocks, absorbed, merged = absorbs(monkeypatch, g, bound)
+    assert merged
+    for key, stack in blocks.items():
+        if key in views:
+            assert stack == [] and not any(s is stack for s in absorbed + merged), key
+        else:
+            assert stack and any(s is stack for s in absorbed), key
+    monkeypatch.undo()
+    table = bounded_reach(g, bound)
+    assert {key for key, rel in table._relations.items() if isinstance(rel, _View)} == set(views)
+
+
+def test_core2_shifts_desc1_by_the_join_of_two_actions(monkeypatch):
+    # aux(2, 2) = Desc1 ; aux(2, 3) with aux(2, 3) = (0,0,-1,0) ; (0,0,0,1):
+    # Desc1 shifted twice, one round late, so no product reads aux(2, 3) or
+    # multiplies by Desc1, and aux(2, 2) updates no band
+    blocks, products, adds = derived_work(monkeypatch, build_core(2), 4)
+    assert not any(factor is blocks[("aux", 2, 3)] or factor is blocks[("sym", "Desc1")] for factor, _ in products)
+    assert not any(stack is blocks[("aux", 2, 2)] for stack in adds)
+    monkeypatch.undo()
+    assert_same_stamps(build_core(2), 3, samples=4)
+
+
+def test_view_stamps_read_their_factor_on_both_sides():
+    # a view's stamp of every pair of the grid, by one lookup or many, is the
+    # reference's: one more than its factor pair's, and 0 where the factor
+    # lacks it or the word takes its end of the pair outside the grid
+    seen = set()
+    for g, bound in [(SHIFTS, 0), (SHIFTS, 5), (SHIFTS_1D, 9)]:
+        table, want = bounded_reach(g, bound), reference_bounded_reach(g, bound)
+        grid, n = table.grid, table.grid.size
+        cells = np.arange(n, dtype=_key_dtype(n))
+        for key, (factor, word, at_source) in _views(_binarize(g)).items():
+            view = table._relations[key]
+            assert isinstance(view, _View) and (view.factor, view.word, view.at_source) == (factor, word, at_source)
+            m = want[key].toarray()
+            for d in range(n):
+                assert table._stamps(key, cells, d).tolist() == m[:, d].tolist(), (key, bound, d)
+                for s in range(n):
+                    stamp = table._stamp_of(key, s, d)
+                    assert type(stamp) is int and stamp == m[s, d], (key, bound, s, d)
+                    outside = _walked(grid, word, s) if at_source else _walked(grid, view.back, d)
+                    seen.add((at_source, "outside" if outside is None else "held" if stamp else "absent"))
+    assert seen == {(side, case) for side in (False, True) for case in ("outside", "absent", "held")}
+
+
+def test_a_shift_a_product_reads_stays_stored():
+    # aux(13, 1) = T ; (1,0) is the right factor of P's U ; aux(13, 1): the
+    # table multiplies its blocks, so it is no view; aux(15, 2) = (1,0) ; (0,-1)
+    # is the right factor of U ; aux(15, 2), which the table shifts instead
+    defs = _binarize(SHIFTS)
+    read = {op[2] for ops in defs.values() for op in ops if op[0] == "join" and "act" not in (op[1][0], op[2][0])}
+    assert read & _shifts(defs) & {k for k in defs if k[0] == "aux"} == {("aux", 13, 1), ("aux", 15, 2)}
+    assert ("aux", 13, 1) not in _views(defs) and ("aux", 15, 2) in _views(defs)
+    table = bounded_reach(SHIFTS, 5)
+    keys, stamps = table._relations[("aux", 13, 1)]
+    assert len(keys) and len(stamps) == len(keys)
+    assert ("aux", 13, 1) not in table._views
+
+
+def test_cones_keep_every_relation(graph_pow2):
+    # the 21 cones the cone-membership benchmark builds for either seed (its
+    # 42 builds of seeds 1 and 2): a cone keeps no view, and the relations
+    # the table would keep as views hold pairs
+    lin = linear_set
+    cones = [(p.gvas, (0,) * p.gvas.dim, bound) for p, bound in [
+        (intersect(lin((0,), [(2,)]), lin((0,), [(3,)])), 24), (periodic_hull(union(lin((2,), []), lin((3,), []))), 30),
+        (make_resetting(graph_pow2), 14), (wc_to_definable(definable_to_wc(graph_pow2, lambda n: 2**n)), 20)]]
+    for alpha, d, n_max, bound in [((1,), 1, 11, 26), ((2,), 1, 2, 32), ((0, 1), 2, 1, 8)]:
+        w = as_weak_computer(Ordinal(alpha), d)
+        cones += [(w.gvas, (n, 0) + (0,) * w.aux, bound) for n in range(n_max + 1)]
+    assert len(cones) == 21
+    viewed = 0
+    for g, source, bound in cones:
+        cone = reach_from(g, source, bound)
+        assert cone._views == {} and set(cone._relations) == set(_binarize(g))
+        assert all(isinstance(rel, tuple) and len(rel) == 2 for rel in cone._relations.values())
+        viewed += sum(len(cone._relations[key][0]) > 0 for key in _views(_binarize(g)))
+    assert viewed
 
 
 @pytest.mark.parametrize("seed", range(3))
