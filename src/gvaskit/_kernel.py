@@ -66,8 +66,9 @@ is X moved too.  A view's fresh batch is made every round, as its
 readers, which shift it, take it as a delta, and then dropped: it never
 reaches :func:`_absorb` or :func:`_merge`.  In the table a view holds
 exactly X's pairs moved, each stamped one more than its X pair, the
-identity's counting as 0, so a :class:`_View` answers every query from
-X's stamps and rows.  Only the table has views.  The cone computes a
+identity's counting as 0, so the table keeps a :class:`_View` of it and
+answers every query about it from X's stamps and rows.  Only the table
+has views.  The cone computes a
 relation on the rows demanded of it, so a view's row can be demanded
 after its factor's, and its stamps are then not X's plus one.
 """

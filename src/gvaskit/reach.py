@@ -315,7 +315,9 @@ class ReachTable:
             if view.at_source:
                 m = _walked(self.grid, view.word, s)
                 cols, stamps = self._factor_row(view, s if m is None else m)
-                return (cols, stamps + 1) if m is not None else (cols[:0], stamps[:0])
+                if m is None:  # the word leaves the grid from s: an empty row of the same types
+                    return cols[:0], stamps[:0]
+                return cols, stamps + 1
             cols, stamps = self._factor_row(view, s)
             ok, cols = view.moved(self.grid, cols)
             return cols[ok], stamps[ok] + 1

@@ -1218,6 +1218,23 @@ def test_core_views_hold_no_block_and_are_never_merged(monkeypatch, d, bound):
     monkeypatch.undo()
     table = bounded_reach(g, bound)
     assert {key for key, rel in table._relations.items() if isinstance(rel, _View)} == set(views)
+    # a view's pairs are made of the types the table's stored pairs take
+    _, stamps = table._relations[("sym", "Fn")]
+    for key in views:
+        keys, view_stamps = table._pairs_of(key)
+        assert keys.dtype == _key_dtype(table.grid.size) and view_stamps.dtype == stamps.dtype, key
+
+
+def test_view_stamps_take_the_type_of_the_table():
+    # the chain with S -> (1) S (0) has the view aux(2, 1) = S ; (0): S's
+    # pairs, each stamped one more, of uint16 past 256 rounds like S's
+    g = Gvas.from_rules(1, [("S", [(1,), "S"]), ("S", []), ("S", [(1,), "S", (0,)])], "S")
+    table = bounded_reach(g, 300)
+    assert isinstance(table._relations[("aux", 2, 1)], _View)
+    keys, stamps = table._pairs_of(("aux", 2, 1))
+    s_keys, s_stamps = table._relations[("sym", "S")]
+    assert stamps.dtype == s_stamps.dtype == np.uint16 and keys.dtype == s_keys.dtype
+    assert np.array_equal(keys, s_keys) and np.array_equal(stamps, s_stamps + 1)
 
 
 def test_core2_shifts_desc1_by_the_join_of_two_actions(monkeypatch):
