@@ -14,10 +14,11 @@ the grid's n cells with a stamp each, and is the engine's one importer
 of numpy; a process that builds no engine never loads it.  Every query
 answers on the demanded rows, read from the slice of keys a row
 occupies, and one about a nonterminal from a row never demanded raises
-NotInTableError; no action's pairs are stored, nor those of a view of the
-table, which are read through the relation it views.  :class:`ReachCone`, the
-cone's class, only gives ``witness`` an attribute of its own, which
-``perfbench/tracer.py`` times apart from the table's.
+NotInTableError; no action's pairs are stored, nor those of a view of
+the table, which are read through the relation it views.
+:class:`ReachCone`, the cone's class, only gives ``witness`` an
+attribute of its own, which ``perfbench/tracer.py`` times apart from the
+table's.
 
 Each newly discovered pair is stamped with its discovery round.  Witness
 flow trees are reconstructed on demand from the engine's own stamps and
