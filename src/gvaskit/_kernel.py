@@ -54,9 +54,11 @@ of :func:`_products`), so the K1 pairs that product finds are the ones
 whose shift K2 stamps in the same round; it stamps the shifts of K1's
 other pairs a round later.  Stamps are those K2's own products would
 give: K2's stamp is ``1 + min_m max(L(s, m), Y(m, d) + 1)`` and K1's
-``1 + min_m max(L(s, m), Y(m, d))``.
+``1 + min_m max(L(s, m), Y(m, d))``.  K1 is one the table multiplies:
+a chained relation (below) finds its pairs without the products that
+split them for K2.
 
-The table also keeps no pairs of a view (:func:`_views`): an aux
+The table also keeps no pairs of a view (:func:`_plan`): an aux
 relation that no product reads and whose one definition moves one
 relation X by actions, ``X ; a`` or ``a ; X``, or is ``a ; b``, the
 identity moved.  A relation whose one definition is ``X ; Z``, with Z's
@@ -67,7 +69,7 @@ readers, which shift it, take it as a delta, and then dropped: it never
 reaches :func:`_absorb` or :func:`_merge`.  In the table a view holds
 exactly X's pairs moved, each stamped one more than its X pair, the
 identity's counting as 0, so the table keeps a :class:`_View` of it and
-answers every query about it from X's stamps and rows.  Only the table
+answers every query about it from X's stamps.  Only the table
 has views.  The cone computes a
 relation on the rows demanded of it, so a view's row can be demanded
 after its factor's, and its stamps are then not X's plus one.
@@ -76,7 +78,7 @@ after its factor's, and its stamps are then not X's plus one.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -499,19 +501,23 @@ def _shifts(defs: dict[tuple, list[tuple]]) -> set[tuple]:
             and "act" in (ops[0][1][0], ops[0][2][0])}
 
 
-def _derived(defs: dict[tuple, list[tuple]], shifts: set[tuple]) -> dict[tuple, tuple[tuple, tuple[int, ...]]]:
+def _derived(defs: dict[tuple, list[tuple]], moved: set[tuple]) -> dict[tuple, tuple[tuple, tuple[int, ...]]]:
     """The relations the table derives, each with its source and action:
     K2 -> (K1, a) where K2's one definition is ``L ; A``, A's is ``Y ; a``
     with a an action, K1's is ``L ; Y``, and L, Y and K1 are relations and
-    K1 is not derived itself, as :func:`_rounds` describes."""
-    # the joins of two relations alone: neither factor of a relation outside shifts is an action
-    joins = {k: ops[0][1:] for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join" and k not in shifts}
+    K1 is not derived itself, as :func:`_rounds` describes.  ``moved`` are
+    the relations the table moves by actions rather than multiplies, the
+    shifts and the chained relations (:func:`_plan`): none is a K1, as the
+    table finds a moved relation's fresh pairs without the products that
+    split them for K2."""
+    # the joins of two relations the table multiplies
+    joins = {k: ops[0][1:] for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join" and k not in moved}
     first = {}  # (L, Y) -> the first relation whose one definition is L ; Y
     for k, factors in joins.items():
         first.setdefault(factors, k)
     derived = {}
     for k2, (left, right) in joins.items():
-        if right in shifts:
+        if right in moved:
             _, y, a = defs[right][0]
             if a[0] == "act" and (left, y) in first:
                 derived[k2] = (first[left, y], a[1])
@@ -532,24 +538,39 @@ def _chained(defs: dict[tuple, list[tuple]]) -> dict[tuple, tuple[tuple[int, ...
     return chained
 
 
-def _views(defs: dict[tuple, list[tuple]]) -> dict[tuple, tuple[tuple | None, tuple[tuple[int, ...], ...], bool]]:
-    """The relations the table keeps no pairs of, each with what
-    :class:`_View` holds of it: its factor, or None for the identity, the
-    actions of its word and whether they come before the factor.  A view
-    is an aux relation that no product of the table reads, that is, a
-    factor of no join of two relations but those of the relations derived
-    or chained (:func:`_derived`, :func:`_chained`), and whose one
+class _Plan(NamedTuple):
+    """How the table computes the relations it does not multiply out, from
+    ``defs`` alone (:func:`_plan`): ``moved``, the relations it moves by
+    actions, those defined by one join with an action alone
+    (:func:`_shifts`) and the chained ones; ``chained``
+    (:func:`_chained`); ``derived`` (:func:`_derived`); and ``views``, the
+    relations it keeps no pairs of."""
+
+    moved: set[tuple]
+    chained: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]
+    derived: dict[tuple, tuple[tuple, tuple[int, ...]]]
+    views: dict[tuple, tuple[tuple | None, tuple[tuple[int, ...], ...], bool]]
+
+
+def _plan(defs: dict[tuple, list[tuple]]) -> _Plan:
+    """The table's :class:`_Plan` of ``defs``.  Its views are the relations
+    the table keeps no pairs of, each with what :class:`_View` holds of it:
+    its factor, or None for the identity, the actions of its word and
+    whether they come before the factor.  A view is an aux relation that
+    no product of the table reads, that is, a factor of no join of two
+    relations but those of the relations derived or chained, and whose one
     definition is ``X ; a`` (X, (a,), False), ``a ; X`` (X, (a,), True),
     ``a ; b`` (None, (a, b), False) or ``X ; Z`` chained with ``Z = a ; b``
     (X, (a, b), False), with X a relation and a and b actions."""
-    shifts, chained = _shifts(defs), _chained(defs)
-    skip = chained.keys() | _derived(defs, shifts).keys()
+    chained = _chained(defs)
+    moved = _shifts(defs) | chained.keys()
+    derived = _derived(defs, moved)
+    skip = chained.keys() | derived.keys()
     read = {f for k, ops in defs.items() if k not in skip for op in ops
             if op[0] == "join" and "act" not in (op[1][0], op[2][0]) for f in op[1:]}
-    moved = (shifts | chained.keys()) - read
     views = {}
     for k in defs:
-        if k[0] == "aux" and k in moved:
+        if k[0] == "aux" and k in moved and k not in read:
             _, x, y = defs[k][0]
             if k in chained:
                 views[k] = (x, chained[k], False)
@@ -557,11 +578,11 @@ def _views(defs: dict[tuple, list[tuple]]) -> dict[tuple, tuple[tuple | None, tu
                 views[k] = (None, (x[1], y[1]), False)
             else:
                 views[k] = (y, (x[1],), True) if x[0] == "act" else (x, (y[1],), False)
-    return views
+    return _Plan(moved, chained, derived, views)
 
 
 class _View:
-    """A relation the table keeps no pairs of (:func:`_views`): the pairs
+    """A relation the table keeps no pairs of (:func:`_plan`): the pairs
     of relation ``factor``, or of the identity when it is None, moved by
     the actions of ``word`` in turn, at their sources when ``at_source``
     and at their destinations otherwise, each stamped one more than its
@@ -591,8 +612,8 @@ class _View:
 
     def moved(self, grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which of ``cells`` the view's word keeps inside the grid and the
-        cells it takes them to: the factor's sources of the view's sources,
-        or the view's destinations of the factor's."""
+        cells it takes them to, for a view whose word comes before its
+        factor: the factor's sources of the view's sources."""
         return _walk(grid, self.word, cells), cells + sum(grid.offset(a) for a in self.word)
 
 
@@ -661,9 +682,9 @@ def _rounds(
     K2's own products would stamp (s, d + a) with r when some m has
     L(s, m) = r - 1 and Y(m, d) < r - 1, a path of the first product, and
     with r + 1 otherwise, as then every m reaching r - 1 has Y(m, d) = r - 1.
-    A K1 that is derived itself derives nothing.
+    A K1 that is derived or chained itself derives nothing.
 
-    Without a root, a view (:func:`_views`) keeps no blocks: its fresh
+    Without a root, a view (:func:`_plan`) keeps no blocks: its fresh
     batch is made and stamped like any other, read by the relations that
     shift it, and dropped at the end of the next round, so it never
     reaches :func:`_absorb` and :func:`_collapsed` keeps a :class:`_View`
@@ -673,11 +694,8 @@ def _rounds(
     n, key_dtype = grid.size, _key_dtype(grid.size)
     dem = {k: np.zeros(0, dtype=key_dtype) for k in defs}
     blocks: dict[tuple, list[_Block]] = {k: [] for k in defs}
-    shifts = _shifts(defs)
-    derived = _derived(defs, shifts) if root is None else {}
-    chained = _chained(defs) if root is None else {}
-    shifts |= chained.keys()
-    views = _views(defs) if root is None else {}
+    # the cone moves only the shifts: it computes the rest on the rows demanded of them
+    shifts, chained, derived, views = _plan(defs) if root is None else (_shifts(defs), {}, {}, {})
     sources = {k1 for k1, _ in derived.values()}
     firsts: dict[tuple, int] = {}  # how many of a source's candidate parts its left product made this round
     found: dict[tuple, np.ndarray] = {}  # a source's fresh pairs among those parts: g_r
@@ -812,7 +830,7 @@ def _collapsed(
     stamped round: a round that finds no pair stops."""
     blocks, dem, rounds = _rounds(grid, defs, limit, root)
     stamp_dtype = np.min_scalar_type(rounds - 1)
-    views = _views(defs) if root is None else {}
+    views = _plan(defs).views if root is None else {}
     relations = {}
     for key, stack in blocks.items():
         if key in views:

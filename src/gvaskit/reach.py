@@ -272,12 +272,12 @@ class ReachTable:
     stamps) in ``self._relations``, on the rows ``self._dem[key]``, with
     witness reconstruction.  Immutable once built; safe to share.
 
-    A view of the table (:func:`gvaskit._kernel._views`), an aux relation
+    A view of the table (:func:`gvaskit._kernel._plan`), an aux relation
     that is only its factor moved by actions, maps instead to a
     :class:`~gvaskit._kernel._View` and stores no pairs: each of them is
-    its factor pair moved, stamped one more, so ``_stamp_of``, ``_stamps``
-    and ``_row`` answer from the factor, and ``_pairs_of`` makes its keys
-    and stamps.  Symbols are always stored.
+    its factor pair moved, stamped one more, so ``_stamp_of`` and
+    ``_stamps`` answer from the factor, and ``_pairs_of`` makes its keys
+    and stamps.  Symbols are always stored, and ``_row`` reads only them.
     """
 
     def __init__(self, g, grid, relations, dem):
@@ -299,29 +299,9 @@ class ReachTable:
             return self._relations[key]
         return view.pairs(self.grid, None if view.factor is None else self._pairs_of(view.factor))
 
-    def _factor_row(self, view, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_row` of view's factor from cell s, the identity's (s, s) stamped 0."""
-        if view.factor is not None:
-            return self._row(view.factor, s)
-        import numpy as np
-
-        from ._kernel import _key_dtype
-
-        return np.full(1, s, dtype=_key_dtype(self.grid.size)), np.zeros(1, dtype=view.stamp_dtype)
-
     def _row(self, key, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Destination cells and stamps of relation ``key``'s pairs from cell s."""
-        view = self._views.get(key)
-        if view is not None:  # the factor's row, moved
-            if view.at_source:
-                m = _walked(self.grid, view.word, s)
-                cols, stamps = self._factor_row(view, s if m is None else m)
-                if m is None:  # the word leaves the grid from s: an empty row of the same types
-                    return cols[:0], stamps[:0]
-                return cols, stamps + 1
-            cols, stamps = self._factor_row(view, s)
-            ok, cols = view.moved(self.grid, cols)
-            return cols[ok], stamps[ok] + 1
+        """Destination cells and stamps of relation ``key``'s pairs from cell
+        s, for a stored relation, as every symbol is."""
         keys, stamps = self._relations[key]
         # needles of the keys' own type: any other type converts all of keys per search
         key_type = keys.dtype.type
@@ -373,11 +353,6 @@ class ReachTable:
         got = self._stamps(view.factor, cells, d)
         got += got > 0
         return got * ok
-
-    def _stamped_row(self, key, s: int) -> Iterable[tuple[int, int]]:
-        """Every (d, stamp) of relation ``key`` from cell s."""
-        cols, stamps = self._row(key, s)
-        return zip(cols.tolist(), stamps.tolist())
 
     def _demanded(self, key, x: Sequence[int], symbol) -> int:
         """The cell of the in-grid source x of a query about ``symbol``, whose
@@ -484,7 +459,7 @@ def bounded_reach(
     demanded (:func:`gvaskit._kernel._collapsed`): memory is O(pairs), one
     row of O(cells) per block's CSR arrays and per relation's demanded rows,
     and a searched relation's band bits, at most one byte per stored pair
-    and a guard byte per cell.  A view (:func:`gvaskit._kernel._views`)
+    and a guard byte per cell.  A view (:func:`gvaskit._kernel._plan`)
     stores nothing but one round's fresh batch, though ``max_pairs`` still
     counts its pairs.  A product's output arrays hold one chunk
     of about ``_kernel._CHUNK`` flops (more only for a row of more flops)

@@ -21,7 +21,7 @@ from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit import _kernel
 from gvaskit._kernel import (
-    _Band, _Block, _View, _derived, _key_dtype, _merge, _products, _rounds, _shifted, _shifts, _views,
+    _Band, _Block, _View, _derived, _key_dtype, _merge, _plan, _products, _rounds, _shifted, _shifts,
 )
 from gvaskit.fastgrowing import as_weak_computer
 from gvaskit.ordinal import Ordinal
@@ -239,9 +239,10 @@ def assert_same_stamps(g, bound, samples=12):
             assert np.array_equal(keys, want_rows * n + m.indices), (key, bound)
             assert np.array_equal(stamps, m.data), (key, bound)
             assert np.array_equal(table._dem[key], np.arange(n)), (key, bound)
-            for s in cells:
+            for s in cells if key not in table._views else ():  # a view's keys above are its rows
                 row = slice(m.indptr[s], m.indptr[s + 1])
-                assert list(table._stamped_row(key, s)) == list(zip(m.indices[row].tolist(), m.data[row].tolist()))
+                cols, stamps = table._row(key, s)
+                assert cols.tolist() == m.indices[row].tolist() and stamps.tolist() == m.data[row].tolist()
         if key[0] == "aux":
             continue
         symbol = key[1]
@@ -738,7 +739,7 @@ def test_stamps_take_the_smallest_type_of_the_last_round(bound, dtype):
     assert stamps.dtype == dtype and int(stamps.max()) == bound + 1
     stamp = table._stamp_of(("sym", "S"), 0, bound)
     assert type(stamp) is int and stamp == bound + 1
-    assert all(type(v) is int for _, v in table._stamped_row(("sym", "S"), 0))
+    assert table._row(("sym", "S"), 0)[1].dtype == dtype
 
 
 def test_cone_stamps_take_the_type_of_the_table():
@@ -1161,6 +1162,24 @@ def test_derived_relations_take_no_product_and_no_band(monkeypatch):
         assert not any(stack is blocks[k2] for stack in adds)
 
 
+def test_a_chained_relation_is_no_source():
+    # K = T ; Y with Y = (1) ; (1) is chained: the table shifts T's delta
+    # twice and runs no product, so S = T ; aux(0, 1), aux(0, 1) = Y ; (1),
+    # is not derived from it; S multiplies by aux(0, 1), which stays stored
+    g = parse_gvas("""dim 1
+start S
+S -> T Y (1)
+K -> T Y
+Y -> (1) (1)
+T -> (1) T | eps
+""")
+    plan = _plan(_binarize(g))
+    assert plan.chained == {("sym", "K"): ((1,), (1,))}
+    assert plan.derived == {} and plan.views == {}
+    for bound in (0, 1, 2, 3, 6):
+        assert_same_stamps(g, bound)
+
+
 # --- views ---------------------------------------------------------------------
 
 CORE_VIEWS = {
@@ -1206,7 +1225,7 @@ def test_core_views_hold_no_block_and_are_never_merged(monkeypatch, d, bound):
     # product reads is a view: its fresh batches are dropped, not absorbed,
     # and the table keeps a _View for it
     g = build_core(d)
-    views = _views(_binarize(g))
+    views = _plan(_binarize(g)).views
     assert views == CORE_VIEWS[d]
     blocks, absorbed, merged = absorbs(monkeypatch, g, bound)
     assert merged
@@ -1257,7 +1276,7 @@ def test_view_stamps_read_their_factor_on_both_sides():
         table, want = bounded_reach(g, bound), reference_bounded_reach(g, bound)
         grid, n = table.grid, table.grid.size
         cells = np.arange(n, dtype=_key_dtype(n))
-        for key, (factor, word, at_source) in _views(_binarize(g)).items():
+        for key, (factor, word, at_source) in _plan(_binarize(g)).views.items():
             view = table._relations[key]
             assert isinstance(view, _View) and (view.factor, view.word, view.at_source) == (factor, word, at_source)
             m = want[key].toarray()
@@ -1278,7 +1297,7 @@ def test_a_shift_a_product_reads_stays_stored():
     defs = _binarize(SHIFTS)
     read = {op[2] for ops in defs.values() for op in ops if op[0] == "join" and "act" not in (op[1][0], op[2][0])}
     assert read & _shifts(defs) & {k for k in defs if k[0] == "aux"} == {("aux", 13, 1), ("aux", 15, 2)}
-    assert ("aux", 13, 1) not in _views(defs) and ("aux", 15, 2) in _views(defs)
+    assert ("aux", 13, 1) not in _plan(defs).views and ("aux", 15, 2) in _plan(defs).views
     table = bounded_reach(SHIFTS, 5)
     keys, stamps = table._relations[("aux", 13, 1)]
     assert len(keys) and len(stamps) == len(keys)
@@ -1302,7 +1321,7 @@ def test_cones_keep_every_relation(graph_pow2):
         cone = reach_from(g, source, bound)
         assert cone._views == {} and set(cone._relations) == set(_binarize(g))
         assert all(isinstance(rel, tuple) and len(rel) == 2 for rel in cone._relations.values())
-        viewed += sum(len(cone._relations[key][0]) > 0 for key in _views(_binarize(g)))
+        viewed += sum(len(cone._relations[key][0]) > 0 for key in _plan(_binarize(g)).views)
     assert viewed
 
 
