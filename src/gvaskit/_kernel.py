@@ -17,32 +17,32 @@ row of every relation in round 1, so each of its reads is a delta.
 While the rounds run, each relation is a short list of disjoint blocks
 (:class:`_Block`) whose sizes shrink geometrically, newest last, as in a
 log-structured merge.  Membership has one rule for every relation that
-is searched, that is, every relation neither defined by one join with an
-action nor chained or derived (see below): :class:`_Band`.  While its pairs pay for
-it, at most one byte per stored pair, a relation keeps a bitmap over a
-band of offsets ``[lo, lo + W)``: row s holds the pair (s, d) at bit
-d - s - lo.  A band that reaches a grid row is the widest, and its bits
-are the n * n keys themselves.  The core grammars' pairs lie in bands
-far narrower than a row, which their pairs pay for once the span stops
-growing as fast as they do; small grids reach the key layout.
-Candidates are then checked by one bit lookup each, one outside the
-band being new, so only the new ones are sorted.  A relation without
-bits sorts and deduplicates its candidates and looks them up by binary
-search in every block, so its membership test and insert cost
-O(|delta| log |relation|) rather than O(|relation|).  A join with an
-action shifts keys (:func:`_shifted`), checked on the digits the action
-moves; no action's pairs are stored.  The engines differ only in the
-kernel of a join of two relations: the table multiplies its blocks' CSR
-arrays with scipy's compiled ``csr_matmat`` (:func:`_products`, the one
-function that loads scipy, on the table's first product), the cone
-gathers rows from the sorted keys themselves and never loads it.  A
-product makes one pass per chunk of about :data:`_CHUNK` flops, its
-output sized from them.  When the rounds stop, each relation's blocks
-are merged into the keys and stamps the engine keeps
-(:func:`_collapsed`).  Every merge, of a fresh batch with the blocks it
-absorbs or of the blocks at the end, orders a slice of at most
-:data:`_SLICE` keys at a time (:func:`_merge`), so neither a product nor
-a merge holds a temporary the size of a relation.
+is searched, that is, every relation neither moved nor derived (see
+below): :class:`_Band`.  While its pairs pay for it, at most one byte
+per stored pair, a relation keeps a bitmap over a band of offsets
+``[lo, lo + W)``: row s holds the pair (s, d) at bit d - s - lo.  A band
+that reaches a grid row is the widest, and its bits are the n * n keys
+themselves.  The core grammars' pairs lie in bands far narrower than a
+row, which their pairs pay for once the span stops growing as fast as
+they do; small grids reach the key layout.  Candidates are then checked
+by one bit lookup each, one outside the band being new, so only the new
+ones are sorted.  A relation without bits sorts and deduplicates its
+candidates and looks them up by binary search in every block, so its
+membership test and insert cost O(|delta| log |relation|) rather than
+O(|relation|).  A join with an action shifts keys (:func:`_shifted`),
+checked on the digits the action moves
+(:meth:`~gvaskit.reach.Grid.walk`); no action's pairs are stored.  The
+engines differ only in the kernel of a join of two relations: the table
+multiplies its blocks' CSR arrays with scipy's compiled ``csr_matmat``
+(:func:`_products`, the one function that loads scipy, on the table's
+first product), the cone gathers rows from the sorted keys themselves
+and never loads it.  A product makes one pass per chunk of about
+:data:`_CHUNK` flops, its output sized from them.  When the rounds stop,
+each relation's blocks are merged into the keys and stamps the engine
+keeps (:func:`_collapsed`).  Every merge, of a fresh batch with the
+blocks it absorbs or of the blocks at the end, orders a slice of at
+most :data:`_SLICE` keys at a time (:func:`_merge`), so neither a
+product nor a merge holds a temporary the size of a relation.
 
 The table derives a relation K2 with no product of its own when its one
 definition is ``L ; A``, A's is ``Y ; a`` with a an action, and another
@@ -55,70 +55,49 @@ whose shift K2 stamps in the same round; it stamps the shifts of K1's
 other pairs a round later.  Stamps are those K2's own products would
 give: K2's stamp is ``1 + min_m max(L(s, m), Y(m, d) + 1)`` and K1's
 ``1 + min_m max(L(s, m), Y(m, d))``.  K1 is one the table multiplies:
-a chained relation (below) finds its pairs without the products that
+a moved relation (below) finds its pairs without the products that
 split them for K2.
 
-The table also keeps no pairs of a view (:func:`_plan`): an aux
-relation that no product reads and whose one definition moves one
-relation X by actions, ``X ; a`` or ``a ; X``, or is ``a ; b``, the
-identity moved.  A relation whose one definition is ``X ; Z``, with Z's
-one definition ``a ; b``, is chained (:func:`_chained`): the table
-shifts X's delta by a and then by b rather than multiply it by Z, so it
-is X moved too.  A view's fresh batch is made every round, as its
+A relation is moved when its one definition moves one relation X by a
+word of actions, ``X ; a`` or ``a ; X``, or is ``a ; b``, the identity
+moved, or is ``X ; Z`` with Z's one definition ``a ; b``, a chained
+relation, which the table shifts by the word a b rather than multiply
+by Z.  Each has one move, its factor, word and side (:func:`_plan`).
+The table keeps no pairs of a view, a moved aux relation that no
+product reads.  A view's fresh batch is made every round, as its
 readers, which shift it, take it as a delta, and then dropped: it never
 reaches :func:`_absorb` or :func:`_merge`.  In the table a view holds
 exactly X's pairs moved, each stamped one more than its X pair, the
-identity's counting as 0, so the table keeps a :class:`_View` of it and
-answers every query about it from X's stamps.  Only the table
-has views.  The cone computes a
-relation on the rows demanded of it, so a view's row can be demanded
-after its factor's, and its stamps are then not X's plus one.
+identity's counting as 0, so the table keeps a :class:`_View` of its
+move and answers every query about it from X's stamps.  Only the table
+has views: the cone computes a relation on the rows demanded of it, so
+a view's row can be demanded after its factor's, and its stamps are
+then not X's plus one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ResourceLimitError
-
-if TYPE_CHECKING:
-    from .reach import Grid
+from .reach import Grid, _back
 
 
-def _moved(grid: Grid, a: tuple[int, ...], cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which of ``cells`` action a keeps inside the grid, checked on the
-    digits it moves, and the cells it takes them to."""
-    ok = np.ones(len(cells), dtype=bool)
-    for i, v in enumerate(a):
-        if v:
-            digit = cells // (grid.bound + 1) ** i % (grid.bound + 1)
-            ok &= digit <= grid.bound - v if v > 0 else digit >= -v
-    return ok, cells + grid.offset(a)
-
-
-def _shifted(grid: Grid, keys: np.ndarray, a: tuple[int, ...], at_source: bool = False) -> np.ndarray:
-    """Linear keys of the pairs (s, d + a) for the pairs (s, d) of ``keys``
-    whose d action a keeps inside the grid, or with ``at_source`` of the
-    pairs (s - a, d) whose s - a is in it: the join of the pairs with a,
-    or of a with them.  A shift is injective and keeps key order, so
-    sorted keys give sorted, distinct keys."""
-    n, off = grid.size, grid.offset(a)
+def _shifted(grid: Grid, keys: np.ndarray, word: tuple[tuple[int, ...], ...], at_source: bool = False) -> np.ndarray:
+    """Linear keys of the pairs (s, d + word) for the pairs (s, d) of
+    ``keys`` whose d the actions of ``word``, applied in turn, keep inside
+    the grid (:meth:`~gvaskit.reach.Grid.walk`), or with ``at_source`` of
+    the pairs (s - word, d) from which the word reaches s inside it: the
+    join of the pairs with the word, or of the word with them.  A shift is
+    injective and keeps key order, so sorted keys give sorted, distinct
+    keys."""
+    n, off = grid.size, sum(grid.offset(a) for a in word)
     if at_source:
-        return keys[_moved(grid, tuple(-v for v in a), keys // n)[0]] - off * n
-    return keys[_moved(grid, a, keys % n)[0]] + off
-
-
-def _walk(grid: Grid, word: tuple[tuple[int, ...], ...], cells: np.ndarray) -> np.ndarray:
-    """Which of ``cells`` the actions of ``word``, applied in turn, keep
-    inside the grid at every step."""
-    ok = np.ones(len(cells), dtype=bool)
-    for a in word:
-        step, cells = _moved(grid, a, cells)
-        ok &= step
-    return ok
+        return keys[grid.walk(_back(word), keys // n)[0]] - off * n
+    return keys[grid.walk(word, keys % n)[0]] + off
 
 
 def _key_dtype(n: int) -> type:
@@ -495,107 +474,108 @@ def _gather(blocks: list[_Block], rows: np.ndarray, n: int, transposed: bool = F
     return (np.concatenate(at), np.concatenate(got)) if got else (rows[:0].astype(np.intp), rows[:0])
 
 
-def _shifts(defs: dict[tuple, list[tuple]]) -> set[tuple]:
-    """The relations defined by one join with an action alone."""
-    return {k for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join"
-            and "act" in (ops[0][1][0], ops[0][2][0])}
+def _shifts(defs: dict[tuple, list[tuple]]) -> dict[tuple, tuple[tuple | None, tuple[tuple[int, ...], ...], bool]]:
+    """The moves of the relations defined by one join with an action
+    alone: ``X ; a`` is (X, (a,), False), ``a ; X`` (X, (a,), True) and
+    ``a ; b``, the identity moved, (None, (a, b), False)."""
+    moves = {}
+    for k, ops in defs.items():
+        if len(ops) == 1 and ops[0][0] == "join" and "act" in (ops[0][1][0], ops[0][2][0]):
+            _, x, y = ops[0]
+            if x[0] == y[0] == "act":
+                moves[k] = (None, (x[1], y[1]), False)
+            else:
+                moves[k] = (y, (x[1],), True) if x[0] == "act" else (x, (y[1],), False)
+    return moves
 
 
-def _derived(defs: dict[tuple, list[tuple]], moved: set[tuple]) -> dict[tuple, tuple[tuple, tuple[int, ...]]]:
+def _derived(defs: dict[tuple, list[tuple]], moves: dict[tuple, tuple]) -> dict[tuple, tuple[tuple, tuple[int, ...]]]:
     """The relations the table derives, each with its source and action:
     K2 -> (K1, a) where K2's one definition is ``L ; A``, A's is ``Y ; a``
     with a an action, K1's is ``L ; Y``, and L, Y and K1 are relations and
-    K1 is not derived itself, as :func:`_rounds` describes.  ``moved`` are
-    the relations the table moves by actions rather than multiplies, the
-    shifts and the chained relations (:func:`_plan`): none is a K1, as the
-    table finds a moved relation's fresh pairs without the products that
-    split them for K2."""
+    K1 is not derived itself, as :func:`_rounds` describes.  ``moves`` are
+    the moves of the relations the table moves rather than multiplies
+    (:func:`_plan`): none is a K1, as the table finds a moved relation's
+    fresh pairs without the products that split them for K2."""
     # the joins of two relations the table multiplies
-    joins = {k: ops[0][1:] for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join" and k not in moved}
+    joins = {k: ops[0][1:] for k, ops in defs.items() if len(ops) == 1 and ops[0][0] == "join" and k not in moves}
     first = {}  # (L, Y) -> the first relation whose one definition is L ; Y
     for k, factors in joins.items():
         first.setdefault(factors, k)
     derived = {}
     for k2, (left, right) in joins.items():
-        if right in moved:
-            _, y, a = defs[right][0]
-            if a[0] == "act" and (left, y) in first:
-                derived[k2] = (first[left, y], a[1])
+        y, word, at_source = moves.get(right, (None, (), True))
+        if y is not None and len(word) == 1 and not at_source and (left, y) in first:
+            derived[k2] = (first[left, y], word[0])
     return {k2: (k1, a) for k2, (k1, a) in derived.items() if k1 not in derived}
-
-
-def _chained(defs: dict[tuple, list[tuple]]) -> dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The relations whose one definition is ``X ; Z`` with X a relation
-    and Z's one definition ``a ; b``, a join of two actions, each with a
-    and b: the table shifts X by a and then by b, as :func:`_rounds`
-    describes, and multiplies nothing."""
-    chained = {}
-    for k, ops in defs.items():
-        if len(ops) == 1 and ops[0][0] == "join" and "act" not in (ops[0][1][0], ops[0][2][0]):
-            z = defs[ops[0][2]]
-            if len(z) == 1 and z[0][0] == "join" and z[0][1][0] == z[0][2][0] == "act":
-                chained[k] = (z[0][1][1], z[0][2][1])
-    return chained
 
 
 class _Plan(NamedTuple):
     """How the table computes the relations it does not multiply out, from
-    ``defs`` alone (:func:`_plan`): ``moved``, the relations it moves by
-    actions, those defined by one join with an action alone
-    (:func:`_shifts`) and the chained ones; ``chained``
-    (:func:`_chained`); ``derived`` (:func:`_derived`); and ``views``, the
-    relations it keeps no pairs of."""
+    ``defs`` alone (:func:`_plan`): ``moves``, the move of each relation
+    it moves by actions; ``chained``, the moved relations that are joins
+    of two relations; ``derived`` (:func:`_derived`); and ``views``, the
+    moved relations it keeps no pairs of."""
 
-    moved: set[tuple]
-    chained: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]
+    moves: dict[tuple, tuple[tuple | None, tuple[tuple[int, ...], ...], bool]]
+    chained: set[tuple]
     derived: dict[tuple, tuple[tuple, tuple[int, ...]]]
-    views: dict[tuple, tuple[tuple | None, tuple[tuple[int, ...], ...], bool]]
+    views: set[tuple]
 
 
 def _plan(defs: dict[tuple, list[tuple]]) -> _Plan:
-    """The table's :class:`_Plan` of ``defs``.  Its views are the relations
-    the table keeps no pairs of, each with what :class:`_View` holds of it:
-    its factor, or None for the identity, the actions of its word and
-    whether they come before the factor.  A view is an aux relation that
-    no product of the table reads, that is, a factor of no join of two
-    relations but those of the relations derived or chained, and whose one
-    definition is ``X ; a`` (X, (a,), False), ``a ; X`` (X, (a,), True),
-    ``a ; b`` (None, (a, b), False) or ``X ; Z`` chained with ``Z = a ; b``
-    (X, (a, b), False), with X a relation and a and b actions."""
-    chained = _chained(defs)
-    moved = _shifts(defs) | chained.keys()
-    derived = _derived(defs, moved)
-    skip = chained.keys() | derived.keys()
+    """The table's :class:`_Plan` of ``defs``.  A relation's move is what
+    :class:`_View` holds of it: its factor, or None for the identity, the
+    actions of its word and whether they come before the factor.  The
+    relations defined by one join with an action alone have theirs
+    (:func:`_shifts`), and a relation whose one definition is ``X ; Z``,
+    with X a relation and Z's move (None, (a, b), False), is chained: it
+    is X moved by Z's word, (X, (a, b), False).  A view is an aux relation
+    with a move that no product of the table reads, that is, a factor of
+    no join of two relations but those of the relations derived or
+    chained."""
+    moves = _shifts(defs)
+    chained = set()
+    for k, ops in defs.items():
+        if k not in moves and len(ops) == 1 and ops[0][0] == "join":
+            _, x, z = ops[0]
+            if z in moves and moves[z][0] is None:
+                moves[k] = (x, moves[z][1], False)
+                chained.add(k)
+    derived = _derived(defs, moves)
+    skip = chained | derived.keys()
     read = {f for k, ops in defs.items() if k not in skip for op in ops
             if op[0] == "join" and "act" not in (op[1][0], op[2][0]) for f in op[1:]}
-    views = {}
-    for k in defs:
-        if k[0] == "aux" and k in moved and k not in read:
-            _, x, y = defs[k][0]
-            if k in chained:
-                views[k] = (x, chained[k], False)
-            elif x[0] == y[0] == "act":
-                views[k] = (None, (x[1], y[1]), False)
-            else:
-                views[k] = (y, (x[1],), True) if x[0] == "act" else (x, (y[1],), False)
-    return _Plan(moved, chained, derived, views)
+    return _Plan(moves, chained, derived, {k for k in moves if k[0] == "aux" and k not in read})
 
 
 class _View:
-    """A relation the table keeps no pairs of (:func:`_plan`): the pairs
-    of relation ``factor``, or of the identity when it is None, moved by
-    the actions of ``word`` in turn, at their sources when ``at_source``
-    and at their destinations otherwise, each stamped one more than its
-    factor pair, an identity pair counting as stamped 0.  ``back`` undoes
-    ``word``: its actions negated, in reverse order.  ``stamp_dtype`` is
-    the type of the table's stamps (:func:`_collapsed`).  Queries read a
-    view through its factor (:meth:`~gvaskit.reach.ReachTable._pairs_of`)."""
+    """A relation the table keeps no pairs of (:func:`_plan`), by its
+    move: the pairs of relation ``factor``, or of the identity when it is
+    None, moved by the actions of ``word`` in turn, at their sources when
+    ``at_source`` and at their destinations otherwise, each stamped one
+    more than its factor pair, an identity pair counting as stamped 0.
+    ``stamp_dtype`` is the type of the table's stamps (:func:`_collapsed`).
+    The table reads a view through :meth:`query`, which takes a query on
+    it to the same query on its factor, and makes its pairs with
+    :meth:`pairs`."""
 
-    __slots__ = ("factor", "word", "at_source", "back", "stamp_dtype")
+    __slots__ = ("factor", "word", "at_source", "stamp_dtype")
 
     def __init__(self, factor: tuple | None, word: tuple[tuple[int, ...], ...], at_source: bool, stamp_dtype):
         self.factor, self.word, self.at_source, self.stamp_dtype = factor, word, at_source, stamp_dtype
-        self.back = tuple(tuple(-v for v in a) for a in reversed(word))
+
+    def query(self, grid: Grid, s, d):
+        """The query on the factor that answers one on the view's pairs
+        (s, d), with s and d each an int cell or a numpy array of cells:
+        whether the factor pairs they are moved from are in the grid, and
+        their sources and destinations.  The word takes s to the factor's
+        source, or the factor's destination to d."""
+        if self.at_source:
+            ok, s = grid.walk(self.word, s)
+        else:
+            ok, d = grid.walk(_back(self.word), d)
+        return ok, s, d
 
     def pairs(self, grid: Grid, factor: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
         """The view's sorted keys and stamps, made from its factor's keys and
@@ -604,17 +584,9 @@ class _View:
         if factor is None:
             factor = np.arange(n, dtype=_key_dtype(n)) * (n + 1), np.zeros(n, dtype=self.stamp_dtype)
         keys, stamps = factor
-        # a pair (m, d) of the factor is the view's (m - word, d) or (m, d + word): one offset, in key order
-        word = self.back if self.at_source else self.word
-        ok = _walk(grid, word, keys // n if self.at_source else keys % n)
-        off = sum(grid.offset(a) for a in word)
-        return keys[ok] + (off * n if self.at_source else off), stamps[ok] + 1
-
-    def moved(self, grid: Grid, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which of ``cells`` the view's word keeps inside the grid and the
-        cells it takes them to, for a view whose word comes before its
-        factor: the factor's sources of the view's sources."""
-        return _walk(grid, self.word, cells), cells + sum(grid.offset(a) for a in self.word)
+        moved = _shifted(grid, keys, self.word, self.at_source)
+        _, s, d = self.query(grid, moved // n, moved % n)  # each moved pair's factor pair, in key order
+        return moved, stamps[keys.searchsorted(s * n + d)] + 1
 
 
 def _rounds(
@@ -646,28 +618,28 @@ def _rounds(
     times the time.
 
     The target's fresh pairs, stamped r, are its distinct candidates that
-    it lacks (:func:`_fresh`).  A relation defined by one join with an
-    action alone skips the test: it holds its factor's shift as the factor
-    stood a round earlier, and a shift is injective, so its candidates are
-    new.  So does a relation the table chains (:func:`_chained`), X ; Z
-    alone with Z = ``a ; b`` alone: it takes X's delta shifted by a and
-    then by b, and nothing from Z's delta, whose one batch, of round 1,
-    meets the pairs X's delta of round 1 gives.  Every other relation but a derived one (below) keeps a
-    :class:`_Band`, which each fresh batch updates at the end of the
-    round: it tracks the span of the relation's offsets d - s and keeps
-    bits over a band W offsets wide that covers the span while
+    it lacks (:func:`_fresh`).  A moved relation (:func:`_plan`) skips
+    the test: it holds its factor's shift as the factor stood a round
+    earlier, and a shift is injective, so its candidates are new.  A
+    chained one, X ; Z alone with Z = ``a ; b`` alone, takes X's delta
+    moved by the word a b and nothing from Z's delta, whose one batch, of
+    round 1, meets the pairs X's delta of round 1 gives.  So only the table
+    chains: the cone demands Z's rows round by round, and each later batch
+    meets X's older pairs.  Every other relation but a derived one (below)
+    keeps a :class:`_Band`, which each fresh batch updates at the end of
+    the round: it tracks the span of the relation's offsets d - s and
+    keeps bits over a band W offsets wide that covers the span while
     8 * pairs >= n * W, widened when a fresh pair falls outside it,
     dropped while the pairs do not pay for the band the span needs, and
     replaced by the n * n bits of the keys once the pairs pay for those or
-    a band row would reach a grid row.  With bits,
-    each candidate is checked by one bit lookup as it is made, and only
-    the ones not held are kept for the sort; an offset outside the band is
-    new.  Without, the candidates are sorted and searched for in the
-    blocks.  Either test finds the same fresh pairs.  Nothing
-    grows before the round ends, so stamps are exactly round numbers.  A
-    fresh batch becomes the newest block after absorbing each newest block
-    of at most four times its pairs: N pairs take O(log N) blocks, each
-    copied O(log N) times.
+    a band row would reach a grid row.  With bits, each candidate is
+    checked by one bit lookup as it is made, and only the ones not held
+    are kept for the sort; an offset outside the band is new.  Without,
+    the candidates are sorted and searched for in the blocks.  Either test
+    finds the same fresh pairs.  Nothing grows before the round ends, so
+    stamps are exactly round numbers.  A fresh batch becomes the newest
+    block after absorbing each newest block of at most four times its
+    pairs: N pairs take O(log N) blocks, each copied O(log N) times.
 
     Without a root, a relation K2 the table derives (:func:`_derived`),
     ``L ; A`` alone with A = ``Y ; a`` alone beside K1 = ``L ; Y`` alone,
@@ -682,20 +654,20 @@ def _rounds(
     K2's own products would stamp (s, d + a) with r when some m has
     L(s, m) = r - 1 and Y(m, d) < r - 1, a path of the first product, and
     with r + 1 otherwise, as then every m reaching r - 1 has Y(m, d) = r - 1.
-    A K1 that is derived or chained itself derives nothing.
+    A K1 that is derived or moved itself derives nothing.
 
-    Without a root, a view (:func:`_plan`) keeps no blocks: its fresh
-    batch is made and stamped like any other, read by the relations that
-    shift it, and dropped at the end of the next round, so it never
-    reaches :func:`_absorb` and :func:`_collapsed` keeps a :class:`_View`
-    for it.  Its pairs count toward the limit all the same.
+    Without a root, a view keeps no blocks: its fresh batch is made and
+    stamped like any other, read by the relations that shift it, and
+    dropped at the end of the next round, so it never reaches
+    :func:`_absorb`, and :func:`_collapsed` keeps a :class:`_View` of its
+    move.  Its pairs count toward the limit all the same.
     ResourceLimitError once the relations hold more than ``limit`` pairs.
     """
     n, key_dtype = grid.size, _key_dtype(grid.size)
     dem = {k: np.zeros(0, dtype=key_dtype) for k in defs}
     blocks: dict[tuple, list[_Block]] = {k: [] for k in defs}
-    # the cone moves only the shifts: it computes the rest on the rows demanded of them
-    shifts, chained, derived, views = _plan(defs) if root is None else (_shifts(defs), {}, {}, {})
+    # the cone moves only the shifts, and chains, derives and views nothing (see above)
+    moves, chained, derived, views = _plan(defs) if root is None else (_shifts(defs), set(), {}, set())
     sources = {k1 for k1, _ in derived.values()}
     firsts: dict[tuple, int] = {}  # how many of a source's candidate parts its left product made this round
     found: dict[tuple, np.ndarray] = {}  # a source's fresh pairs among those parts: g_r
@@ -706,7 +678,7 @@ def _rounds(
     wants = ({k: [np.arange(n, dtype=key_dtype)] for k in defs} if root is None
              else {root[0]: [np.array([root[1]], dtype=key_dtype)]})
     fresh: dict[tuple, _Block] = {}
-    bands = {k: _Band() for k in defs if k not in shifts and k not in derived}
+    bands = {k: _Band() for k in defs if k not in moves and k not in derived}
     none = np.zeros(0, dtype=key_dtype)
     round_no = entries = 0
 
@@ -717,7 +689,7 @@ def _rounds(
     def visible(key, x, rows) -> np.ndarray:
         """Keys of x's pairs newly visible to key: all of x on key's new rows, its fresh pairs on the older ones."""
         if x[0] == "act":  # only on new rows: an action has no fresh pairs
-            return _shifted(grid, rows * (n + 1), x[1])
+            return _shifted(grid, rows * (n + 1), (x[1],))
         parts = [_gather(blocks[x], rows, n)[1]] if len(rows) else []
         if x in fresh:
             parts.append(older(key, fresh[x].keys))
@@ -739,7 +711,7 @@ def _rounds(
             if len(want):
                 new_rows[key] = np.sort(np.concatenate((new_rows[key], want))) if key in new_rows else want
                 for x, a in static[key]:
-                    ok, m = _moved(grid, a, want) if a else (slice(None), want)
+                    ok, m = grid.walk((a,), want) if a else (slice(None), want)
                     wants.setdefault(x, []).append(m[ok])
         if not new_rows and not fresh:
             break
@@ -758,10 +730,9 @@ def _rounds(
                     if op[0] == "copy":
                         add(key, vis)
                     elif r[0] == "act":
-                        add(key, _shifted(grid, vis, r[1]))
-                    elif key in chained:  # X ; (a ; b): a shift by a, then by b
-                        a, b = chained[key]
-                        add(key, _shifted(grid, _shifted(grid, vis, a), b))
+                        add(key, _shifted(grid, vis, (r[1],)))
+                    elif key in chained:  # X ; (a ; b): moved by the word a b
+                        add(key, _shifted(grid, vis, moves[key][1]))
                     elif root is None:  # vis is x's delta from round 2 on, and r is empty in round 1
                         without = round_no - 1 if key in sources and r in fresh else None  # a source reads r_old
                         for keys in _products(fresh[x], blocks[r], n, without=without) if x in fresh else ():
@@ -776,7 +747,7 @@ def _rounds(
                         add(key, s[at] * n + got % n)
                 if op[0] == "join" and r in fresh and key not in chained:  # x's pairs into r's fresh pairs
                     if x[0] == "act":
-                        got = [_shifted(grid, fresh[r].keys, x[1], at_source=True)]
+                        got = [_shifted(grid, fresh[r].keys, (x[1],), at_source=True)]
                     elif root is None:
                         got = _products(fresh[r], blocks[x], n, transposed=True)
                     else:
@@ -791,7 +762,7 @@ def _rounds(
         fresh, found, rest, late = {}, {}, {}, rest
         grown = []  # each relation's fresh pairs, a derived one's after its source's
         for key, parts in cands.items():
-            if key in shifts:  # new and distinct by construction; a stable sort merges the cone's sorted runs
+            if key in moves:  # new and distinct by construction; a stable sort merges the cone's sorted runs
                 cand = np.sort(np.concatenate(parts), kind="stable")
             elif key in sources:
                 stack = [] if bands[key].bits is not None else blocks[key]
@@ -801,7 +772,7 @@ def _rounds(
                 cand = _fresh(parts, [] if bands[key].bits is not None else blocks[key])
             grown.append((key, cand))
         for key, (k1, a) in derived.items():  # shifts of k1's pairs its left product found, and of last round's rest
-            grown.append((key, _shifted(grid, _union(found.get(k1, none), late.get(k1, none)), a)))
+            grown.append((key, _shifted(grid, _union(found.get(k1, none), late.get(k1, none)), (a,))))
         for key, cand in grown:
             if len(cand):
                 entries += len(cand)
@@ -830,11 +801,11 @@ def _collapsed(
     stamped round: a round that finds no pair stops."""
     blocks, dem, rounds = _rounds(grid, defs, limit, root)
     stamp_dtype = np.min_scalar_type(rounds - 1)
-    views = _plan(defs).views if root is None else {}
+    plan = _plan(defs)
     relations = {}
     for key, stack in blocks.items():
-        if key in views:
-            relations[key] = _View(*views[key], stamp_dtype)
+        if root is None and key in plan.views:
+            relations[key] = _View(*plan.moves[key], stamp_dtype)
             continue
         pairs = (np.zeros(0, dtype=_key_dtype(grid.size)), np.zeros(0, dtype=stamp_dtype))
         while stack:  # newest first
@@ -846,4 +817,4 @@ def _collapsed(
 def _action_keys(grid: Grid, a: tuple[int, ...]) -> np.ndarray:
     """The sorted linear keys, of the relations' type, of action a's in-grid pairs (s, s + a)."""
     n = grid.size
-    return _shifted(grid, np.arange(n, dtype=_key_dtype(n)) * (n + 1), a)
+    return _shifted(grid, np.arange(n, dtype=_key_dtype(n)) * (n + 1), (a,))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DimensionMismatchError, NotInTableError, OutOfGridError, ResourceLimitError
 from .flowtree import FlowTree, _solve
@@ -95,20 +95,25 @@ class Grid:
         """Index distance an in-grid application of action a moves a cell by."""
         return sum(v * (self.bound + 1) ** i for i, v in enumerate(a))
 
+    def walk(self, word: Sequence[tuple[int, ...]], cells):
+        """Whether the actions of ``word``, applied in turn, keep ``cells``
+        inside the grid at every step, and the cells they take them to, for
+        one int cell or, cell by cell, a numpy array of them.  Each action
+        is checked only on the digits it moves; where the word leaves the
+        grid, the cell it gives means nothing."""
+        ok, r = cells >= 0, self.bound + 1
+        for a in word:
+            for i, v in enumerate(a):
+                if v:
+                    digit = cells // r**i % r
+                    ok &= digit <= self.bound - v if v > 0 else digit >= -v
+            cells = cells + self.offset(a)
+        return ok, cells
 
-def _action_target(grid: Grid, a: tuple[int, ...], s: int) -> int | None:
-    out = tuple(x + y for x, y in zip(grid.decode(s), a))
-    return s + grid.offset(a) if grid.contains(out) else None
 
-
-def _walked(grid: Grid, word: Iterable[tuple[int, ...]], c: int) -> int | None:
-    """The cell the actions of ``word`` take cell c to in turn, or None
-    if one leaves the grid."""
-    for a in word:
-        c = _action_target(grid, a, c)
-        if c is None:
-            break
-    return c
+def _back(word: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The word that undoes ``word``: its actions negated, in reverse order."""
+    return tuple(tuple(-v for v in a) for a in reversed(word))
 
 
 def _symbol_ref(s) -> tuple:
@@ -197,14 +202,15 @@ def _justify(engine, r: int, rhs, s: int, d: int, below: int) -> list[int] | Non
 
     def feasible(ref, a: int) -> bool:
         if ref[0] == "act":
-            return _action_target(grid, ref[1], a) == d
+            ok, c = grid.walk((ref[1],), a)
+            return ok and c == d
         return 0 < engine._stamp_of(ref, a, d) < below
 
     def least_feasible(ref, cands: np.ndarray) -> int | None:
         """The configuration-least cell of ``cands`` from which ref is feasible."""
         if ref[0] == "act":  # only the cell the action takes to d
-            c = _action_target(grid, tuple(-v for v in ref[1]), d)
-            return c if c is not None and (cands == c).any() else None
+            ok, c = grid.walk(_back((ref[1],)), d)
+            return c if ok and (cands == c).any() else None
         got = engine._stamps(ref, cands, d)
         ok = cands[(got > 0) & (got < below)].tolist()
         return min(ok, key=grid.decode) if ok else None
@@ -217,8 +223,8 @@ def _justify(engine, r: int, rhs, s: int, d: int, below: int) -> list[int] | Non
     for i, head in enumerate(rhs[:-1]):
         suffix = _suffix_ref(rhs, r, i + 1)
         if isinstance(head, tuple):
-            nxt = _action_target(grid, head, cells[-1])
-            nxt = nxt if nxt is not None and feasible(suffix, nxt) else None
+            ok, nxt = grid.walk((head,), cells[-1])
+            nxt = nxt if ok and feasible(suffix, nxt) else None
         else:
             cols, stamps = engine._row(("sym", head), cells[-1])
             nxt = least_feasible(suffix, cols[stamps < below])  # stored stamps are positive
@@ -276,8 +282,9 @@ class ReachTable:
     that is only its factor moved by actions, maps instead to a
     :class:`~gvaskit._kernel._View` and stores no pairs: each of them is
     its factor pair moved, stamped one more, so ``_stamp_of`` and
-    ``_stamps`` answer from the factor, and ``_pairs_of`` makes its keys
-    and stamps.  Symbols are always stored, and ``_row`` reads only them.
+    ``_stamps`` answer from the factor, through the view's ``query``, and
+    ``_pairs_of`` makes its keys and stamps.  Symbols are always stored,
+    and ``_row`` reads only them.
     """
 
     def __init__(self, g, grid, relations, dem):
@@ -313,13 +320,10 @@ class ReachTable:
         """Discovery stamp of pair (s, d) in relation ``key``, 0 if absent."""
         view = self._views.get(key)
         if view is not None:  # the factor's pair, one round earlier
-            if view.at_source:
-                s = _walked(self.grid, view.word, s)
-            else:
-                d = _walked(self.grid, view.back, d)
-            if s is None or d is None:
+            ok, s, d = view.query(self.grid, s, d)
+            if not ok:
                 return 0
-            if view.factor is None:
+            if view.factor is None:  # an identity pair counts as stamped 0
                 return int(s == d)
             got = self._stamp_of(view.factor, s, d)
             return got + 1 if got else 0
@@ -341,13 +345,7 @@ class ReachTable:
             k = cells.astype(keys.dtype, copy=False) * self.grid.size + d
             pos = keys.searchsorted(k)
             return stamps.take(pos, mode="clip") * (keys.take(pos, mode="clip") == k)
-        ok = True
-        if view.at_source:  # the factor's pairs from the cells the word takes cells to
-            ok, cells = view.moved(self.grid, cells)
-        else:  # the factor's pairs to the cell the word takes to d
-            d = _walked(self.grid, view.back, d)
-            if d is None:  # the word reaches d from no cell
-                ok, d = False, 0
+        ok, cells, d = view.query(self.grid, cells, d)
         if view.factor is None:
             return ((cells == d) & ok).astype(view.stamp_dtype)
         got = self._stamps(view.factor, cells, d)
@@ -370,8 +368,8 @@ class ReachTable:
         key = _source_ref(self.gvas, self.grid, symbol, x)
         s = self._demanded(key, x, symbol)
         if key[0] == "act":
-            d = _action_target(self.grid, key[1], s)
-            return [self.grid.decode(d)] if d is not None else []
+            ok, d = self.grid.walk((key[1],), s)
+            return [self.grid.decode(d)] if ok else []
         cols = self._row(key, s)[0]
         return sorted(map(tuple, self.grid.decode_many(cols).tolist()))
 
@@ -381,7 +379,8 @@ class ReachTable:
             return False
         s, d = self._demanded(key, x, symbol), self.grid.encode(y)
         if key[0] == "act":
-            return _action_target(self.grid, key[1], s) == d
+            ok, t = self.grid.walk((key[1],), s)
+            return ok and t == d
         return self._stamp_of(key, s, d) > 0
 
     def _keys(self, symbol) -> np.ndarray:

@@ -21,11 +21,11 @@ from gvaskit.fastgrowing import build_core
 from gvaskit.gvas import Gvas, parse_gvas
 from gvaskit import _kernel
 from gvaskit._kernel import (
-    _Band, _Block, _View, _derived, _key_dtype, _merge, _plan, _products, _rounds, _shifted, _shifts,
+    _Band, _Block, _View, _key_dtype, _merge, _plan, _products, _rounds, _shifted, _shifts,
 )
 from gvaskit.fastgrowing import as_weak_computer
 from gvaskit.ordinal import Ordinal
-from gvaskit.reach import Grid, _action_target, _binarize, _walked, bounded_reach, reach_from
+from gvaskit.reach import Grid, _back, _binarize, bounded_reach, reach_from
 from gvaskit.setops import intersect, linear_set, make_resetting, periodic_hull, union
 from gvaskit.weakcomp import definable_to_wc, wc_to_definable
 from test_crosscheck import random_gvas
@@ -327,21 +327,42 @@ def test_core_tables_keep_their_digests():
         ("sym", "Fn"): "bb873621deea5201", ("sym", "Iter"): "56ba63b52e3cc2be", ("sym", "Load"): "ddc401c640c15585"}
 
 
+def walked(grid, word, c):
+    """The cell the actions of ``word`` take configuration-decoded cell c
+    to in turn, or None if one leaves the grid: the reference of
+    :meth:`Grid.walk`."""
+    x = grid.decode(c)
+    for a in word:
+        x = tuple(u + v for u, v in zip(x, a))
+        if not grid.contains(x):
+            return None
+    return grid.encode(x)
+
+
 def test_shifts_keep_key_order_and_drop_what_leaves_the_grid():
     grid = Grid(2, 4)
     n = grid.size
     rng = np.random.default_rng(3)
     keys = np.unique(rng.integers(0, n * n, 300)).astype(np.int32)
-    for a in [(1, 0), (0, -2), (-1, 3), (0, 0)]:
+    # one action, or two: ((1, 0), (-1, 0)) sums to zero but leaves the grid from the top row
+    for word in [((1, 0),), ((0, -2),), ((-1, 3),), ((0, 0),), ((1, 0), (-1, 0)), ((0, -1), (0, 1)),
+                 ((2, -1), (-1, 2)), ((0, 3), (1, -4))]:
         want_dst, want_src = [], []
         for s, d in zip(*np.divmod(keys.tolist(), n)):
-            t = _action_target(grid, a, d)
+            t = walked(grid, word, d)
             want_dst += [s * n + t] if t is not None else []
-            u = _action_target(grid, tuple(-v for v in a), s)
+            u = walked(grid, _back(word), s)
             want_src += [u * n + d] if u is not None else []
-        got_dst, got_src = _shifted(grid, keys, a), _shifted(grid, keys, a, at_source=True)
+        got_dst, got_src = _shifted(grid, keys, word), _shifted(grid, keys, word, at_source=True)
         assert got_dst.dtype == got_src.dtype == np.int32
         assert got_dst.tolist() == want_dst and got_src.tolist() == sorted(want_src)
+        # a walk of one int cell is the walk of the same cell in an array
+        ok, moved = grid.walk(word, np.arange(n))
+        for c in range(n):
+            want = walked(grid, word, c)
+            got_ok, got = grid.walk(word, c)
+            assert type(got) is int and got_ok == (want is not None) == ok[c], (word, c)
+            assert not got_ok or got == want == moved[c], (word, c)
 
 
 def test_only_joins_of_two_relations_hold_matrices():
@@ -788,7 +809,7 @@ def reference_cone(g, source, bound):
 
     def read(ref, s, reader):
         if ref[0] == "act":
-            d = _action_target(grid, ref[1], s)
+            d = walked(grid, (ref[1],), s)
             if d is not None:
                 give(reader, d)
             return
@@ -1085,7 +1106,7 @@ F -> (1,1) L Z
 
 def test_derived_relations_and_their_near_misses():
     defs = _binarize(DERIVED)
-    assert _derived(defs, _shifts(defs)) == {
+    assert _plan(defs).derived == {
         ("aux", 1, 1): (("aux", 6, 1), (-1, 2)), ("aux", 2, 1): (("aux", 6, 1), (0, -1)),
         ("aux", 5, 1): (("sym", "M"), (1, 1)), ("aux", 11, 1): (("aux", 6, 1), (-1, 2))}
     assert defs[("aux", 5, 1)][0][1] == defs[("aux", 5, 2)][0][1] == ("sym", "Y")  # L == Y
@@ -1094,25 +1115,29 @@ def test_derived_relations_and_their_near_misses():
     # a derived pair takes its source's stamp when a path reaches it through
     # an older pair of Y, and one more otherwise: both occur
     table = bounded_reach(DERIVED, 5)
-    for k2, (k1, a) in _derived(defs, _shifts(defs)).items():
+    for k2, (k1, a) in _plan(defs).derived.items():
         keys, stamps = table._pairs_of(k2)
         k1_keys, k1_stamps = table._pairs_of(k1)
         moved = np.isin(k1_keys, keys - table.grid.offset(a))
-        assert np.array_equal(_shifted(table.grid, k1_keys, a), keys)
+        assert np.array_equal(_shifted(table.grid, k1_keys, (a,)), keys)
         assert set((stamps.astype(int) - k1_stamps[moved]).tolist()) == {0, 1}
 
 
 def test_derived_relations_match_reference_on_random_grammars():
     # random grammars with one derived shape added: K -> a L Y b beside J -> c L Y
-    rng = random.Random(11)
+    rng, chained = random.Random(11), 0
     for _ in range(30):
         g = random_gvas(rng)
         l, y = rng.choice(g.nonterminals), rng.choice(g.nonterminals)
         a, b, c = (tuple(rng.randint(-2, 2) for _ in range(g.dim)) for _ in range(3))
         g = Gvas.from_rules(g.dim, list(g.rules) + [("J", [c, l, y]), ("K", [a, l, y, b])], g.start)
-        defs = _binarize(g)
-        assert _derived(defs, _shifts(defs))
+        plan = _plan(_binarize(g))
+        j, k = ("aux", len(g.rules) - 2, 1), ("aux", len(g.rules) - 1, 1)  # J's join L ; Y and K's L ; A
+        # L ; Y is chained when Y is a ; b alone, and a chained relation derives nothing
+        assert (k in plan.derived) == (j not in plan.chained)
+        chained += j in plan.chained
         assert_same_stamps(g, rng.randint(2, 6))
+    assert 0 < chained < 30
 
 
 def derived_work(monkeypatch, g, bound):
@@ -1145,7 +1170,7 @@ def test_core_derives_the_shifted_join_of_iter_and_fn(monkeypatch, d, bound, sou
     # other join's, one per round after one with a fresh Fn batch, and it
     # updates no band
     g = build_core(d)
-    assert _derived(_binarize(g), _shifts(_binarize(g))) == {("aux", 1, 1): (source, digit0)}
+    assert _plan(_binarize(g)).derived == {("aux", 1, 1): (source, digit0)}
     blocks, products, adds = derived_work(monkeypatch, g, bound)
     assert not any(factor is blocks[("aux", 1, 2)] for factor, _ in products)
     fn_rounds = len(np.unique(np.concatenate([b.stamps for b in blocks[("sym", "Fn")]])))
@@ -1155,7 +1180,7 @@ def test_core_derives_the_shifted_join_of_iter_and_fn(monkeypatch, d, bound, sou
 
 
 def test_derived_relations_take_no_product_and_no_band(monkeypatch):
-    derived = _derived(_binarize(DERIVED), _shifts(_binarize(DERIVED)))
+    derived = _plan(_binarize(DERIVED)).derived
     blocks, products, adds = derived_work(monkeypatch, DERIVED, 5)
     for k2 in derived:  # each A is the right factor of its K2 alone
         assert blocks[k2] and not any(factor is blocks[_binarize(DERIVED)[k2][0][2]] for factor, _ in products)
@@ -1174,9 +1199,26 @@ Y -> (1) (1)
 T -> (1) T | eps
 """)
     plan = _plan(_binarize(g))
-    assert plan.chained == {("sym", "K"): ((1,), (1,))}
-    assert plan.derived == {} and plan.views == {}
+    assert plan.chained == {("sym", "K")} and plan.moves[("sym", "K")] == (("sym", "T"), ((1,), (1,)), False)
+    assert plan.derived == {} and plan.views == set()
     for bound in (0, 1, 2, 3, 6):
+        assert_same_stamps(g, bound)
+
+
+def test_a_chained_relation_on_a_cancelling_word():
+    # K = T ; Y with Y = (1) ; (-1) is chained on a word whose offsets sum to
+    # zero: T's pairs (s, d) with d on the grid's top row leave it on the
+    # first action, so K holds T's pairs without those, one round late
+    g = parse_gvas("""dim 1
+start S
+S -> K (0) | T
+K -> T Y
+Y -> (1) (-1)
+T -> (1) T | eps
+""")
+    plan = _plan(_binarize(g))
+    assert plan.chained == {("sym", "K")} and plan.moves[("sym", "K")] == (("sym", "T"), ((1,), (-1,)), False)
+    for bound in range(5):
         assert_same_stamps(g, bound)
 
 
@@ -1225,7 +1267,8 @@ def test_core_views_hold_no_block_and_are_never_merged(monkeypatch, d, bound):
     # product reads is a view: its fresh batches are dropped, not absorbed,
     # and the table keeps a _View for it
     g = build_core(d)
-    views = _plan(_binarize(g)).views
+    plan = _plan(_binarize(g))
+    views = {key: plan.moves[key] for key in plan.views}
     assert views == CORE_VIEWS[d]
     blocks, absorbed, merged = absorbs(monkeypatch, g, bound)
     assert merged
@@ -1276,17 +1319,18 @@ def test_view_stamps_read_their_factor_on_both_sides():
         table, want = bounded_reach(g, bound), reference_bounded_reach(g, bound)
         grid, n = table.grid, table.grid.size
         cells = np.arange(n, dtype=_key_dtype(n))
-        for key, (factor, word, at_source) in _plan(_binarize(g)).views.items():
+        plan = _plan(_binarize(g))
+        for key in plan.views:
             view = table._relations[key]
-            assert isinstance(view, _View) and (view.factor, view.word, view.at_source) == (factor, word, at_source)
+            assert isinstance(view, _View) and (view.factor, view.word, view.at_source) == plan.moves[key]
             m = want[key].toarray()
             for d in range(n):
                 assert table._stamps(key, cells, d).tolist() == m[:, d].tolist(), (key, bound, d)
                 for s in range(n):
                     stamp = table._stamp_of(key, s, d)
                     assert type(stamp) is int and stamp == m[s, d], (key, bound, s, d)
-                    outside = _walked(grid, word, s) if at_source else _walked(grid, view.back, d)
-                    seen.add((at_source, "outside" if outside is None else "held" if stamp else "absent"))
+                    inside = view.query(grid, s, d)[0]
+                    seen.add((view.at_source, "held" if stamp else "absent" if inside else "outside"))
     assert seen == {(side, case) for side in (False, True) for case in ("outside", "absent", "held")}
 
 
@@ -1296,7 +1340,7 @@ def test_a_shift_a_product_reads_stays_stored():
     # is the right factor of U ; aux(15, 2), which the table shifts instead
     defs = _binarize(SHIFTS)
     read = {op[2] for ops in defs.values() for op in ops if op[0] == "join" and "act" not in (op[1][0], op[2][0])}
-    assert read & _shifts(defs) & {k for k in defs if k[0] == "aux"} == {("aux", 13, 1), ("aux", 15, 2)}
+    assert read & _shifts(defs).keys() & {k for k in defs if k[0] == "aux"} == {("aux", 13, 1), ("aux", 15, 2)}
     assert ("aux", 13, 1) not in _plan(defs).views and ("aux", 15, 2) in _plan(defs).views
     table = bounded_reach(SHIFTS, 5)
     keys, stamps = table._relations[("aux", 13, 1)]
