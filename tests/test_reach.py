@@ -1329,8 +1329,8 @@ def test_view_stamps_read_their_factor_on_both_sides():
                 for s in range(n):
                     stamp = table._stamp_of(key, s, d)
                     assert type(stamp) is int and stamp == m[s, d], (key, bound, s, d)
-                    inside = view.query(grid, s, d)[0]
-                    seen.add((view.at_source, "held" if stamp else "absent" if inside else "outside"))
+                    outside = walked(grid, view.word, s) if view.at_source else walked(grid, _back(view.word), d)
+                    seen.add((view.at_source, "outside" if outside is None else "held" if stamp else "absent"))
     assert seen == {(side, case) for side in (False, True) for case in ("outside", "absent", "held")}
 
 
